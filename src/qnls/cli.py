@@ -67,6 +67,8 @@ _DEFAULTS = {
     "t_fit_end": 25.0,
 }
 
+_INTEGER_KEYS = ("n", "m", "dimension", "cadence", "max_iter", "snapshot_every", "seed")
+
 _REQUIRED = {"command"}
 
 _KNOWN_KEYS = set(_DEFAULTS) | _REQUIRED
@@ -109,6 +111,9 @@ def parse_config(text: str) -> RunConfig:
         )
     options = dict(_DEFAULTS)
     options.update({k: v for k, v in raw.items() if k != "command"})
+    for key in _INTEGER_KEYS:
+        if not isinstance(options[key], int) or isinstance(options[key], bool):
+            raise ConfigError(f"config key {key!r} must be an integer, got {options[key]!r}")
     for key in ("dt", "t_final", "L", "r_max", "tol", "amplitude", "width"):
         if not isinstance(options[key], (int, float)) or options[key] <= 0:
             raise ConfigError(f"config key {key!r} must be a positive number")
@@ -189,7 +194,7 @@ def read_snapshot(path: str) -> tuple[FieldPair, float]:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))   # numpy scalars repr as "np.float64(...)"
     return str(x)
 
 

@@ -12,8 +12,24 @@ composed with a pointwise quadratic substep ODE
 
 integrated by classical RK4.  The substep flow conserves |u|^2 + |v|^2
 pointwise, which gives a per-step accuracy monitor; substeps are refined
-until the monitored drift is below tolerance.  Blow-up is a flagged
-outcome with resolution-based stopping, never an exception.
+until the monitored drift is below tolerance.
+
+One stepper, :class:`SplitStepper`, runs the flow for every caller
+(:func:`strang_step`, :func:`evolve` and the interaction accumulator in
+``morawetz``).  It holds (u, v) stacked as one ``(2, *shape)`` array, so
+every transform and every RK4 operation takes both fields at once.
+Adjacent linear half-steps compose exactly, L(dt/2) L(dt/2) = L(dt), so
+between two steps that nobody observes the trailing half-step of the
+first and the leading half-step of the second are applied as one
+multiplier: an unobserved step is one forward and one inverse transform
+around the substep.  The stepper un-fuses only when a caller asks for the
+state (``sync``): ``evolve`` does so after every step for its resolution
+check, the accumulator at its time samples.  Un-fusing costs one forward
+transform and one inverse transform of both L(dt/2) and L(dt) applied to
+the post-substep state, which gives the state now and the next step's
+pre-substep state, so observing does not change the trajectory.
+
+Blow-up and substep failure are flagged outcomes, never exceptions.
 """
 
 from __future__ import annotations
@@ -69,7 +85,7 @@ class TimeSeries:
     snapshots: list[tuple[float, FieldPair]] = field(default_factory=list)
     blown_up: bool = False
     blow_up_time: float | None = None
-    outcome: str = "completed"
+    outcome: str = "completed"       # or "blow-up", "substep-failure"
 
     def times(self) -> np.ndarray:
         return np.array([rec.t for rec in self.records])
@@ -78,9 +94,18 @@ class TimeSeries:
         return np.array([getattr(rec, name) for rec in self.records])
 
 
-def _linear_phases(grid: UniformGrid, kappa: float, dt: float):
-    k2 = grid.k2()
-    return np.exp(-1j * k2 * dt), np.exp(-1j * kappa * k2 * dt)
+class SubstepFailure(RuntimeError):
+    """The pointwise substep missed its tolerance at the refinement limit."""
+
+
+def _free_multiplier(grid: UniformGrid, kappa: float, t: float) -> np.ndarray:
+    """Free flow over t for the stacked pair: e^{-i |k|^2 t} over e^{-i kappa |k|^2 t}."""
+    coupling = np.array([1.0, kappa]).reshape((2,) + (1,) * grid.d)
+    return np.exp(-1j * t * coupling * grid.k2())
+
+
+def _stacked(p: FieldPair) -> np.ndarray:
+    return np.array((p.u.values, p.v.values), dtype=complex)
 
 
 def linear_step(p: FieldPair, dt: float) -> FieldPair:
@@ -88,54 +113,116 @@ def linear_step(p: FieldPair, dt: float) -> FieldPair:
     grid = p.grid
     if not isinstance(grid, UniformGrid):
         raise TypeError("time stepping is defined on uniform grids")
-    mu, mv = _linear_phases(grid, p.kappa, dt)
-    u = grid.ifft(mu * grid.fft(p.u.values))
-    v = grid.ifft(mv * grid.fft(p.v.values))
-    return p.with_values(u, v)
+    w = grid.ifft(_free_multiplier(grid, p.kappa, dt) * grid.fft(_stacked(p)))
+    return p.with_values(w[0], w[1])
 
 
-def _nonlinear_rhs(u: np.ndarray, v: np.ndarray):
-    return 1j * v * np.conj(u), 1j * u * u
+def _quadratic(w: np.ndarray) -> np.ndarray:
+    """(v conj(u), u^2): the substep right-hand side without its factor i."""
+    out = np.empty_like(w)
+    np.multiply(w[1], np.conj(w[0]), out=out[0])
+    np.multiply(w[0], w[0], out=out[1])
+    return out
 
 
-def _rk4_substeps(u: np.ndarray, v: np.ndarray, dt: float, nsub: int):
+def _rk4_substeps(w: np.ndarray, dt: float, nsub: int) -> np.ndarray:
     h = dt / nsub
     for _ in range(nsub):
-        k1u, k1v = _nonlinear_rhs(u, v)
-        k2u, k2v = _nonlinear_rhs(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
-        k3u, k3v = _nonlinear_rhs(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
-        k4u, k4v = _nonlinear_rhs(u + h * k3u, v + h * k3v)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return u, v
+        k1 = _quadratic(w)
+        k2 = _quadratic(w + (0.5j * h) * k1)
+        k3 = _quadratic(w + (0.5j * h) * k2)
+        k4 = _quadratic(w + (1j * h) * k3)
+        w = w + (1j * h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return w
+
+
+def _density(w: np.ndarray) -> np.ndarray:
+    """|u|^2 + |v|^2, the substep flow's pointwise invariant."""
+    sq = np.abs(w) ** 2
+    return sq[0] + sq[1]
 
 
 def nonlinear_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
     """Pointwise substep ODE u_t = i v conj(u), v_t = i u^2 over dt.
 
-    RK4 with substep refinement until the exactly-conserved pointwise
-    density |u|^2 + |v|^2 drifts less than ``tol`` (relative to its own
-    scale) over the step.
+    RK4 on the stacked pair with substep refinement until the
+    exactly-conserved pointwise density |u|^2 + |v|^2 drifts less than
+    ``tol`` (relative to its own scale) over the step; raises
+    :class:`SubstepFailure` past 1024 substeps.
     """
-    u0, v0 = p.u.values, p.v.values
-    inv0 = np.abs(u0) ** 2 + np.abs(v0) ** 2
+    w0 = _stacked(p)
+    inv0 = _density(w0)
     scale = max(float(np.max(inv0)), 1e-300)
     nsub = 1
     while True:
-        u, v = _rk4_substeps(u0, v0, dt, nsub)
-        drift = float(np.max(np.abs((np.abs(u) ** 2 + np.abs(v) ** 2) - inv0))) / scale
+        w = _rk4_substeps(w0, dt, nsub)
+        drift = float(np.max(np.abs(_density(w) - inv0))) / scale
         if drift < tol:
-            return p.with_values(u, v)
+            return p.with_values(w[0], w[1])
         nsub *= 2
         if nsub > 1024:
-            raise RuntimeError(
+            raise SubstepFailure(
                 f"substep refinement limit reached (pointwise drift {drift:.3e})"
             )
 
 
+class SplitStepper:
+    """Strang flow L(dt/2) N(dt) L(dt/2) of one pair, with fused half-steps.
+
+    L is the exact free flow and N the pointwise substep
+    (:func:`nonlinear_step`).  After a step the stepper keeps the
+    post-substep state with its trailing half-step pending; the next step
+    applies it together with its own leading half-step as L(dt).
+    :meth:`sync` un-fuses (see the module docstring).
+    """
+
+    def __init__(self, p0: FieldPair, dt: float, tol: float = 1e-10) -> None:
+        grid = p0.grid
+        if not isinstance(grid, UniformGrid):
+            raise TypeError("time stepping is defined on uniform grids")
+        self.grid = grid
+        self.dt = dt
+        self.tol = tol
+        self.steps = 0
+        self._p0 = p0
+        # L(dt/2) and L(dt), stacked so that sync applies both in one product
+        self._free = np.array([_free_multiplier(grid, p0.kappa, t) for t in (0.5 * dt, dt)])
+        self._state = _stacked(p0)
+        self._synced = True       # _state is at the current time, not post-substep
+        self._ahead = None        # the next step's pre-substep state, once known
+
+    def step(self) -> None:
+        """Advance by dt; raises :class:`SubstepFailure` like the substep."""
+        grid = self.grid
+        if self._ahead is None:
+            lead = self._free[0] if self._synced else self._free[1]
+            self._ahead = grid.ifft(lead * grid.fft(self._state))
+        ahead = self._ahead
+        stepped = nonlinear_step(self._p0.with_values(ahead[0], ahead[1]), self.dt, self.tol)
+        self._state = _stacked(stepped)
+        self._synced = False
+        self._ahead = None
+        self.steps += 1
+
+    def sync(self) -> np.ndarray:
+        """The stacked (u, v) at time ``steps * dt``; the stepper's own array."""
+        if not self._synced:
+            both = self.grid.ifft(self._free * self.grid.fft(self._state))
+            self._state, self._ahead = both[0], both[1]
+            self._synced = True
+        return self._state
+
+    def pair(self) -> FieldPair:
+        """The synchronised state as a pair."""
+        w = self.sync()
+        return self._p0.with_values(w[0], w[1])
+
+
 def strang_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
     """Second-order composition linear(dt/2) o nonlinear(dt) o linear(dt/2)."""
-    return linear_step(nonlinear_step(linear_step(p, 0.5 * dt), dt, tol), 0.5 * dt)
+    stepper = SplitStepper(p, dt, tol)
+    stepper.step()
+    return stepper.pair()
 
 
 def reference_rk4_step(p: FieldPair, dt: float) -> FieldPair:
@@ -185,19 +272,19 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
 
     Terminates early with the blow-up flag when the kinetic energy grows
     past ``blowup_growth`` times its initial value or the max modulus
-    exceeds ``resolution_factor / h``; NaN anywhere aborts with a
-    diagnostic.  Early termination is a labeled outcome, not an error.
+    exceeds ``resolution_factor / h``, and with outcome
+    ``"substep-failure"`` when the substep misses its tolerance; NaN
+    anywhere aborts with a diagnostic.  Early termination is a labeled
+    outcome, not an error.
     """
     grid = p0.grid
     if not isinstance(grid, UniformGrid):
         raise TypeError("evolve requires a uniform grid")
     nsteps = int(round(cfg.t_final / cfg.dt))
-    mu, mv = _linear_phases(grid, p0.kappa, 0.5 * cfg.dt)
+    stepper = SplitStepper(p0, cfg.dt, cfg.substep_tol)
 
     ts = TimeSeries()
-    u = p0.u.values.astype(complex)
-    v = p0.v.values.astype(complex)
-    pair = p0.with_values(u, v)
+    pair = stepper.pair()
     rec0 = _record(pair, 0.0)
     ts.records.append(rec0)
     if cfg.store_fields:
@@ -206,16 +293,15 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
     mod_bound = cfg.resolution_factor / grid.h
 
     for step in range(1, nsteps + 1):
-        uhat = grid.fft(u)
-        vhat = grid.fft(v)
-        u = grid.ifft(mu * uhat)
-        v = grid.ifft(mv * vhat)
-        stepped = nonlinear_step(pair.with_values(u, v), cfg.dt, cfg.substep_tol)
-        u = grid.ifft(mu * grid.fft(stepped.u.values))
-        v = grid.ifft(mv * grid.fft(stepped.v.values))
+        try:
+            stepper.step()
+        except SubstepFailure:
+            ts.outcome = "substep-failure"
+            break
+        w = stepper.sync()
         t = step * cfg.dt
 
-        maxmod = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))))
+        maxmod = float(np.max(np.abs(w)))
         if not np.isfinite(maxmod):
             raise FloatingPointError(
                 f"non-finite field at t = {t:.6g} (step {step}); "
@@ -225,10 +311,10 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
             ts.blown_up = True
             ts.blow_up_time = t
             ts.outcome = "blow-up"
-            ts.records.append(_record(pair.with_values(u, v), t))
+            ts.records.append(_record(stepper.pair(), t))
             break
         if step % cfg.cadence == 0 or step == nsteps:
-            pair_t = pair.with_values(u, v)
+            pair_t = stepper.pair()
             rec = _record(pair_t, t)
             if h0 > 0 and rec.kinetic > cfg.blowup_growth * h0:
                 ts.blown_up = True
@@ -238,7 +324,9 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
                 break
             ts.records.append(rec)
             if cfg.store_fields:
-                ts.snapshots.append((t, pair_t))
+                # copy: the synchronised state shares its buffer with the
+                # stepper's look-ahead
+                ts.snapshots.append((t, p0.with_values(*w.copy())))
     return ts
 
 
@@ -291,10 +379,12 @@ def blow_up_detect(ts: TimeSeries) -> str:
     """Classify a finished series: 'blow-up', 'global-looking' or 'undecided'.
 
     Numerical proxy only: growth of H and resolution-bound violations, not
-    a theorem check.
+    a theorem check.  A run cut short by a substep failure is 'undecided'.
     """
     if ts.blown_up:
         return "blow-up"
+    if ts.outcome != "completed":
+        return "undecided"
     kin = ts.column("kinetic")
     if kin.size == 0 or not np.all(np.isfinite(kin)):
         return "undecided"

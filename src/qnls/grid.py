@@ -14,11 +14,15 @@ from dataclasses import dataclass
 from math import gamma as _gamma_fn, pi
 
 import numpy as np
+import scipy.fft
 from scipy.linalg import solve_banded
 
 # Surface area of S^4 (radial quadrature weight in R^5) and unit-ball volume.
 SPHERE_AREA_4 = 8.0 * pi**2 / 3.0
 BALL_VOLUME_5 = 8.0 * pi**2 / 15.0
+
+# trailing axes of a sample array; a grid of dimension d transforms the last d
+_SPACE_AXES = (-3, -2, -1)
 
 
 def unit_ball_volume(d: int) -> float:
@@ -99,13 +103,19 @@ class UniformGrid:
         return list(np.meshgrid(*([k] * self.d), indexing="ij"))
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values, norm="ortho")
+        """Orthonormal forward transform over the last d axes.
+
+        Leading axes are a batch: a stacked pair of shape (2, *shape) goes
+        through in one call.
+        """
+        return scipy.fft.fftn(values, axes=_SPACE_AXES[-self.d:], norm="ortho")
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(values, norm="ortho")
+        """Inverse of :meth:`fft`, batched the same way."""
+        return scipy.fft.ifftn(values, axes=_SPACE_AXES[-self.d:], norm="ortho")
 
     def gradient(self, values: np.ndarray) -> list[np.ndarray]:
-        """Spectral gradient, exact for resolved plane waves."""
+        """Spectral gradient, exact for resolved plane waves; batched like :meth:`fft`."""
         vhat = self.fft(values)
         return [self.ifft(1j * km * vhat) for km in self.derivative_wavenumbers()]
 

@@ -23,6 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi
 
 from . import fields as fields_mod
+from .evolution import SplitStepper, SubstepFailure
 from .fields import FieldPair, galilean_boost
 from .grid import UniformGrid, unit_ball_volume
 
@@ -284,8 +285,9 @@ def _densities(p: FieldPair):
     grid = p.grid
     kappa = p.kappa
     u, v = p.u.values, p.v.values
-    du = grid.gradient(u)
-    dv = grid.gradient(v)
+    grads = grid.gradient(np.array((u, v)))   # one stacked (du_j, dv_j) per axis
+    du = [g[0] for g in grads]
+    dv = [g[1] for g in grads]
     l_comp = np.array([2.0 * np.abs(du[j]) ** 2 + kappa * np.abs(dv[j]) ** 2 for j in range(grid.d)])
     a_comp = np.array(
         [np.imag(2.0 * u * np.conj(du[j]) + v * np.conj(dv[j])) for j in range(grid.d)]
@@ -489,11 +491,11 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     ln_w[0] *= 0.5
     ln_w[-1] *= 0.5
 
-    # window kernels per shell, sampled on min-image displacement
+    # window kernels per shell, sampled on min-image displacement; the
+    # unnormalised kernel transform between the orthonormal pair of grid
+    # transforms makes a plain circular convolution
     z = grid.min_image()[0]
-    kern_hats = [
-        np.fft.fft(bump_gamma(np.abs(z) / R, params.eps) ** 2) for R in radii
-    ]
+    kern_hats = np.fft.fft(bump_gamma(np.abs(z) / radii[:, None], params.eps) ** 2)
 
     nsteps = int(round(params.T0 / dt))
     sample_steps = list(range(0, nsteps + 1, params.cadence))
@@ -504,48 +506,39 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     t_w[1:] += 0.5 * np.diff(t_samples)
     t_w[:-1] += 0.5 * np.diff(t_samples)
 
-    from .evolution import _linear_phases, nonlinear_step  # local to avoid cycle
-
-    mu, mv = _linear_phases(grid, kappa, 0.5 * dt)
-    u = p0.u.values.astype(complex)
-    v = p0.v.values.astype(complex)
-    pair = p0.with_values(u, v)
-
+    stepper = SplitStepper(p0, dt)
     stride_w = grid.h * params.s_stride
     per_r = np.zeros(params.n_R)
     per_t = np.zeros(len(sample_steps))
     outcome = "completed"
 
-    def accumulate(idx: int) -> None:
-        weight = t_w[idx]
-        l_comp, a_comp, _, nu = _densities(pair.with_values(u, v))
-        l_hat = np.fft.fft(l_comp[0])
-        a_hat = np.fft.fft(a_comp[0])
-        n_hat = np.fft.fft(nu)
-        for k, (R, kh) in enumerate(zip(radii, kern_hats)):
-            l_w = np.real(np.fft.ifft(l_hat * kh)) * grid.h
-            a_w = np.real(np.fft.ifft(a_hat * kh)) * grid.h
-            n_w = np.real(np.fft.ifft(n_hat * kh)) * grid.h
-            cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
-            inner = float(np.sum(cells[:: params.s_stride])) * stride_w
-            per_r[k] += weight * ln_w[k] * inner / R
-            per_t[idx] += weight * ln_w[k] * inner / R
+    def shell_integrands(w: np.ndarray) -> np.ndarray:
+        """ln_w * (1/R) * int (l n - kappa a^2) ds, one entry per shell."""
+        l_comp, a_comp, _, nu = _densities(p0.with_values(w[0], w[1]))
+        dens_hat = grid.fft(np.array((l_comp[0], a_comp[0], nu)))
+        l_w, a_w, n_w = np.moveaxis(
+            np.real(grid.ifft(dens_hat * kern_hats[:, None, :])) * grid.h, 1, 0
+        )
+        cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
+        inner = np.sum(cells[:, :: params.s_stride], axis=1) * stride_w
+        return ln_w * inner / radii
 
-    sample_iter = 0
-    accumulate(0)
-    sample_iter = 1
-    for step in range(1, nsteps + 1):
-        u = grid.ifft(mu * grid.fft(u))
-        v = grid.ifft(mv * grid.fft(v))
-        stepped = nonlinear_step(pair.with_values(u, v), dt)
-        u = grid.ifft(mu * grid.fft(stepped.u.values))
-        v = grid.ifft(mv * grid.fft(stepped.v.values))
-        if not (np.all(np.isfinite(u.real)) and np.all(np.isfinite(v.real))):
+    n_samples = 0
+    for idx, sample_step in enumerate(sample_steps):
+        try:
+            while stepper.steps < sample_step:
+                stepper.step()
+        except SubstepFailure:
+            outcome = "substep-failure"
+            break
+        w = stepper.sync()
+        if not np.all(np.isfinite(w)):
             outcome = "blow-up"
             break
-        if sample_iter < len(sample_steps) and step == sample_steps[sample_iter]:
-            accumulate(sample_iter)
-            sample_iter += 1
+        shares = t_w[idx] * shell_integrands(w)
+        per_r += shares
+        per_t[idx] = np.sum(shares)
+        n_samples += 1
 
     total = float(np.sum(per_r)) / (params.J * params.T0)
     e0 = fields_mod.energy(p0)
@@ -562,6 +555,6 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
         radii=radii,
         per_time=per_t / (params.J * params.T0),
         times=t_samples,
-        n_time_samples=sample_iter,
+        n_time_samples=n_samples,
         outcome=outcome,
     )

@@ -129,6 +129,23 @@ def test_evolve_command_deterministic_csv(tmp_path):
     assert "# config=" in text
 
 
+def test_evolve_csv_cells_are_plain_floats(tmp_path):
+    out = str(tmp_path / "cells.csv")
+    run_command(parse_config(json.dumps({
+        "command": "evolve", "dimension": 2, "n": 16, "L": 10.0,
+        "dt": 1e-3, "t_final": 0.02, "cadence": 10, "initial": "gaussian",
+        "amplitude": 0.3, "phase_velocity": 0.5, "output": out,
+    })))
+    rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
+    header = rows[0].split(",")
+    assert "momentum_1" in header
+    for row in rows[1:]:
+        cells = row.split(",")
+        assert len(cells) == len(header)
+        for cell in cells:
+            float(cell)
+
+
 def test_evolve_energy_drift_on_soliton(tmp_path):
     out = str(tmp_path / "sol.csv")
     cfg = parse_config(json.dumps({
@@ -198,3 +215,15 @@ def test_main_usage_and_numeric_failure(tmp_path, capsys):
     assert main([str(fail)]) == 2
     out = capsys.readouterr().out
     assert "ConvergenceError" in out
+
+
+def test_non_integer_size_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "float_n.json"
+    conf.write_text(json.dumps({"command": "evolve", "n": 64.0, "output": "x.csv"}))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'n' must be an integer" in err
+    for key, value in (("cadence", 2.5), ("dimension", True), ("m", "2048")):
+        with pytest.raises(ConfigError, match=f"'{key}' must be an integer"):
+            parse_config(json.dumps({"command": "evolve", key: value}))

@@ -205,6 +205,18 @@ def test_blow_up_flagged_on_focusing_spike():
     assert blow_up_detect(ts) == "blow-up"
 
 
+def test_substep_failure_is_a_labeled_outcome():
+    # a zero tolerance cannot be met, so the first substep exhausts its
+    # refinement limit; the run ends with the label, not an exception
+    g = UniformGrid(1, 64, 10.0)
+    p = random_envelope_pair(g, np.random.default_rng(8), amp=0.5)
+    ts = evolve(p, EvolutionConfig(dt=1e-2, t_final=0.1, substep_tol=0.0))
+    assert ts.outcome == "substep-failure"
+    assert not ts.blown_up
+    assert len(ts.records) == 1
+    assert blow_up_detect(ts) == "undecided"
+
+
 def test_decay_fit_d1_linf_slope():
     g = UniformGrid(1, 2048, 400.0)
     x = g.axis()

@@ -193,6 +193,27 @@ def test_interaction_zero_data():
     assert res.outcome == "completed"
 
 
+def test_interaction_substep_failure_is_a_labeled_outcome():
+    # |u| dt = 25: even 1024 RK4 substeps miss the default tolerance (the
+    # coarse attempts overflow on the way, hence the silenced warnings)
+    g = UniformGrid(1, 16, 10.0)
+    p = pair_from_arrays(g, np.full(g.shape, 50.0 + 0j), np.full(g.shape, 50.0 + 0j))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = interaction_lhs(p, 0.5, InteractionParams(R0=1.0, J=1.0, T0=0.5, eps=0.25))
+    assert res.outcome == "substep-failure"
+    assert res.n_time_samples == 1
+
+
+def test_interaction_flags_non_finite_imaginary_part():
+    g = UniformGrid(1, 16, 10.0)
+    u = np.zeros(g.shape, complex)
+    u[3] = complex(0.0, np.nan)
+    p = pair_from_arrays(g, u, np.zeros(g.shape, complex))
+    res = interaction_lhs(p, 0.1, InteractionParams(R0=1.0, J=1.0, T0=0.1, eps=0.25))
+    assert res.outcome == "blow-up"
+    assert res.n_time_samples == 0
+
+
 def test_interaction_breakdowns_sum_to_total():
     g = UniformGrid(1, 256, 100.0)
     x = g.axis()
