@@ -114,9 +114,15 @@ def parse_config(text: str) -> RunConfig:
     for key in _INTEGER_KEYS:
         if not isinstance(options[key], int) or isinstance(options[key], bool):
             raise ConfigError(f"config key {key!r} must be an integer, got {options[key]!r}")
-    for key in ("dt", "t_final", "L", "r_max", "tol", "amplitude", "width"):
+    for key in ("dt", "t_final", "L", "r_max", "tol", "amplitude", "width", "R0", "J", "T0"):
         if not isinstance(options[key], (int, float)) or options[key] <= 0:
             raise ConfigError(f"config key {key!r} must be a positive number")
+    for key, least in (("m", 4), ("cadence", 1), ("max_iter", 1), ("snapshot_every", 0)):
+        if options[key] < least:
+            raise ConfigError(f"config key {key!r} must be >= {least}, got {options[key]}")
+    eps = options["eps"]
+    if not isinstance(eps, (int, float)) or not 0 < eps <= 0.5:
+        raise ConfigError(f"config key 'eps' must lie in (0, 1/2], got {eps!r}")
     if options["n"] & (options["n"] - 1) or options["n"] < 8:
         raise ConfigError(f"n = {options['n']} is not a power of two >= 8")
     if options["dimension"] not in (1, 2, 3):
@@ -327,7 +333,7 @@ def run_command(cfg: RunConfig) -> int:
     if cfg.command == "classify":
         grid = UniformGrid(cfg.dimension, cfg.n, cfg.L)
         pair = _initial_pair(cfg, grid)
-        gs = petviashvili_solve(RadialGrid(cfg.m, cfg.r_max), kappa=0.5, tol=cfg.tol)
+        gs = petviashvili_solve(RadialGrid(cfg.m, cfg.r_max), kappa=cfg.kappa, tol=cfg.tol)
         rep = classify_data(pair, gs)
         _write_json(out, cfg, {k: _jsonable(v) for k, v in asdict(rep).items()})
         return 0

@@ -57,38 +57,55 @@ def _sphere_area(n: int) -> float:
     return 2.0 * pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0)
 
 
-def _radial_correlation(d: int, f, g, q: np.ndarray, n_rho: int, n_ang: int) -> np.ndarray:
-    """Correlation int f(|z|) g(|z - q e|) dz of radial profiles in R^d.
+def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int) -> np.ndarray:
+    """Correlations int Gamma^k(|z|) Gamma^2(|z - q e|) dz in R^d, k = 2 and 3.
 
-    f, g are callables supported in [0, 1]; evaluated at the scaled radii
-    ``q``.  d = 1 integrates directly; d >= 2 reduces to a (rho, angle)
-    quadrature with Gauss-Jacobi nodes for the sin^(d-2) weight.
+    Returns shape (2, q.size), evaluated at the ascending scaled radii ``q``
+    with one shared evaluation of g = Gamma^2(|z - q e|).  Rows with
+    q >= 2 are exactly 0 (no overlap of the supports) and are skipped.
+    d = 1 integrates directly on midpoint nodes.  d >= 2 reduces to a
+    (rho, angle) quadrature with Gauss-Jacobi nodes u for the sin^(d-2)
+    weight; the angular sum inner(q, rho) serves both k.  For q, rho > 0
+    the distance falls as u rises, so g = 0 on a prefix of the ascending
+    nodes and g = 1 on a suffix: the suffix sums come from a tail sum of
+    the weights, and the bump is evaluated only on the band between.
     """
+    out = np.zeros((2, q.size))
+    n_live = int(np.searchsorted(q, 2.0))
     if d == 1:
         s = np.linspace(-1.0, 1.0, 2 * n_rho, endpoint=False)
         s = s + (s[1] - s[0]) / 2.0
         ds = s[1] - s[0]
-        fs = f(np.abs(s))
-        out = np.empty_like(q)
-        for i in range(0, q.size, 256):
-            qi = q[i : i + 256, None]
-            out[i : i + 256] = np.sum(fs[None, :] * g(np.abs(s[None, :] - qi)), axis=1) * ds
+        gs = bump_gamma(np.abs(s), eps)
+        fs = np.array((gs**2, gs**3)) * ds
+        for i in range(0, n_live, 256):
+            j = min(i + 256, n_live)
+            out[:, i:j] = fs @ (bump_gamma(np.abs(s[None, :] - q[i:j, None]), eps) ** 2).T
         return out
 
     a = (d - 3) / 2.0
     u, wu = roots_jacobi(n_ang, a, a)
+    tail = np.append(np.cumsum(wu[::-1])[::-1], 0.0)     # tail[k] = sum of wu[k:]
     rho = (np.arange(n_rho) + 0.5) / n_rho
-    drho = 1.0 / n_rho
-    base = f(rho) * rho ** (d - 1) * drho          # (n_rho,)
-    sigma = _sphere_area(d - 2)
-    out = np.empty_like(q)
-    for i in range(0, q.size, 64):
-        qi = q[i : i + 64, None, None]
-        dist = np.sqrt(
-            np.maximum(qi**2 + rho[None, :, None] ** 2 - 2.0 * qi * rho[None, :, None] * u[None, None, :], 0.0)
-        )
-        inner = np.sum(g(dist) * wu[None, None, :], axis=2)      # angle quadrature
-        out[i : i + 64] = sigma * np.sum(base[None, :] * inner, axis=1)
+    g_rho = bump_gamma(rho, eps)
+    base = _sphere_area(d - 2) * np.array((g_rho**2, g_rho**3)) * rho ** (d - 1) / n_rho
+    n_zero = int(np.searchsorted(q, 0.0, side="right"))
+    out[:, :n_zero] = (base @ (g_rho**2 * tail[0]))[:, None]   # q = 0: dist = rho
+    for i in range(n_zero, n_live, 32):
+        j = min(i + 32, n_live)
+        qc = q[i:j, None]
+        c2 = (qc**2 + rho**2).ravel()
+        two_qr = (2.0 * qc * rho).ravel()
+        # g = 0 on nodes [0, lo) (dist >= 1), g = 1 on [hi, n_ang) (dist <= 1 - eps)
+        lo = np.searchsorted(u, (c2 - 1.0) / two_qr, side="right")
+        hi = np.searchsorted(u, (c2 - (1.0 - eps) ** 2) / two_qr, side="left")
+        lens = hi - lo
+        pair = np.repeat(np.arange(lens.size), lens)
+        node = np.arange(pair.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        dist = np.sqrt(np.maximum(c2[pair] - two_qr[pair] * u[node], 0.0))
+        band = np.bincount(pair, weights=bump_gamma(dist, eps) ** 2 * wu[node], minlength=lens.size)
+        inner = (tail[hi] + band).reshape(j - i, n_rho)
+        out[:, i:j] = base @ inner.T
     return out
 
 
@@ -105,17 +122,12 @@ class MorawetzWeights:
     R: float
     eps: float
     q: np.ndarray
-    gamma: np.ndarray
-    gamma2: np.ndarray
-    gamma3: np.ndarray
     phi: np.ndarray
     phi1: np.ndarray
     psi: np.ndarray
     a: np.ndarray
     dphi: np.ndarray
-    dpsi: np.ndarray
     i2: float
-    ball_volume: float
 
     def gamma_of(self, q):
         return bump_gamma(q, self.eps)
@@ -157,7 +169,7 @@ def build_weights(
 
     phi is the normalized radial self-correlation of Gamma^2, phi1 the
     correlation of Gamma^3 with Gamma^2; psi and a follow by cumulative
-    quadrature, derivative tables by centered differences.  The scaled
+    quadrature, the phi' table by centered differences.  The scaled
     tables are cached per (d, eps, sizes) since they do not depend on R.
     """
     if d not in (1, 2, 5):
@@ -173,17 +185,7 @@ def build_weights(
 
 def _build_scaled_tables(d, eps, table_size, q_max, n_rho, n_ang) -> dict:
     q = np.linspace(0.0, q_max, table_size)
-    dq = q[1] - q[0]
-    omega = unit_ball_volume(d)
-
-    def gam2(r):
-        return bump_gamma(r, eps) ** 2
-
-    def gam3(r):
-        return bump_gamma(r, eps) ** 3
-
-    phi = _radial_correlation(d, gam2, gam2, q, n_rho, n_ang) / omega
-    phi1 = _radial_correlation(d, gam3, gam2, q, n_rho, n_ang) / omega
+    phi, phi1 = _bump_correlations(d, eps, q, n_rho, n_ang) / unit_ball_volume(d)
 
     # psi(q) = (1/q) int_0^q phi;  a(q) = int_0^q psi q' dq'.  Cumulative
     # integrals via spline antiderivatives: smooth in q, so the table
@@ -194,22 +196,14 @@ def _build_scaled_tables(d, eps, table_size, q_max, n_rho, n_ang) -> dict:
     psi[1:] = cum_phi[1:] / q[1:]
     a = CubicSpline(q, psi * q).antiderivative()(q)
 
-    dphi = np.gradient(phi, dq)
-    dpsi = np.gradient(psi, dq)
-
     return dict(
         q=q,
-        gamma=bump_gamma(q, eps),
-        gamma2=gam2(q),
-        gamma3=gam3(q),
         phi=phi,
         phi1=phi1,
         psi=psi,
         a=a,
-        dphi=dphi,
-        dpsi=dpsi,
+        dphi=np.gradient(phi, q[1] - q[0]),
         i2=float(cum_phi[-1]),
-        ball_volume=omega,
     )
 
 
@@ -277,10 +271,11 @@ def _window(grid: UniformGrid, s, R: float, eps: float) -> np.ndarray:
 def _densities(p: FieldPair):
     """Pointwise densities used across the module.
 
-    Returns (L, A, B, nu): L = 2|grad u|^2 + kappa |grad v|^2 (per-component
+    Returns (L, A, nu): L = 2|grad u|^2 + kappa |grad v|^2 (per-component
     array of shape (d, ...) summed on request), A_j = Im(2 u d_j conj(u) +
-    v d_j conj(v)), B_j = Im(2 kappa u d_j conj(u) + kappa v d_j conj(v)),
-    nu = 2 kappa |u|^2 + |v|^2.
+    v d_j conj(v)), nu = 2 kappa |u|^2 + |v|^2.  The paired current
+    B_j = Im(2 kappa u d_j conj(u) + kappa v d_j conj(v)) is kappa A_j
+    identically, so callers use kappa A in its place.
     """
     grid = p.grid
     kappa = p.kappa
@@ -292,14 +287,8 @@ def _densities(p: FieldPair):
     a_comp = np.array(
         [np.imag(2.0 * u * np.conj(du[j]) + v * np.conj(dv[j])) for j in range(grid.d)]
     )
-    b_comp = np.array(
-        [
-            np.imag(2.0 * kappa * u * np.conj(du[j]) + kappa * v * np.conj(dv[j]))
-            for j in range(grid.d)
-        ]
-    )
     nu = 2.0 * kappa * np.abs(u) ** 2 + np.abs(v) ** 2
-    return l_comp, a_comp, b_comp, nu
+    return l_comp, a_comp, nu
 
 
 def boost_xi(p: FieldPair, s, R: float, w: MorawetzWeights) -> BoostChoice:
@@ -319,7 +308,7 @@ def boost_xi(p: FieldPair, s, R: float, w: MorawetzWeights) -> BoostChoice:
     if not isinstance(grid, UniformGrid):
         raise TypeError("boost_xi requires a uniform grid")
     win = _window(grid, s, R, w.eps)
-    _, a_comp, _, nu = _densities(p)
+    _, a_comp, nu = _densities(p)
     den = float(grid.integrate(nu * win))
     if den <= 0.0:
         return BoostChoice(xi=np.zeros(grid.d), denominator=den, degenerate=True)
@@ -331,7 +320,7 @@ def weighted_momentum(p: FieldPair, s, R: float, w: MorawetzWeights) -> np.ndarr
     """int Im(2 u grad conj(u) + v grad conj(v)) Gamma^2(|x-s|/R) dx."""
     grid = p.grid
     win = _window(grid, s, R, w.eps)
-    _, a_comp, _, _ = _densities(p)
+    _, a_comp, _ = _densities(p)
     return np.array([float(grid.integrate(a_comp[j] * win)) for j in range(grid.d)])
 
 
@@ -368,16 +357,15 @@ def galilean_pairing(p: FieldPair, s, R: float, w: MorawetzWeights) -> float:
     int int [L(x) nu(y) - A(x).B(y)] Gamma^2(|x-s|/R) Gamma^2(|y-s|/R) dx dy
 
     which factorizes per window into (int L G^2)(int nu G^2) -
-    (int A G^2).(int B G^2).
+    (int A G^2).(int B G^2) = l n - kappa |a|^2, since B = kappa A.
     """
     grid = p.grid
     win = _window(grid, s, R, w.eps)
-    l_comp, a_comp, b_comp, nu = _densities(p)
+    l_comp, a_comp, nu = _densities(p)
     l_tot = float(grid.integrate(np.sum(l_comp, axis=0) * win))
     n_tot = float(grid.integrate(nu * win))
     a_vec = np.array([float(grid.integrate(a_comp[j] * win)) for j in range(grid.d)])
-    b_vec = np.array([float(grid.integrate(b_comp[j] * win)) for j in range(grid.d)])
-    return l_tot * n_tot - float(np.dot(a_vec, b_vec))
+    return l_tot * n_tot - p.kappa * float(np.dot(a_vec, a_vec))
 
 
 def galilean_invariance_check(p: FieldPair, xi, s, R: float, w: MorawetzWeights) -> float:
@@ -402,10 +390,10 @@ def cauchy_schwarz_margin(
 
         (1/2)[L_j(x) nu(y) + L_j(y) nu(x)] - (1/2)[A_j(x) B_j(y) + A_j(y) B_j(x)]
 
-    with L_j = 2|d_j u|^2 + kappa |d_j v|^2.  The x<->y symmetrization is
-    the form in which the double integrals are actually compared (the
-    cross terms enter under a change of variables that swaps the two
-    points); per pair it follows from the pointwise Cauchy-Schwarz bound
+    with L_j = 2|d_j u|^2 + kappa |d_j v|^2 and B_j = kappa A_j.  The
+    x<->y symmetrization is the form in which the double integrals are
+    actually compared (the cross terms enter under a change of variables
+    that swaps the two points); per pair it follows from the pointwise Cauchy-Schwarz bound
     and AM-GM, so the returned minimum is nonnegative up to roundoff for
     any state.  Plane-wave pairs with gradient parallel to the phase
     saturate it.
@@ -413,10 +401,10 @@ def cauchy_schwarz_margin(
     grid = p.grid
     if rng is None:
         rng = np.random.default_rng(0)
-    l_comp, a_comp, b_comp, nu = _densities(p)
+    l_comp, a_comp, nu = _densities(p)
     l_flat = l_comp.reshape(grid.d, -1)
     a_flat = a_comp.reshape(grid.d, -1)
-    b_flat = b_comp.reshape(grid.d, -1)
+    b_flat = p.kappa * a_flat
     nu_flat = nu.reshape(-1)
     npts = nu_flat.size
     ix = rng.integers(0, npts, size=n_pairs)
@@ -514,7 +502,7 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
 
     def shell_integrands(w: np.ndarray) -> np.ndarray:
         """ln_w * (1/R) * int (l n - kappa a^2) ds, one entry per shell."""
-        l_comp, a_comp, _, nu = _densities(p0.with_values(w[0], w[1]))
+        l_comp, a_comp, nu = _densities(p0.with_values(w[0], w[1]))
         dens_hat = grid.fft(np.array((l_comp[0], a_comp[0], nu)))
         l_w, a_w, n_w = np.moveaxis(
             np.real(grid.ifft(dens_hat * kern_hats[:, None, :])) * grid.h, 1, 0

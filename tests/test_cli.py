@@ -5,6 +5,7 @@ import pytest
 
 from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
+from qnls.ground_state import petviashvili_solve
 from qnls.cli import (
     ConfigError,
     main,
@@ -227,3 +228,42 @@ def test_non_integer_size_is_a_usage_error(tmp_path, capsys):
     for key, value in (("cadence", 2.5), ("dimension", True), ("m", "2048")):
         with pytest.raises(ConfigError, match=f"'{key}' must be an integer"):
             parse_config(json.dumps({"command": "evolve", key: value}))
+
+
+def test_classify_solves_the_ground_state_at_the_config_kappa(tmp_path, monkeypatch):
+    seen = []
+
+    def recording_solve(grid, **kwargs):
+        seen.append(kwargs["kappa"])
+        return petviashvili_solve(grid, **kwargs)
+
+    monkeypatch.setattr("qnls.cli.petviashvili_solve", recording_solve)
+    out = str(tmp_path / "cls.json")
+    cfg = parse_config(json.dumps({
+        "command": "classify", "dimension": 1, "n": 64, "L": 20.0, "kappa": 1.0,
+        "m": 384, "r_max": 16.0, "tol": 1e-8,
+        "initial": "gaussian", "amplitude": 0.1, "width": 2.0, "output": out,
+    }))
+    assert run_command(cfg) == 0
+    assert seen == [1.0]
+    assert json.loads(open(out).read())["classification"] == "below"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", 2),
+    ("cadence", 0),
+    ("max_iter", 0),
+    ("snapshot_every", -1),
+    ("R0", 0.0),
+    ("J", -1.0),
+    ("T0", 0),
+    ("eps", 0.0),
+    ("eps", 0.9),
+])
+def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
+    conf = tmp_path / "bad.json"
+    conf.write_text(json.dumps({"command": "morawetz", key: value}))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"'{key}'" in err

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from qnls import fields
-from qnls.grid import UniformGrid
+from qnls.grid import UniformGrid, unit_ball_volume
 from qnls.fields import galilean_boost, pair_from_arrays
 from qnls.morawetz import (
     InteractionParams,
@@ -34,7 +37,7 @@ def test_bump_endpoints_and_monotonicity():
         bump_gamma(0.5, 0.9)
 
 
-@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("d", [1, 2, 5])
 def test_weight_table_invariants(d):
     w = build_weights(d, 10.0, 0.05)
     rep = weight_identity_check(w)
@@ -45,6 +48,40 @@ def test_weight_table_invariants(d):
     assert rep["lap_a_identity_error"] < 1e-6
     assert rep["support_bound"] == 0.0
     assert (1 - w.eps) ** d <= rep["phi_at_zero"] <= 1.0
+
+
+def _dense_correlation(d, k, eps, q, n_rho, n_ang):
+    """int Gamma^k(|z|) Gamma^2(|z - q e|) dz with Gamma^2 evaluated on every node."""
+    def gam2(r):
+        return bump_gamma(r, eps) ** 2
+
+    if d == 1:
+        s = np.linspace(-1.0, 1.0, 2 * n_rho, endpoint=False)
+        s = s + (s[1] - s[0]) / 2.0
+        dense = bump_gamma(np.abs(s), eps)[None, :] ** k * gam2(np.abs(s[None, :] - q[:, None]))
+        return np.sum(dense, axis=1) * (s[1] - s[0])
+    u, wu = roots_jacobi(n_ang, (d - 3) / 2.0, (d - 3) / 2.0)
+    rho = (np.arange(n_rho) + 0.5) / n_rho
+    base = bump_gamma(rho, eps) ** k * rho ** (d - 1) / n_rho
+    qi, ri = q[:, None, None], rho[None, :, None]
+    dist = np.sqrt(np.maximum(qi**2 + ri**2 - 2.0 * qi * ri * u[None, None, :], 0.0))
+    inner = np.sum(gam2(dist) * wu, axis=2)
+    sphere = 2.0 * np.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)   # |S^(d-2)|
+    return sphere * np.sum(base[None, :] * inner, axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("eps", [0.025, 0.05, 0.25])
+def test_band_quadrature_matches_dense_quadrature(d, eps):
+    sizes = dict(n_rho=64, n_ang=24)
+    w = build_weights(d, 10.0, eps, table_size=513, **sizes)
+    for table, k in ((w.phi, 2), (w.phi1, 3)):
+        dense = _dense_correlation(d, k, eps, w.q, **sizes) / unit_ball_volume(d)
+        assert np.max(np.abs(table - dense)) <= 1e-13 * np.max(np.abs(dense))
+    outside = w.q >= 2.0
+    assert np.any(outside)
+    assert np.all(w.phi[outside] == 0.0)
+    assert np.all(w.phi1[outside] == 0.0)
 
 
 def test_weight_constants_stable_under_eps_halving():
