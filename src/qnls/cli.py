@@ -41,7 +41,7 @@ _DEFAULTS = {
     "cadence": 10,
     "dt": 1e-3,
     "t_final": 1.0,
-    "seed": 0,
+    "seed": 0,          # echo-only: nothing reads it, every initial condition is deterministic
     "n": 256,
     "L": 40.0,
     "m": 2048,
@@ -114,7 +114,8 @@ def parse_config(text: str) -> RunConfig:
     for key in _INTEGER_KEYS:
         if not isinstance(options[key], int) or isinstance(options[key], bool):
             raise ConfigError(f"config key {key!r} must be an integer, got {options[key]!r}")
-    for key in ("dt", "t_final", "L", "r_max", "tol", "amplitude", "width", "R0", "J", "T0"):
+    for key in ("kappa", "dt", "t_final", "L", "r_max", "tol", "amplitude", "width",
+                "R0", "J", "T0"):
         if not isinstance(options[key], (int, float)) or options[key] <= 0:
             raise ConfigError(f"config key {key!r} must be a positive number")
     for key, least in (("m", 4), ("cadence", 1), ("max_iter", 1), ("snapshot_every", 0)):
@@ -333,7 +334,9 @@ def run_command(cfg: RunConfig) -> int:
     if cfg.command == "classify":
         grid = UniformGrid(cfg.dimension, cfg.n, cfg.L)
         pair = _initial_pair(cfg, grid)
-        gs = petviashvili_solve(RadialGrid(cfg.m, cfg.r_max), kappa=cfg.kappa, tol=cfg.tol)
+        gs = petviashvili_solve(
+            RadialGrid(cfg.m, cfg.r_max), kappa=cfg.kappa, tol=cfg.tol, max_iter=cfg.max_iter
+        )
         rep = classify_data(pair, gs)
         _write_json(out, cfg, {k: _jsonable(v) for k, v in asdict(rep).items()})
         return 0

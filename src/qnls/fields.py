@@ -35,10 +35,6 @@ class FieldPair:
     def grid(self) -> UniformGrid | RadialGrid:
         return self.u.grid
 
-    @property
-    def is_mass_resonant(self) -> bool:
-        return self.kappa == MASS_RESONANT_KAPPA
-
     def with_values(self, u: np.ndarray, v: np.ndarray) -> "FieldPair":
         return FieldPair(Field(self.grid, u), Field(self.grid, v), self.kappa)
 
@@ -72,11 +68,7 @@ def mass(p: FieldPair) -> float:
 def kinetic(p: FieldPair) -> float:
     """H = ||grad u||_2^2 + (kappa/2) ||grad v||_2^2."""
     g = p.grid
-    du = g.gradient(p.u.values)
-    dv = g.gradient(p.v.values)
-    hu = sum(float(g.integrate(np.abs(c) ** 2)) for c in du)
-    hv = sum(float(g.integrate(np.abs(c) ** 2)) for c in dv)
-    return hu + 0.5 * p.kappa * hv
+    return g.dirichlet(p.u.values) + 0.5 * p.kappa * g.dirichlet(p.v.values)
 
 
 def potential(p: FieldPair) -> float:
@@ -98,17 +90,17 @@ def conserved_set(p: FieldPair) -> ConservedSet:
 
 
 def momentum(p: FieldPair) -> np.ndarray:
-    """P = Im int (conj(u) grad u + (1/2) conj(v) grad v), one entry per axis."""
+    """P = Im int (conj(u) grad u + (1/2) conj(v) grad v), one entry per axis.
+
+    By Parseval, P_j = h^d sum k_j (|u_hat|^2 + (1/2)|v_hat|^2) with the
+    Nyquist-zeroed wavenumbers of the spectral gradient.
+    """
     g = p.grid
     if not isinstance(g, UniformGrid):
         raise TypeError("momentum is defined on uniform grids only")
-    du = g.gradient(p.u.values)
-    dv = g.gradient(p.v.values)
-    out = np.empty(g.d)
-    for j in range(g.d):
-        dens = np.imag(np.conj(p.u.values) * du[j] + 0.5 * np.conj(p.v.values) * dv[j])
-        out[j] = float(g.integrate(dens))
-    return out
+    uhat, vhat = g.fft(np.array((p.u.values, p.v.values)))
+    dens = np.abs(uhat) ** 2 + 0.5 * np.abs(vhat) ** 2
+    return np.array([np.sum(km * dens) for km in g.derivative_wavenumbers()]) * g.h**g.d
 
 
 def gn_functional(p: FieldPair) -> float:

@@ -86,14 +86,17 @@ class UniformGrid:
         """Signed wavenumbers 2*pi*m/L for one axis, FFT ordering."""
         return 2.0 * pi * np.fft.fftfreq(self.n, d=self.h)
 
-    def wavenumber_mesh(self) -> list[np.ndarray]:
-        k = self.wavenumbers()
-        return list(np.meshgrid(*([k] * self.d), indexing="ij"))
+    def distance(self, s) -> np.ndarray:
+        """Min-image distance |x - s| from the point s, shape ``self.shape``."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        half = self.L / 2.0
+        axes = [(self.axis() - s[j] + half) % self.L - half for j in range(self.d)]
+        return np.sqrt(sum(z**2 for z in np.meshgrid(*axes, indexing="ij")))
 
     def k2(self) -> np.ndarray:
         """|k|^2 multiplier array of shape ``self.shape``."""
-        mesh = self.wavenumber_mesh()
-        return sum(km**2 for km in mesh)
+        k = self.wavenumbers()
+        return sum(km**2 for km in np.meshgrid(*([k] * self.d), indexing="ij"))
 
     def derivative_wavenumbers(self) -> list[np.ndarray]:
         """Wavenumber meshes with the Nyquist mode zeroed (odd derivatives)."""
@@ -118,6 +121,14 @@ class UniformGrid:
         """Spectral gradient, exact for resolved plane waves; batched like :meth:`fft`."""
         vhat = self.fft(values)
         return [self.ifft(1j * km * vhat) for km in self.derivative_wavenumbers()]
+
+    def dirichlet(self, values: np.ndarray) -> float:
+        """Dirichlet integral int |grad f|^2 = h^d sum |k|^2 |f_hat|^2 by Parseval.
+
+        Uses the Nyquist-zeroed wavenumbers of :meth:`gradient`.
+        """
+        k2 = sum(km**2 for km in self.derivative_wavenumbers())
+        return float(np.sum(k2 * np.abs(self.fft(values)) ** 2) * self.h**self.d)
 
     def integrate(self, values: np.ndarray):
         """Riemann sum times h^d (spectrally accurate for smooth data)."""
@@ -173,6 +184,10 @@ class RadialGrid:
         g = radial_ghosts(np.asarray(values))
         fp = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * self.dr)
         return [fp]
+
+    def dirichlet(self, values: np.ndarray) -> float:
+        """int |grad f|^2 with the fourth-order :meth:`gradient`."""
+        return float(self.integrate(np.abs(self.gradient(values)[0]) ** 2))
 
 
 def radial_ghosts(f: np.ndarray) -> np.ndarray:
@@ -244,10 +259,6 @@ class Field:
             )
         object.__setattr__(self, "values", vals)
 
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
 
 def transform_forward(f: Field) -> Field:
     """Forward spectral transform (orthonormal convention)."""
@@ -265,8 +276,3 @@ def transform_inverse(f: Field) -> Field:
 def gradient(f: Field) -> list[Field]:
     """Gradient of a field; one Field per space direction."""
     return [Field(f.grid, g) for g in f.grid.gradient(f.values)]
-
-
-def integrate(values: np.ndarray, grid: UniformGrid | RadialGrid):
-    """Quadrature of real samples against the grid's fixed convention."""
-    return grid.integrate(values)

@@ -32,6 +32,7 @@ damped held-mass Picard) cross-checks M_gs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -112,6 +113,59 @@ def _helmholtz_solve4(
     return x
 
 
+def _moments(grid, lap, kappa, phi, vphi) -> tuple[float, float, float]:
+    """(<L1 phi, phi>, <L2 vphi, vphi>, int vphi phi^2) with L1 = 1 - lap, L2 = 2 - kappa lap."""
+    e1 = float(grid.integrate((phi - lap(phi)) * phi))
+    e2 = float(grid.integrate((2.0 * vphi - kappa * lap(vphi)) * vphi))
+    rho = float(grid.integrate(vphi * phi**2))
+    return e1, e2, rho
+
+
+def _balanced_iteration(grid, lap, inv1, inv2, kappa, phi, vphi, tol, max_iter):
+    """The normalized-and-balanced sweep shared by both stationary solvers.
+
+    ``lap`` applies the Laplacian, ``inv1`` and ``inv2`` apply L1^{-1} and
+    L2^{-1}; (phi, vphi) is the initial guess.  Each sweep applies the
+    S^gamma-normalized inverse-operator update followed by the moment
+    balance described in the module docstring, and stops once both equation
+    residuals drop below ``tol`` in max-norm.  Returns
+    (phi, vphi, residual, iterations, residual history).
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    residual = np.inf
+    history: list[float] = []
+    for it in range(1, max_iter + 1):
+        e1, e2, rho = _moments(grid, lap, kappa, phi, vphi)
+        if not np.isfinite(rho) or rho <= 0:
+            raise ConvergenceError(
+                f"iteration collapsed: int vphi phi^2 = {rho} at step {it}"
+            )
+        s = (e1 + e2) / (2.0 * rho)
+        if not np.isfinite(s) or s <= 0:
+            raise ConvergenceError(f"normalization factor degenerated: S = {s}")
+        factor = s**PETVIASHVILI_GAMMA
+        phi_t = factor * inv1(phi * vphi)
+        vphi_t = factor * inv2(phi**2)
+
+        # moment balance: pin both Nehari identities of the new iterate
+        e1, e2, rho = _moments(grid, lap, kappa, phi_t, vphi_t)
+        if not np.isfinite(rho) or rho == 0 or e1 <= 0 or e2 <= 0:
+            raise ConvergenceError(f"balance moments degenerated at step {it}")
+        phi = (np.sqrt(e1 * e2) / rho) * phi_t
+        vphi = (e1 / rho) * vphi_t
+
+        res1 = phi - lap(phi) - phi * vphi
+        res2 = 2.0 * vphi - kappa * lap(vphi) - phi**2
+        residual = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
+        history.append(residual)
+        if residual < tol:
+            return phi, vphi, residual, it, tuple(history)
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations (residual {residual:.3e})"
+    )
+
+
 def petviashvili_normalization(pair: FieldPair) -> float:
     """S = (<L1 phi, phi> + <L2 vphi, vphi>) / (2 int vphi phi^2).
 
@@ -121,13 +175,9 @@ def petviashvili_normalization(pair: FieldPair) -> float:
     grid = pair.grid
     if not isinstance(grid, RadialGrid):
         raise TypeError("normalization diagnostic is defined on the radial grid")
-    phi = np.real(pair.u.values)
-    vphi = np.real(pair.v.values)
-    kappa = pair.kappa
-    rterm = float(grid.integrate(vphi * phi**2))
-    e1 = float(grid.integrate((phi - _lap4_apply(grid, phi)) * phi))
-    e2 = float(grid.integrate((2.0 * vphi - kappa * _lap4_apply(grid, vphi)) * vphi))
-    return (e1 + e2) / (2.0 * rterm)
+    phi, vphi = np.real(pair.u.values), np.real(pair.v.values)
+    e1, e2, rho = _moments(grid, partial(_lap4_apply, grid), pair.kappa, phi, vphi)
+    return (e1 + e2) / (2.0 * rho)
 
 
 def _populate(
@@ -163,60 +213,19 @@ def petviashvili_solve(
 ) -> GroundState:
     """Normalized fixed-point iteration for the radial ground state.
 
-    Starts from phi = vphi = amplitude * exp(-r^2); each sweep applies the
-    S^gamma-normalized inverse-operator update followed by the moment
-    balance described in the module docstring, and stops once both equation
-    residuals drop below ``tol`` in max-norm.
+    Starts from phi = vphi = amplitude * exp(-r^2) and runs the balanced
+    iteration with the solver's fourth-order radial operators.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     r = grid.nodes()
-    phi = amplitude * np.exp(-(r**2))
-    vphi = phi.copy()
-
-    def moments(f, g):
-        e1 = float(grid.integrate((f - _lap4_apply(grid, f)) * f))
-        e2 = float(grid.integrate((2.0 * g - kappa * _lap4_apply(grid, g)) * g))
-        rho = float(grid.integrate(g * f**2))
-        return e1, e2, rho
-
-    residual = np.inf
-    history: list[float] = []
-    for it in range(1, max_iter + 1):
-        e1, e2, rho = moments(phi, vphi)
-        if not np.isfinite(rho) or rho <= 0:
-            raise ConvergenceError(
-                f"iteration collapsed: int vphi phi^2 = {rho} at step {it}"
-            )
-        s = (e1 + e2) / (2.0 * rho)
-        if not np.isfinite(s) or s <= 0:
-            raise ConvergenceError(f"normalization factor degenerated: S = {s}")
-        factor = s**PETVIASHVILI_GAMMA
-        phi_t = factor * _helmholtz_solve4(grid, 1.0, 1.0, phi * vphi)
-        vphi_t = factor * _helmholtz_solve4(grid, 2.0, kappa, phi**2)
-
-        # moment balance: pin both Nehari identities of the new iterate
-        e1, e2, rho = moments(phi_t, vphi_t)
-        if not np.isfinite(rho) or rho == 0 or e1 <= 0 or e2 <= 0:
-            raise ConvergenceError(f"balance moments degenerated at step {it}")
-        phi = (np.sqrt(e1 * e2) / rho) * phi_t
-        vphi = (e1 / rho) * vphi_t
-
-        res1 = phi - _lap4_apply(grid, phi) - phi * vphi
-        res2 = 2.0 * vphi - kappa * _lap4_apply(grid, vphi) - phi**2
-        residual = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
-        history.append(residual)
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {residual:.3e})"
-        )
-
+    guess = amplitude * np.exp(-(r**2))
+    phi, vphi, residual, it, history = _balanced_iteration(
+        grid, partial(_lap4_apply, grid), partial(_helmholtz_solve4, grid, 1.0, 1.0),
+        partial(_helmholtz_solve4, grid, 2.0, kappa), kappa, guess, guess.copy(), tol, max_iter,
+    )
     if float(np.min(phi)) < -1e-10 or float(np.min(vphi)) < -1e-10:
         raise ConvergenceError("converged to a sign-changing profile")
     pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
-    return _populate(pair, residual, it, tuple(history))
+    return _populate(pair, residual, it, history)
 
 
 def _dense_radial_laplacian(grid: RadialGrid) -> np.ndarray:
@@ -338,52 +347,15 @@ def solve_periodic_profile(
     the returned data is (e^{it} phi, e^{2it} vphi).
     """
     k2 = grid.k2()
-    inv_l1 = 1.0 / (1.0 + k2)
-    inv_l2 = 1.0 / (2.0 + kappa * k2)
+
+    def multiplier(mult):
+        return lambda f: np.real(grid.ifft(mult * grid.fft(f)))
+
     center = grid.L / 2.0
     rho2 = sum((c - center) ** 2 for c in grid.coords())
-    phi = amplitude * np.exp(-rho2 / (2.0 * width**2))
-    vphi = phi.copy()
-
-    def apply_inv(mult, f):
-        return np.real(grid.ifft(mult * grid.fft(f)))
-
-    def lap(f):
-        return np.real(grid.ifft(-k2 * grid.fft(f)))
-
-    def moments(f, g):
-        e1 = float(grid.integrate((f - lap(f)) * f))
-        e2 = float(grid.integrate((2.0 * g - kappa * lap(g)) * g))
-        rho = float(grid.integrate(g * f**2))
-        return e1, e2, rho
-
-    residual = np.inf
-    history: list[float] = []
-    for it in range(1, max_iter + 1):
-        e1, e2, rho = moments(phi, vphi)
-        if not np.isfinite(rho) or rho <= 0:
-            raise ConvergenceError(f"torus iteration collapsed at step {it}")
-        s = (e1 + e2) / (2.0 * rho)
-        if not np.isfinite(s) or s <= 0:
-            raise ConvergenceError(f"normalization factor degenerated: S = {s}")
-        factor = s**PETVIASHVILI_GAMMA
-        phi_t = factor * apply_inv(inv_l1, phi * vphi)
-        vphi_t = factor * apply_inv(inv_l2, phi**2)
-
-        e1, e2, rho = moments(phi_t, vphi_t)
-        if not np.isfinite(rho) or rho == 0 or e1 <= 0 or e2 <= 0:
-            raise ConvergenceError(f"balance moments degenerated at step {it}")
-        phi = (np.sqrt(e1 * e2) / rho) * phi_t
-        vphi = (e1 / rho) * vphi_t
-
-        r1 = phi - lap(phi) - phi * vphi
-        r2 = 2.0 * vphi - kappa * lap(vphi) - phi**2
-        residual = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"torus profile did not converge in {max_iter} sweeps "
-            f"(residual {residual:.3e})"
-        )
+    guess = amplitude * np.exp(-rho2 / (2.0 * width**2))
+    phi, vphi, _, _, _ = _balanced_iteration(
+        grid, multiplier(-k2), multiplier(1.0 / (1.0 + k2)),
+        multiplier(1.0 / (2.0 + kappa * k2)), kappa, guess, guess.copy(), tol, max_iter,
+    )
     return pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)

@@ -113,9 +113,9 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
 class MorawetzWeights:
     """Tabulated radial weights for one (d, R, eps).
 
-    Tables live in q = r/R on [0, q_max]; phi and phi1 vanish for q >= 2,
-    and psi, a continue analytically as psi = I2/q, a' = I2 beyond the
-    table (I2 = int_0^2 phi dq).
+    Tables live in q = r/R on [0, q_max]; phi and phi1 vanish for q >= 2.
+    :meth:`psi_of` interpolates psi and continues it analytically as
+    psi = I2/q beyond the table (I2 = int_0^2 phi dq).
     """
 
     d: int
@@ -129,27 +129,10 @@ class MorawetzWeights:
     dphi: np.ndarray
     i2: float
 
-    def gamma_of(self, q):
-        return bump_gamma(q, self.eps)
-
-    def phi_of(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.where(q >= self.q[-1], 0.0, np.interp(q, self.q, self.phi))
-
-    def phi1_of(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.where(q >= self.q[-1], 0.0, np.interp(q, self.q, self.phi1))
-
     def psi_of(self, q):
         q = np.asarray(q, dtype=float)
         inside = np.interp(q, self.q, self.psi)
         tail = self.i2 / np.maximum(q, 1e-300)
-        return np.where(q <= self.q[-1], inside, tail)
-
-    def a_of(self, q):
-        q = np.asarray(q, dtype=float)
-        inside = np.interp(q, self.q, self.a)
-        tail = self.a[-1] + self.i2 * (q - self.q[-1])
         return np.where(q <= self.q[-1], inside, tail)
 
 
@@ -256,16 +239,7 @@ class BoostChoice:
 
 def _window(grid: UniformGrid, s, R: float, eps: float) -> np.ndarray:
     """Gamma^2(|x - s| / R) on the torus (min-image metric)."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    disp2 = np.zeros(grid.shape)
-    ax = grid.axis()
-    for j in range(grid.d):
-        dz = ax - s[j]
-        dz = (dz + grid.L / 2.0) % grid.L - grid.L / 2.0
-        shape = [1] * grid.d
-        shape[j] = grid.n
-        disp2 = disp2 + dz.reshape(shape) ** 2
-    return bump_gamma(np.sqrt(disp2) / R, eps) ** 2
+    return bump_gamma(grid.distance(s) / R, eps) ** 2
 
 
 def _densities(p: FieldPair):

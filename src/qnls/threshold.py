@@ -169,16 +169,7 @@ def coercivity_on_balls(
     choice = boost_xi(p, s, radius, w)
     boosted = galilean_boost(p, choice.xi)
 
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    ax = grid.axis()
-    dist2 = np.zeros(grid.shape)
-    for j in range(grid.d):
-        dz = ax - s_arr[j]
-        dz = (dz + grid.L / 2.0) % grid.L - grid.L / 2.0
-        shape = [1] * grid.d
-        shape[j] = grid.n
-        dist2 = dist2 + dz.reshape(shape) ** 2
-    chi = bump_gamma(np.sqrt(dist2) / radius, eps)
+    chi = bump_gamma(grid.distance(s) / radius, eps)
 
     # localization identity on the boosted u component
     ub = boosted.u.values

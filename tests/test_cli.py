@@ -232,20 +232,23 @@ def test_non_integer_size_is_a_usage_error(tmp_path, capsys):
 
 def test_classify_solves_the_ground_state_at_the_config_kappa(tmp_path, monkeypatch):
     seen = []
+    iters = []
 
     def recording_solve(grid, **kwargs):
         seen.append(kwargs["kappa"])
+        iters.append(kwargs["max_iter"])
         return petviashvili_solve(grid, **kwargs)
 
     monkeypatch.setattr("qnls.cli.petviashvili_solve", recording_solve)
     out = str(tmp_path / "cls.json")
     cfg = parse_config(json.dumps({
         "command": "classify", "dimension": 1, "n": 64, "L": 20.0, "kappa": 1.0,
-        "m": 384, "r_max": 16.0, "tol": 1e-8,
+        "m": 384, "r_max": 16.0, "tol": 1e-8, "max_iter": 400,
         "initial": "gaussian", "amplitude": 0.1, "width": 2.0, "output": out,
     }))
     assert run_command(cfg) == 0
     assert seen == [1.0]
+    assert iters == [400]
     assert json.loads(open(out).read())["classification"] == "below"
 
 
@@ -259,6 +262,8 @@ def test_classify_solves_the_ground_state_at_the_config_kappa(tmp_path, monkeypa
     ("T0", 0),
     ("eps", 0.0),
     ("eps", 0.9),
+    ("kappa", 0),
+    ("kappa", -0.5),
 ])
 def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     conf = tmp_path / "bad.json"

@@ -74,6 +74,25 @@ def test_parseval_under_fixed_normalization():
     assert spec == pytest.approx(phys, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 8)])
+def test_dirichlet_matches_spectral_gradient(d, n):
+    # random data fills the Nyquist mode, which both sides must zero alike
+    rng = np.random.default_rng(2)
+    g = UniformGrid(d, n, 5.0)
+    vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    direct = sum(np.sum(np.abs(c) ** 2) for c in g.gradient(vals)) * g.h**g.d
+    assert g.dirichlet(vals) == pytest.approx(direct, rel=1e-13)
+
+
+def test_distance_is_min_image():
+    g = UniformGrid(2, 16, 8.0)
+    x, y = g.coords()
+    for s in ([4.0, 4.0], [0.5, 7.5], [9.0, -3.0]):
+        dx = np.minimum(np.abs(x - s[0] % g.L), g.L - np.abs(x - s[0] % g.L))
+        dy = np.minimum(np.abs(y - s[1] % g.L), g.L - np.abs(y - s[1] % g.L))
+        assert np.max(np.abs(g.distance(s) - np.hypot(dx, dy))) < 1e-13
+
+
 def test_gradient_plane_wave_exact():
     g = UniformGrid(1, 64, 11.0)
     x = g.axis()

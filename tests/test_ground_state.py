@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qnls import fields
-from qnls.grid import RadialGrid
+from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import (
     ConvergenceError,
@@ -11,6 +11,7 @@ from qnls.ground_state import (
     petviashvili_solve,
     pohozaev_ratios,
     sharp_gn_constant,
+    solve_periodic_profile,
 )
 
 from conftest import random_radial_pair
@@ -124,6 +125,11 @@ def test_solver_error_paths():
         petviashvili_solve(grid, tol=-1.0)
     with pytest.raises(ConvergenceError):
         petviashvili_solve(grid, tol=1e-14, max_iter=3)
+    torus = UniformGrid(1, 64, 20.0)
+    with pytest.raises(ValueError):
+        solve_periodic_profile(torus, tol=-1.0)
+    with pytest.raises(ConvergenceError):
+        solve_periodic_profile(torus, tol=1e-14, max_iter=3)
 
 
 @pytest.mark.parametrize(
