@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .evolution import EvolutionConfig, blow_up_detect, dispersive_decay_fit, evolve
+from .evolution import EvolutionConfig, _whole_steps, blow_up_detect, dispersive_decay_fit, evolve
 from .fields import Field, FieldPair, galilean_boost, pair_from_arrays
 from .grid import RadialGrid, UniformGrid
 from .ground_state import petviashvili_solve, solve_periodic_profile
@@ -69,6 +69,13 @@ _DEFAULTS = {
 
 _INTEGER_KEYS = ("n", "m", "dimension", "cadence", "max_iter", "snapshot_every", "seed")
 
+_POSITIVE_KEYS = ("kappa", "dt", "t_final", "L", "r_max", "tol", "amplitude", "width", "R0", "J", "T0")
+
+_NUMBER_KEYS = ("xi", "center", "phase_velocity", "t_fit_start", "t_fit_end")
+
+# the span each command steps through with dt
+_SPAN_KEYS = {"evolve": "t_final", "morawetz": "T0"}
+
 _REQUIRED = {"command"}
 
 _KNOWN_KEYS = set(_DEFAULTS) | _REQUIRED
@@ -89,6 +96,10 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {"command": self.command, **self.options}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -114,20 +125,28 @@ def parse_config(text: str) -> RunConfig:
     for key in _INTEGER_KEYS:
         if not isinstance(options[key], int) or isinstance(options[key], bool):
             raise ConfigError(f"config key {key!r} must be an integer, got {options[key]!r}")
-    for key in ("kappa", "dt", "t_final", "L", "r_max", "tol", "amplitude", "width",
-                "R0", "J", "T0"):
-        if not isinstance(options[key], (int, float)) or options[key] <= 0:
+    for key in _POSITIVE_KEYS:
+        if not _is_number(options[key]) or options[key] <= 0:
             raise ConfigError(f"config key {key!r} must be a positive number")
+    for key in _NUMBER_KEYS:
+        if not (_is_number(options[key]) or (key == "center" and options[key] is None)):
+            raise ConfigError(f"config key {key!r} must be a number, got {options[key]!r}")
     for key, least in (("m", 4), ("cadence", 1), ("max_iter", 1), ("snapshot_every", 0)):
         if options[key] < least:
             raise ConfigError(f"config key {key!r} must be >= {least}, got {options[key]}")
     eps = options["eps"]
-    if not isinstance(eps, (int, float)) or not 0 < eps <= 0.5:
+    if not _is_number(eps) or not 0 < eps <= 0.5:
         raise ConfigError(f"config key 'eps' must lie in (0, 1/2], got {eps!r}")
     if options["n"] & (options["n"] - 1) or options["n"] < 8:
         raise ConfigError(f"n = {options['n']} is not a power of two >= 8")
     if options["dimension"] not in (1, 2, 3):
         raise ConfigError("dimension must be 1, 2 or 3")
+    span = _SPAN_KEYS.get(raw["command"])
+    if span is not None:
+        try:
+            _whole_steps(options[span], options["dt"])
+        except ValueError as exc:
+            raise ConfigError(f"config key {span!r}: {exc}") from exc
     return RunConfig(command=raw["command"], options=options)
 
 

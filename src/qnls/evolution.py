@@ -62,6 +62,15 @@ class EvolutionConfig:
             raise ValueError("t_final must be nonnegative")
         if self.cadence < 1:
             raise ValueError("cadence must be at least 1")
+        _whole_steps(self.t_final, self.dt)
+
+
+def _whole_steps(t: float, dt: float) -> int:
+    """Number of steps dt in the span t; rejects spans that are not whole."""
+    ratio = t / dt
+    if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * abs(ratio):
+        raise ValueError(f"{t} is not a whole number of steps dt = {dt}")
+    return int(round(ratio))
 
 
 @dataclass(frozen=True)
@@ -280,7 +289,7 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
     grid = p0.grid
     if not isinstance(grid, UniformGrid):
         raise TypeError("evolve requires a uniform grid")
-    nsteps = int(round(cfg.t_final / cfg.dt))
+    nsteps = _whole_steps(cfg.t_final, cfg.dt)
     stepper = SplitStepper(p0, cfg.dt, cfg.substep_tol)
 
     ts = TimeSeries()
@@ -355,8 +364,7 @@ def dispersive_decay_fit(
         ft = grid.ifft(np.exp(-1j * k2 * t) * fhat)
         norms.append(lp_norm(Field(grid, ft), r))
 
-    # wrap-around check at the final (widest) profile
-    ft = grid.ifft(np.exp(-1j * k2 * times[-1]) * fhat)
+    # wrap-around check on the loop's last (widest) profile
     dens = np.abs(ft) ** 2
     edge = np.zeros(grid.shape, dtype=bool)
     ax = grid.axis()

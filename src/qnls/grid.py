@@ -5,7 +5,8 @@ Two domains are supported: periodic boxes [0, L)^d for d in {1, 2, 3}
 elliptic problem (half-offset nodes, second-order finite differences).
 All quadrature conventions used elsewhere in the package are fixed here:
 Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
-weight on the radial grid, and orthonormal FFT normalization.
+weight on the radial grid, orthonormal FFT normalization, the min-image
+displacement on the torus and the periodic convolution built on both.
 """
 
 from __future__ import annotations
@@ -76,22 +77,20 @@ class UniformGrid:
         ax = self.axis()
         return list(np.meshgrid(*([ax] * self.d), indexing="ij"))
 
-    def min_image(self) -> list[np.ndarray]:
-        """Signed displacement arrays in [-L/2, L/2) per axis (torus metric)."""
-        z = self.axis()
-        z = np.where(z >= self.L / 2, z - self.L, z)
-        return list(np.meshgrid(*([z] * self.d), indexing="ij"))
-
     def wavenumbers(self) -> np.ndarray:
         """Signed wavenumbers 2*pi*m/L for one axis, FFT ordering."""
         return 2.0 * pi * np.fft.fftfreq(self.n, d=self.h)
 
-    def distance(self, s) -> np.ndarray:
-        """Min-image distance |x - s| from the point s, shape ``self.shape``."""
+    def displacement(self, s) -> list[np.ndarray]:
+        """Signed min-image displacement x - s in [-L/2, L/2), one array per axis."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         half = self.L / 2.0
         axes = [(self.axis() - s[j] + half) % self.L - half for j in range(self.d)]
-        return np.sqrt(sum(z**2 for z in np.meshgrid(*axes, indexing="ij")))
+        return list(np.meshgrid(*axes, indexing="ij"))
+
+    def distance(self, s) -> np.ndarray:
+        """Min-image distance |x - s| from the point s, shape ``self.shape``."""
+        return np.sqrt(sum(z**2 for z in self.displacement(s)))
 
     def k2(self) -> np.ndarray:
         """|k|^2 multiplier array of shape ``self.shape``."""
@@ -116,6 +115,17 @@ class UniformGrid:
     def ifft(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`fft`, batched the same way."""
         return scipy.fft.ifftn(values, axes=_SPACE_AXES[-self.d:], norm="ortho")
+
+    def convolve(self, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Periodic convolution int k(x - y) f(y) dy as a Riemann sum.
+
+        ``kernel`` holds k at the min-image displacement of each node from
+        the origin.  Both arguments broadcast over their leading (batch)
+        axes.  Through the orthonormal pair the circular sum is n^(d/2)
+        ifft(fft(k) fft(f)); the Riemann sum adds h^d.
+        """
+        scale = np.sqrt(self.size) * self.h**self.d
+        return self.ifft(self.fft(kernel) * self.fft(values)) * scale
 
     def gradient(self, values: np.ndarray) -> list[np.ndarray]:
         """Spectral gradient, exact for resolved plane waves; batched like :meth:`fft`."""

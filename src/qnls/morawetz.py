@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi
 
 from . import fields as fields_mod
-from .evolution import SplitStepper, SubstepFailure
+from .evolution import SplitStepper, SubstepFailure, _whole_steps
 from .fields import FieldPair, galilean_boost
 from .grid import UniformGrid, unit_ball_volume
 
@@ -265,6 +265,24 @@ def _densities(p: FieldPair):
     return l_comp, a_comp, nu
 
 
+def _window_moments(p: FieldPair, win: np.ndarray):
+    """Window moments (l, n, a): the integrals of sum_j L_j, nu and each A_j against win."""
+    grid = p.grid
+    l_comp, a_comp, nu = _densities(p)
+    l_tot = float(grid.integrate(np.sum(l_comp, axis=0) * win))
+    n_tot = float(grid.integrate(nu * win))
+    a_vec = np.array([float(grid.integrate(a_comp[j] * win)) for j in range(grid.d)])
+    return l_tot, n_tot, a_vec
+
+
+def _window_boost(p: FieldPair, win: np.ndarray) -> BoostChoice:
+    """Momentum-killing boost a / n for the window ``win`` (see :func:`boost_xi`)."""
+    _, n_tot, a_vec = _window_moments(p, win)
+    if n_tot <= 0.0:
+        return BoostChoice(xi=np.zeros(p.grid.d), denominator=n_tot, degenerate=True)
+    return BoostChoice(xi=a_vec / n_tot, denominator=n_tot, degenerate=False)
+
+
 def boost_xi(p: FieldPair, s, R: float, w: MorawetzWeights) -> BoostChoice:
     """Momentum-killing boost parameter for the window centered at s.
 
@@ -278,51 +296,32 @@ def boost_xi(p: FieldPair, s, R: float, w: MorawetzWeights) -> BoostChoice:
     condition is the normative contract; the boosted weighted momentum is
     zero by the exact algebra  A^xi = A - xi * nu  pointwise.
     """
-    grid = p.grid
-    if not isinstance(grid, UniformGrid):
+    if not isinstance(p.grid, UniformGrid):
         raise TypeError("boost_xi requires a uniform grid")
-    win = _window(grid, s, R, w.eps)
-    _, a_comp, nu = _densities(p)
-    den = float(grid.integrate(nu * win))
-    if den <= 0.0:
-        return BoostChoice(xi=np.zeros(grid.d), denominator=den, degenerate=True)
-    num = np.array([float(grid.integrate(a_comp[j] * win)) for j in range(grid.d)])
-    return BoostChoice(xi=num / den, denominator=den, degenerate=False)
+    return _window_boost(p, _window(p.grid, s, R, w.eps))
 
 
 def weighted_momentum(p: FieldPair, s, R: float, w: MorawetzWeights) -> np.ndarray:
     """int Im(2 u grad conj(u) + v grad conj(v)) Gamma^2(|x-s|/R) dx."""
-    grid = p.grid
-    win = _window(grid, s, R, w.eps)
-    _, a_comp, _ = _densities(p)
-    return np.array([float(grid.integrate(a_comp[j] * win)) for j in range(grid.d)])
+    return _window_moments(p, _window(p.grid, s, R, w.eps))[2]
 
 
 def morawetz_action(p: FieldPair, w: MorawetzWeights) -> float:
     """M(t) = 2 int int Im(2 conj(u) grad u + conj(v) grad v)(x)
     . grad a(x-y) (2 kappa |u(y)|^2 + |v(y)|^2) dx dy.
 
-    The y-integral is a convolution with grad a(z) = psi(|z|/R) z, done
-    spectrally on the torus with the min-image displacement kernel.
+    The current in the integrand is -A and the y-weight is nu, both from
+    :func:`_densities`.  The y-integral is a convolution with grad a(z) =
+    psi(|z|/R) z, sampled on the min-image displacement from the origin.
     """
     grid = p.grid
     if not isinstance(grid, UniformGrid) or grid.d > 2:
         raise TypeError("the Morawetz action is evaluated in d = 1 or 2")
-    u, v = p.u.values, p.v.values
-    du = grid.gradient(u)
-    dv = grid.gradient(v)
-    nu = 2.0 * p.kappa * np.abs(u) ** 2 + np.abs(v) ** 2
-    disp = grid.min_image()
-    dist = np.sqrt(sum(z**2 for z in disp))
-    psi_vals = w.psi_of(dist / w.R)
-    nu_hat = np.fft.fftn(nu)
-    total = 0.0
-    for j in range(grid.d):
-        a_mom = np.imag(2.0 * np.conj(u) * du[j] + np.conj(v) * dv[j])
-        kernel = psi_vals * disp[j]
-        conv = np.real(np.fft.ifftn(np.fft.fftn(kernel) * nu_hat)) * grid.h**grid.d
-        total += float(grid.integrate(a_mom * conv))
-    return 2.0 * total
+    _, a_comp, nu = _densities(p)
+    origin = np.zeros(grid.d)
+    kernel = w.psi_of(grid.distance(origin) / w.R) * np.array(grid.displacement(origin))
+    conv = np.real(grid.convolve(kernel, nu))
+    return -2.0 * float(grid.integrate(a_comp * conv))
 
 
 def galilean_pairing(p: FieldPair, s, R: float, w: MorawetzWeights) -> float:
@@ -333,12 +332,7 @@ def galilean_pairing(p: FieldPair, s, R: float, w: MorawetzWeights) -> float:
     which factorizes per window into (int L G^2)(int nu G^2) -
     (int A G^2).(int B G^2) = l n - kappa |a|^2, since B = kappa A.
     """
-    grid = p.grid
-    win = _window(grid, s, R, w.eps)
-    l_comp, a_comp, nu = _densities(p)
-    l_tot = float(grid.integrate(np.sum(l_comp, axis=0) * win))
-    n_tot = float(grid.integrate(nu * win))
-    a_vec = np.array([float(grid.integrate(a_comp[j] * win)) for j in range(grid.d)])
+    l_tot, n_tot, a_vec = _window_moments(p, _window(p.grid, s, R, w.eps))
     return l_tot * n_tot - p.kappa * float(np.dot(a_vec, a_vec))
 
 
@@ -413,7 +407,6 @@ class InteractionResult:
     accumulator: float
     nu: float
     e0: float
-    mass0: float
     ratio: float            # accumulator / (nu * E0^2)
     per_radius: np.ndarray  # accumulator share per R shell
     radii: np.ndarray
@@ -453,13 +446,10 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     ln_w[0] *= 0.5
     ln_w[-1] *= 0.5
 
-    # window kernels per shell, sampled on min-image displacement; the
-    # unnormalised kernel transform between the orthonormal pair of grid
-    # transforms makes a plain circular convolution
-    z = grid.min_image()[0]
-    kern_hats = np.fft.fft(bump_gamma(np.abs(z) / radii[:, None], params.eps) ** 2)
+    # window kernels per shell, sampled on the min-image distance from the origin
+    kernels = bump_gamma(grid.distance([0.0]) / radii[:, None], params.eps) ** 2
 
-    nsteps = int(round(params.T0 / dt))
+    nsteps = _whole_steps(params.T0, dt)
     sample_steps = list(range(0, nsteps + 1, params.cadence))
     if sample_steps[-1] != nsteps:
         sample_steps.append(nsteps)
@@ -477,10 +467,8 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     def shell_integrands(w: np.ndarray) -> np.ndarray:
         """ln_w * (1/R) * int (l n - kappa a^2) ds, one entry per shell."""
         l_comp, a_comp, nu = _densities(p0.with_values(w[0], w[1]))
-        dens_hat = grid.fft(np.array((l_comp[0], a_comp[0], nu)))
-        l_w, a_w, n_w = np.moveaxis(
-            np.real(grid.ifft(dens_hat * kern_hats[:, None, :])) * grid.h, 1, 0
-        )
+        dens = np.array((l_comp[0], a_comp[0], nu))
+        l_w, a_w, n_w = np.moveaxis(np.real(grid.convolve(kernels[:, None, :], dens)), 1, 0)
         cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
         inner = np.sum(cells[:, :: params.s_stride], axis=1) * stride_w
         return ln_w * inner / radii
@@ -504,14 +492,12 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
 
     total = float(np.sum(per_r)) / (params.J * params.T0)
     e0 = fields_mod.energy(p0)
-    m0 = fields_mod.mass(p0)
     nu_param = params.nu
     ratio = total / (nu_param * e0**2) if e0 != 0 else np.inf
     return InteractionResult(
         accumulator=total,
         nu=nu_param,
         e0=e0,
-        mass0=m0,
         ratio=ratio,
         per_radius=per_r / (params.J * params.T0),
         radii=radii,

@@ -19,6 +19,7 @@ from . import fields as fields_mod
 from .fields import Field, FieldPair, galilean_boost
 from .grid import RadialGrid, UniformGrid
 from .ground_state import GroundState
+from .morawetz import _window_boost, bump_gamma
 
 #: relative guard band for the at-threshold classification
 GUARD_BAND = 1e-9
@@ -156,20 +157,15 @@ def coercivity_on_balls(
     Checks the localization identity int chi^2 |grad u|^2 = int
     |grad(chi u)|^2 + chi Lap(chi) |u|^2, then evaluates the localized gap
     4 H(u_R^xi) - 5 R(u_R) against delta' H(u_R^xi) with delta' from the
-    localized product M H / (M(Q) H(Q)).  The boost is the window's
-    momentum-killing xi.  Small radii legitimately fail; the report says
+    localized product M H / (M(Q) H(Q)).  The boost is the momentum-killing
+    xi of the window chi^2.  Small radii legitimately fail; the report says
     so with the measured margin.
     """
-    from .morawetz import boost_xi, build_weights, bump_gamma
-
     grid = p.grid
     if not isinstance(grid, UniformGrid) or grid.d > 2:
         raise TypeError("ball coercivity is evaluated on uniform grids in d <= 2")
-    w = build_weights(grid.d, radius, eps)
-    choice = boost_xi(p, s, radius, w)
-    boosted = galilean_boost(p, choice.xi)
-
     chi = bump_gamma(grid.distance(s) / radius, eps)
+    boosted = galilean_boost(p, _window_boost(p, chi**2).xi)
 
     # localization identity on the boosted u component
     ub = boosted.u.values
@@ -199,7 +195,7 @@ def coercivity_on_balls(
     delta_prime = 4.0 * (1.0 - y_loc**0.25) if y_loc < 1.0 else float("nan")
     margin = gap - (delta_prime * h_loc if np.isfinite(delta_prime) else np.inf)
 
-    h_glob = fields_mod.kinetic(galilean_boost(p, choice.xi))
+    h_glob = fields_mod.kinetic(boosted)
     m_glob = fields_mod.mass(p)
     excess = (h_loc - h_glob) * radius**2 / m_glob if m_glob > 0 else 0.0
 
@@ -245,8 +241,8 @@ def rescale_to_E0(p: FieldPair) -> tuple[FieldPair, float]:
     Realized exactly on the grid: the box shrinks to L/lambda (same
     samples, same index layout) and the values scale by lambda^2, which
     reproduces the continuum exponents M ~ lambda^(4-d),
-    H, R ~ lambda^(6-d) to roundoff.  lambda is found by bisection on
-    log lambda; requires M > 0 and E > 0.
+    H, R ~ lambda^(6-d) to roundoff.  M = E then reads lambda^2 = M/E in
+    every d; requires M > 0 and E > 0.
     """
     m0 = fields_mod.mass(p)
     e0 = fields_mod.energy(p)
@@ -254,26 +250,8 @@ def rescale_to_E0(p: FieldPair) -> tuple[FieldPair, float]:
         raise ValueError("rescaling requires positive mass")
     if e0 <= 0:
         raise ValueError(f"rescaling requires positive energy, got E = {e0:.3e}")
+    lam = float(np.sqrt(m0 / e0))
     g = p.grid
-    d = 5 if isinstance(g, RadialGrid) else g.d
-
-    def gap(loglam: float) -> float:
-        lam = np.exp(loglam)
-        return lam ** (4 - d) * m0 - lam ** (6 - d) * e0
-
-    lo, hi = -30.0, 30.0
-    if not gap(lo) > 0 > gap(hi):
-        raise ValueError("no rescaling root in bracket (pathological M/E)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    lam = float(np.exp(0.5 * (lo + hi)))
-
     if isinstance(g, RadialGrid):
         new_grid = RadialGrid(g.m, g.r_max / lam)
     else:

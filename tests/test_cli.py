@@ -264,6 +264,10 @@ def test_classify_solves_the_ground_state_at_the_config_kappa(tmp_path, monkeypa
     ("eps", 0.9),
     ("kappa", 0),
     ("kappa", -0.5),
+    ("dt", True),
+    ("kappa", True),
+    ("xi", "fast"),
+    ("T0", 0.0105),
 ])
 def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     conf = tmp_path / "bad.json"

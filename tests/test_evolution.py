@@ -275,3 +275,5 @@ def test_config_validation():
         EvolutionConfig(dt=-1e-3, t_final=1.0)
     with pytest.raises(ValueError):
         EvolutionConfig(dt=1e-3, t_final=1.0, cadence=0)
+    with pytest.raises(ValueError):
+        EvolutionConfig(dt=1e-3, t_final=0.0105)   # 10.5 steps

@@ -91,6 +91,32 @@ def test_distance_is_min_image():
         dx = np.minimum(np.abs(x - s[0] % g.L), g.L - np.abs(x - s[0] % g.L))
         dy = np.minimum(np.abs(y - s[1] % g.L), g.L - np.abs(y - s[1] % g.L))
         assert np.max(np.abs(g.distance(s) - np.hypot(dx, dy))) < 1e-13
+    # the signed displacement lies in [-L/2, L/2), is congruent to x - s
+    # mod L, and distance is its norm bit for bit
+    for d in (1, 2, 3):
+        g = UniformGrid(d, 8, 6.0)
+        for s in ([3.0] * d, [0.5, 5.9, 1.2][:d], [9.0, -3.0, 13.4][:d]):
+            disp = g.displacement(s)
+            for x, z, sj in zip(g.coords(), disp, s):
+                assert np.all((z >= -g.L / 2) & (z < g.L / 2))
+                turns = (x - sj - z) / g.L
+                assert np.max(np.abs(turns - np.round(turns))) < 1e-13
+            assert np.array_equal(g.distance(s), np.sqrt(sum(z**2 for z in disp)))
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+def test_convolve_matches_circular_sum(d, n):
+    rng = np.random.default_rng(3)
+    g = UniformGrid(d, n, 7.0)
+    kernel = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    values = rng.normal(size=(2, *g.shape)) + 1j * rng.normal(size=(2, *g.shape))
+    direct = np.zeros_like(values)
+    for shift in np.ndindex(*g.shape):
+        # k(x - y) at y = x - shift is the kernel sample at node `shift`
+        direct += kernel[shift] * np.roll(values, shift, axis=tuple(range(1, d + 1)))
+    direct *= g.h**d
+    got = g.convolve(kernel, values)
+    assert np.max(np.abs(got - direct)) < 1e-13 * np.max(np.abs(direct))
 
 
 def test_gradient_plane_wave_exact():

@@ -157,6 +157,25 @@ def test_action_vanishes_for_real_and_zero_pairs():
     assert morawetz_action(zero, w) == 0.0
 
 
+def test_action_matches_direct_double_sum():
+    # M = 2 sum_x sum_y Im(2 conj(u) u' + conj(v) v')(x) psi(|z|/R) z nu(y) h^2,
+    # z = x - y wrapped into [-L/2, L/2) by integer index arithmetic
+    g = UniformGrid(1, 64, 16.0)
+    x = g.axis()
+    u = np.exp(-((x - 7.0) ** 2) / 3.0 + 0.9j * x)
+    v = 0.6 * np.exp(-((x - 9.0) ** 2) / 2.0 - 0.4j * x)
+    p = pair_from_arrays(g, u, v, 0.7)
+    w = build_weights(1, 3.0, 0.05)
+    (du,), (dv,) = g.gradient(u), g.gradient(v)
+    current = np.imag(2.0 * np.conj(u) * du + np.conj(v) * dv)
+    nu = 2.0 * 0.7 * np.abs(u) ** 2 + np.abs(v) ** 2
+    idx = np.arange(g.n)
+    z = ((idx[:, None] - idx[None, :] + g.n // 2) % g.n - g.n // 2) * g.h
+    direct = 2.0 * np.sum(current[:, None] * w.psi_of(np.abs(z) / w.R) * z * nu[None, :]) * g.h**2
+    assert abs(direct) > 1e-3
+    assert morawetz_action(p, w) == pytest.approx(direct, rel=1e-12)
+
+
 def test_action_bound_stable_under_radius_doubling():
     # |M(t)| <= C R E0^2 on normalized (M = E = E0) pairs, C stable in R
     rng = np.random.default_rng(13)
@@ -228,6 +247,13 @@ def test_interaction_zero_data():
     res = interaction_lhs(zero, 1e-2, InteractionParams(R0=2.0, J=4.0, T0=1.0, eps=0.25, cadence=10))
     assert res.accumulator == 0.0
     assert res.outcome == "completed"
+
+
+def test_interaction_rejects_a_partial_last_step():
+    g = UniformGrid(1, 16, 10.0)
+    zero = pair_from_arrays(g, np.zeros(g.shape, complex), np.zeros(g.shape, complex))
+    with pytest.raises(ValueError):
+        interaction_lhs(zero, 1e-3, InteractionParams(R0=1.0, J=1.0, T0=0.0105, eps=0.25))
 
 
 def test_interaction_substep_failure_is_a_labeled_outcome():

@@ -137,6 +137,20 @@ def test_ball_coercivity_reduces_to_global(gs_fine):
     assert rep.gap == pytest.approx(direct, rel=1e-8)
 
 
+def test_ball_coercivity_builds_no_weight_tables(gs_fine):
+    from qnls import morawetz
+
+    saved = dict(morawetz._TABLE_CACHE)
+    morawetz._TABLE_CACHE.clear()
+    try:
+        g = UniformGrid(2, 16, 12.0)
+        p = random_envelope_pair(g, np.random.default_rng(27), kappa=0.5, amp=0.3)
+        coercivity_on_balls(p, [6.0, 6.0], 4.0, gs_fine)
+        assert morawetz._TABLE_CACHE == {}
+    finally:
+        morawetz._TABLE_CACHE.update(saved)
+
+
 def test_ball_coercivity_localization_identity(gs_fine):
     rng = np.random.default_rng(26)
     g = UniformGrid(1, 256, 40.0)
@@ -198,6 +212,7 @@ def test_rescale_to_e0_demo_and_errors():
     p = pair_from_arrays(g, u, 0.3 * np.exp(-((x - 20.0) ** 2) / 3.0) + 0j, 0.5)
     scaled, lam = rescale_to_E0(p)
     assert fields.mass(scaled) == pytest.approx(fields.energy(scaled), rel=1e-10)
+    assert lam == pytest.approx(np.sqrt(fields.mass(p) / fields.energy(p)), rel=1e-15)
     # idempotent: a second rescale moves lambda by < 1e-10
     again, lam2 = rescale_to_E0(scaled)
     assert abs(lam2 - 1.0) < 1e-10
