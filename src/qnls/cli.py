@@ -73,6 +73,9 @@ _POSITIVE_KEYS = ("kappa", "dt", "t_final", "L", "r_max", "tol", "amplitude", "w
 
 _NUMBER_KEYS = ("xi", "center", "phase_velocity", "t_fit_start", "t_fit_end")
 
+# file paths: a string or null (an int would reach ``open`` as a file descriptor)
+_PATH_KEYS = ("output", "input_path")
+
 # the span each command steps through with dt
 _SPAN_KEYS = {"evolve": "t_final", "morawetz": "T0"}
 
@@ -134,9 +137,17 @@ def parse_config(text: str) -> RunConfig:
     for key, least in (("m", 4), ("cadence", 1), ("max_iter", 1), ("snapshot_every", 0)):
         if options[key] < least:
             raise ConfigError(f"config key {key!r} must be >= {least}, got {options[key]}")
+    for key in _PATH_KEYS:
+        if not (options[key] is None or isinstance(options[key], str)):
+            raise ConfigError(f"config key {key!r} must be a path string, got {options[key]!r}")
     eps = options["eps"]
     if not _is_number(eps) or not 0 < eps <= 0.5:
         raise ConfigError(f"config key 'eps' must lie in (0, 1/2], got {eps!r}")
+    r = options["decay_exponent"]
+    if r != "inf" and not (_is_number(r) and r >= 1):
+        raise ConfigError(
+            f"config key 'decay_exponent' must be \"inf\" or a number >= 1, got {r!r}"
+        )
     if options["n"] & (options["n"] - 1) or options["n"] < 8:
         raise ConfigError(f"n = {options['n']} is not a power of two >= 8")
     if options["dimension"] not in (1, 2, 3):
@@ -248,7 +259,10 @@ def _initial_pair(cfg: RunConfig, grid: UniformGrid) -> FieldPair:
     if kind == "file":
         if cfg.input_path is None:
             raise ConfigError("initial = file requires input_path")
-        pair, _ = read_snapshot(cfg.input_path)
+        try:
+            pair, _ = read_snapshot(cfg.input_path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read input_path: {exc}") from exc
         return pair
     if kind == "gaussian":
         center = cfg.center if cfg.center is not None else grid.L / 2.0
@@ -292,12 +306,15 @@ def run_command(cfg: RunConfig) -> int:
                 "threshold_me": gs.threshold_me,
                 "threshold_mh": gs.threshold_mh,
                 "residual": gs.residual_norm,
+                "residual_floor": gs.residual_floor,
                 "iterations": gs.iterations,
             },
         )
         return 0
 
     if cfg.command == "evolve":
+        if out is None:    # checked before any work: the CSV is the run's only product
+            raise ConfigError("evolve requires an output path for the CSV series")
         grid = UniformGrid(cfg.dimension, cfg.n, cfg.L)
         pair = _initial_pair(cfg, grid)
         run_cfg = EvolutionConfig(
@@ -314,8 +331,6 @@ def run_command(cfg: RunConfig) -> int:
             row += list(rec.momentum)
             row += [rec.l3_u, rec.l3_pair, rec.max_modulus]
             rows.append(row)
-        if out is None:
-            raise ConfigError("evolve requires an output path for the CSV series")
         _write_csv(out, cfg, header, rows)
         if cfg.snapshot_every:
             for idx, (t, snap_pair) in enumerate(ts.snapshots):

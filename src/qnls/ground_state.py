@@ -17,13 +17,38 @@ is structurally marginal for this two-component system: the amplitude map
 iteration stalls in a period-2 cycle.  Each sweep therefore ends with a
 moment balance (p, q) that enforces both Nehari identities
 <L1 phi, phi> = <L2 vphi, vphi> = int vphi phi^2 exactly; the balanced
-iterate is contraction-stable and S = 1 at every subsequent step.
+iterate is contraction-stable and S = 1 at every subsequent step
+(Lakoba & Yang, J. Comput. Phys. 226 (2007) 1668).
 
 The profile at the working resolution must carry the 1:5:4 identity to
 1e-3, which a second-order discretization cannot deliver at m = 2048, so
-the solver discretizes the radial Laplacian to fourth order internally
-(five-point apply, defect-corrected tridiagonal solves).  The public
-``radial_laplacian_apply`` stencil stays second order.
+the solver discretizes the radial Laplacian to fourth order internally:
+a five-point stencil L4 with the even (r = 0) and odd (r_max) ghost folds
+of ``radial_ghosts``, assembled once per solve as a (5, m) band.  A sweep
+applies L1^{-1} and L2^{-1} as one pentadiagonal banded solve each.  The
+public ``radial_laplacian_apply`` stencil stays second order.
+
+The balanced sweep contracts only linearly and, at m = 2048, plateaus
+near the round-off floor (1.5e-10 with exact banded inverses), so
+:func:`petviashvili_solve` runs it down to the residual ``NEWTON_SWITCH``
+and finishes with Newton steps on the full system (J. Yang, J. Comput.
+Phys. 228 (2009) 7007).
+With (phi_j, vphi_j) interleaved per node the Jacobian
+
+    [[1 - L4 - diag vphi, -diag phi], [-2 diag phi, 2 - kappa L4]]
+
+is a (4, 4) band, so a step is one O(m) banded solve.  ``iterations``
+and ``residual_history`` count sweeps and Newton steps together, and
+``max_iter`` bounds their sum.  The solve returns once the max-norm
+residual of the fourth-order system falls below ``tol`` and raises
+:class:`ConvergenceError` at the first Newton step that does not reduce
+it: that is the float64 floor.  ``GroundState.residual_floor`` estimates
+the floor as eps * max_i sum_j |J_ij| |x_j|; the 4/r term at the first
+node makes it grow like 1/dr^2 (about 5e-10 at m = 2048, r_max = 30).
+The residuals reached sit below that bound, yet on grids finer than
+about m = 2048 at r_max = 30 they no longer reach 1e-10: m = 3072 and
+4096 stall at residuals of 1.8-5.6e-10, so they cannot certify
+tol = 1e-10.
 
 A deliberately independent coarse solver (dense second-order matrices,
 damped held-mass Picard) cross-checks M_gs.
@@ -35,10 +60,11 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from . import fields
 from .fields import FieldPair, pair_from_arrays
-from .grid import RadialGrid, UniformGrid, radial_ghosts, radial_helmholtz_solve
+from .grid import RadialGrid, UniformGrid, radial_ghosts
 
 #: stabilizing exponent of the normalization factor; p/(p-1) = 2 for the
 #: quadratic nonlinearity
@@ -46,6 +72,10 @@ PETVIASHVILI_GAMMA = 2.0
 
 #: amplitude of the Gaussian initial guess a * exp(-r^2)
 INITIAL_AMPLITUDE = 3.0
+
+#: max-norm residual at which :func:`petviashvili_solve` leaves the
+#: balanced sweep for Newton steps
+NEWTON_SWITCH = 0.3
 
 
 class ConvergenceError(RuntimeError):
@@ -58,7 +88,8 @@ class GroundState:
 
     pair: FieldPair
     residual_norm: float
-    iterations: int
+    residual_floor: float                # round-off floor of the residual; NaN if not estimated
+    iterations: int                      # sweeps plus Newton steps
     residual_history: tuple[float, ...]
     ratios: tuple[float, float, float]   # (1, H/M, R/M); exactly (1, 5, 4) in theory
     mass: float                          # M_gs
@@ -98,19 +129,84 @@ def _lap4_apply(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
     return d2 + (4.0 / r) * d1
 
 
-def _helmholtz_solve4(
-    grid: RadialGrid, alpha: float, beta: float, rhs: np.ndarray, sweeps: int = 14
-) -> np.ndarray:
-    """Solve (alpha - beta Lap4) x = rhs by defect-corrected tridiagonal solves.
+def _lap4_band(grid: RadialGrid) -> np.ndarray:
+    """:func:`_lap4_apply` as a (5, m) band in ``solve_banded`` storage.
 
-    The second-order tridiagonal factor preconditions the fourth-order
-    operator; the defect iteration contracts at ~1/3 per sweep.
+    ``band[2 + i - j, j]`` is the coefficient of f_j in row i; the ghost
+    nodes of :func:`radial_ghosts` are folded onto the first and last rows.
     """
-    x = radial_helmholtz_solve(grid, alpha, beta, rhs)
-    for _ in range(sweeps):
-        defect = rhs - (alpha * x - beta * _lap4_apply(grid, x))
-        x = x + radial_helmholtz_solve(grid, alpha, beta, defect)
-    return x
+    m, dr = grid.m, grid.dr
+    d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dr**2)
+    d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dr)
+    c = d2[:, None] + d1[:, None] * (4.0 / grid.nodes())   # c[k + 2, i]: f_{i+k} in row i
+    # even reflection at r = 0: f_{-1} = f_0, f_{-2} = f_1
+    c[2, 0] += c[1, 0]
+    c[3, 0] += c[0, 0]
+    c[1, 1] += c[0, 1]
+    # odd reflection at r_max: f_m = -f_{m-1}, f_{m+1} = -f_{m-2}
+    c[3, m - 2] -= c[4, m - 2]
+    c[2, m - 1] -= c[3, m - 1]
+    c[1, m - 1] -= c[4, m - 1]
+    band = np.zeros((5, m))
+    for k in range(-2, 3):
+        if k >= 0:
+            band[2 - k, k:] = c[k + 2, : m - k]
+        else:
+            band[2 - k, :k] = c[k + 2, -k:]
+    return band
+
+
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a square A in ``solve_banded`` storage with equal bandwidths."""
+    u = (band.shape[0] - 1) // 2
+    n = x.size
+    y = np.zeros(n)
+    for d in range(band.shape[0]):
+        k = u - d                       # row i meets column i + k
+        if k >= 0:
+            y[: n - k] += band[d, k:] * x[k:]
+        else:
+            y[-k:] += band[d, : n + k] * x[: n + k]
+    return y
+
+
+def _newton_band(l4: np.ndarray, kappa: float, phi: np.ndarray, vphi: np.ndarray) -> np.ndarray:
+    """Jacobian of the stationary system as a (4, 4) band.
+
+    Unknowns and equations are interleaved per node, (phi_j, vphi_j), so
+    the blocks [[1 - L4 - diag vphi, -diag phi], [-2 diag phi, 2 - kappa L4]]
+    sit within four diagonals of the main one.
+    """
+    band = np.zeros((9, 2 * phi.size))
+    band[0::2, 0::2] = -l4
+    band[0::2, 1::2] = -kappa * l4
+    band[4, 0::2] += 1.0 - vphi
+    band[4, 1::2] += 2.0
+    band[3, 1::2] = -phi
+    band[5, 0::2] = -2.0 * phi
+    return band
+
+
+def _residual_floor(band: np.ndarray, phi: np.ndarray, vphi: np.ndarray) -> float:
+    """eps * max_i sum_j |J_ij| |x_j|: what rounding x alone does to the residual."""
+    x = np.abs(_interleave(phi, vphi))
+    return float(np.finfo(float).eps * np.max(_band_matvec(np.abs(band), x)))
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a_0, b_0, a_1, b_1, ...): the node ordering of :func:`_newton_band`."""
+    return np.stack((a, b), axis=1).ravel()
+
+
+def _residuals(lap, kappa, phi, vphi) -> tuple[np.ndarray, np.ndarray]:
+    """Both stationary equations evaluated at (phi, vphi)."""
+    res1 = phi - lap(phi) - phi * vphi
+    res2 = 2.0 * vphi - kappa * lap(vphi) - phi**2
+    return res1, res2
+
+
+def _max_norm(res: tuple[np.ndarray, np.ndarray]) -> float:
+    return max(float(np.max(np.abs(res[0]))), float(np.max(np.abs(res[1]))))
 
 
 def _moments(grid, lap, kappa, phi, vphi) -> tuple[float, float, float]:
@@ -155,9 +251,7 @@ def _balanced_iteration(grid, lap, inv1, inv2, kappa, phi, vphi, tol, max_iter):
         phi = (np.sqrt(e1 * e2) / rho) * phi_t
         vphi = (e1 / rho) * vphi_t
 
-        res1 = phi - lap(phi) - phi * vphi
-        res2 = 2.0 * vphi - kappa * lap(vphi) - phi**2
-        residual = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
+        residual = _max_norm(_residuals(lap, kappa, phi, vphi))
         history.append(residual)
         if residual < tol:
             return phi, vphi, residual, it, tuple(history)
@@ -181,7 +275,7 @@ def petviashvili_normalization(pair: FieldPair) -> float:
 
 
 def _populate(
-    pair: FieldPair, residual: float, iterations: int, history: tuple[float, ...]
+    pair: FieldPair, residual: float, floor: float, iterations: int, history: tuple[float, ...]
 ) -> GroundState:
     m = fields.mass(pair)
     h = fields.kinetic(pair)
@@ -191,6 +285,7 @@ def _populate(
     return GroundState(
         pair=pair,
         residual_norm=residual,
+        residual_floor=floor,
         iterations=iterations,
         residual_history=history,
         ratios=(1.0, h / m, r / m),
@@ -211,27 +306,61 @@ def petviashvili_solve(
     max_iter: int = 500,
     amplitude: float = INITIAL_AMPLITUDE,
 ) -> GroundState:
-    """Normalized fixed-point iteration for the radial ground state.
+    """Radial ground state: balanced sweeps, then a Newton finish.
 
-    Starts from phi = vphi = amplitude * exp(-r^2) and runs the balanced
-    iteration with the solver's fourth-order radial operators.
+    Starts from phi = vphi = amplitude * exp(-r^2), runs the balanced
+    iteration with the solver's fourth-order radial operators down to
+    ``NEWTON_SWITCH`` (or ``tol``, if looser) and then takes Newton steps
+    until the residual is below ``tol``; see the module docstring.
     """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     r = grid.nodes()
     guess = amplitude * np.exp(-(r**2))
+    l4 = _lap4_band(grid)
+    lap = partial(_lap4_apply, grid)
+
+    def inverse(alpha, beta):
+        band = -beta * l4
+        band[2] += alpha
+        return partial(solve_banded, (2, 2), band, check_finite=False)
+
     phi, vphi, residual, it, history = _balanced_iteration(
-        grid, partial(_lap4_apply, grid), partial(_helmholtz_solve4, grid, 1.0, 1.0),
-        partial(_helmholtz_solve4, grid, 2.0, kappa), kappa, guess, guess.copy(), tol, max_iter,
+        grid, lap, inverse(1.0, 1.0), inverse(2.0, kappa), kappa, guess, guess.copy(),
+        max(tol, NEWTON_SWITCH), max_iter,
     )
+    history = list(history)
+    res = _residuals(lap, kappa, phi, vphi)
+    while residual >= tol:
+        if it == max_iter:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} iterations (residual {residual:.3e})"
+            )
+        jac = _newton_band(l4, kappa, phi, vphi)
+        step = solve_banded((4, 4), jac, _interleave(*res), check_finite=False)
+        it += 1
+        phi_n, vphi_n = phi - step[0::2], vphi - step[1::2]
+        res = _residuals(lap, kappa, phi_n, vphi_n)
+        residual_n = _max_norm(res)
+        history.append(residual_n)
+        if not residual_n < residual:
+            raise ConvergenceError(
+                f"Newton step {it} did not reduce the residual ({residual_n:.3e}); "
+                f"smallest residual {residual:.3e} against a round-off floor of "
+                f"about {_residual_floor(jac, phi, vphi):.1e}"
+            )
+        phi, vphi, residual = phi_n, vphi_n, residual_n
     if float(np.min(phi)) < -1e-10 or float(np.min(vphi)) < -1e-10:
         raise ConvergenceError("converged to a sign-changing profile")
+    floor = _residual_floor(_newton_band(l4, kappa, phi, vphi), phi, vphi)
     pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
-    return _populate(pair, residual, it, history)
+    return _populate(pair, residual, floor, it, tuple(history))
 
 
 def _dense_radial_laplacian(grid: RadialGrid) -> np.ndarray:
     """Dense second-order radial Laplacian, assembled independently.
 
-    No code shared with the banded/defect path used by
+    No code shared with the fourth-order banded path used by
     :func:`petviashvili_solve`.
     """
     m = grid.m
@@ -310,7 +439,7 @@ def oracle_coarse_solve(
     res2 = 2.0 * vphi - kappa * (lap @ vphi) - phi**2
     residual = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
     pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
-    return _populate(pair, residual, it, (residual,))
+    return _populate(pair, residual, np.nan, it, (residual,))
 
 
 def pohozaev_ratios(gs: GroundState) -> tuple[float, float, float]:

@@ -108,6 +108,7 @@ def test_ground_state_command_reports_ratios(tmp_path):
     assert doc["ratios"][1] == pytest.approx(5.0, abs=1e-3)
     assert doc["ratios"][2] == pytest.approx(4.0, abs=1e-3)
     assert doc["config"]["m"] == 512
+    assert 0.0 < doc["residual_floor"] < 1e-8
     pair, t = read_snapshot(out + ".snap")
     assert pair.grid == RadialGrid(512, 20.0)
 
@@ -268,6 +269,9 @@ def test_classify_solves_the_ground_state_at_the_config_kappa(tmp_path, monkeypa
     ("kappa", True),
     ("xi", "fast"),
     ("T0", 0.0105),
+    ("decay_exponent", "fast"),
+    ("decay_exponent", 0),
+    ("decay_exponent", True),
 ])
 def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     conf = tmp_path / "bad.json"
@@ -276,3 +280,39 @@ def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("key", ["output", "input_path"])
+def test_path_keys_must_be_strings(tmp_path, capsys, key):
+    conf = tmp_path / "bad.json"
+    conf.write_text(json.dumps({"command": "ground-state", "m": 64, key: 7}))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"'{key}'" in err
+
+
+def test_evolve_without_output_does_no_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("qnls.cli.evolve", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr("qnls.evolution.evolve", lambda *args, **kw: calls.append(args))
+    conf = tmp_path / "no_output.json"
+    conf.write_text(json.dumps({"command": "evolve", "n": 64, "L": 10.0, "t_final": 0.01}))
+    assert main([str(conf)]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "output" in err
+
+
+def test_unreadable_input_path_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "missing.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 64, "L": 10.0, "t_final": 0.01, "initial": "file",
+        "input_path": str(tmp_path / "absent.snap"), "output": str(tmp_path / "run.csv"),
+    }))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "input_path" in err
+    assert not (tmp_path / "run.csv").exists()

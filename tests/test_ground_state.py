@@ -6,6 +6,12 @@ from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import (
     ConvergenceError,
+    _band_matvec,
+    _interleave,
+    _lap4_apply,
+    _lap4_band,
+    _newton_band,
+    _residuals,
     oracle_coarse_solve,
     petviashvili_normalization,
     petviashvili_solve,
@@ -158,3 +164,48 @@ def test_periodic_profile_solves_discrete_system(soliton_2d):
     r1 = phi - lap_phi - phi * vphi
     r2 = 2 * vphi - 0.5 * lap_vphi - phi**2
     assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-11
+
+
+@pytest.mark.parametrize("m, r_max", [(64, 10.0), (2048, 30.0)])
+def test_lap4_band_matches_stencil(m, r_max):
+    grid = RadialGrid(m, r_max)
+    f = np.random.default_rng(m).normal(size=m)
+    direct = _lap4_apply(grid, f)
+    banded = _band_matvec(_lap4_band(grid), f)
+    assert np.max(np.abs(banded - direct)) <= 1e-15 * np.max(np.abs(direct))
+
+
+def test_newton_band_is_the_jacobian():
+    # the system is quadratic: F(x + d) - F(x) - J d = (-d_phi d_vphi, -d_phi^2)
+    grid = RadialGrid(128, 12.0)
+    rng = np.random.default_rng(4)
+    r = grid.nodes()
+    phi, vphi = 3.0 * np.exp(-(r**2)), 2.0 * np.exp(-(r**2) / 2.0)
+    d_phi, d_vphi = 1e-3 * rng.normal(size=grid.m), 1e-3 * rng.normal(size=grid.m)
+    band = _newton_band(_lap4_band(grid), 0.7, phi, vphi)
+    jd = _band_matvec(band, _interleave(d_phi, d_vphi))
+
+    def lap(f):
+        return _lap4_apply(grid, f)
+
+    f0 = _residuals(lap, 0.7, phi, vphi)
+    f1 = _residuals(lap, 0.7, phi + d_phi, vphi + d_vphi)
+    assert np.max(np.abs(f1[0] - f0[0] - jd[0::2] + d_phi * d_vphi)) < 1e-9
+    assert np.max(np.abs(f1[1] - f0[1] - jd[1::2] + d_phi**2)) < 1e-9
+
+
+def test_newton_finish_converges_on_a_coarse_grid():
+    # the balanced sweep alone stalls here near 5e-6
+    gs = petviashvili_solve(RadialGrid(64, 10.0), tol=1e-6)
+    assert gs.residual_norm < 1e-6
+    assert gs.iterations == len(gs.residual_history)
+
+
+def test_residual_floor_reported(gs_fine):
+    assert 0.0 < gs_fine.residual_floor < 1e-8
+    assert gs_fine.iterations == len(gs_fine.residual_history)
+
+
+def test_tolerance_below_the_floor_names_it():
+    with pytest.raises(ConvergenceError, match="floor"):
+        petviashvili_solve(RadialGrid(4096, 30.0), tol=1e-10)
