@@ -13,6 +13,7 @@ error, 2 numeric failure.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
 from dataclasses import asdict, dataclass, field
@@ -36,52 +37,62 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-_DEFAULTS = {
-    "kappa": 0.5,
-    "cadence": 10,
-    "dt": 1e-3,
-    "t_final": 1.0,
-    "seed": 0,          # echo-only: nothing reads it, every initial condition is deterministic
-    "n": 256,
-    "L": 40.0,
-    "m": 2048,
-    "r_max": 30.0,
-    "tol": 1e-10,
-    "max_iter": 500,
-    "dimension": 1,
-    "initial": "gaussian",
-    "amplitude": 1.0,
-    "width": 2.0,
-    "center": None,
-    "phase_velocity": 0.0,
-    "xi": 0.5,
-    "input_path": None,
-    "output": None,
-    "snapshot_every": 0,
-    "R0": 2.5,
-    "J": 4.0,
-    "T0": 50.0,
-    "eps": 0.25,
-    "decay_exponent": "inf",
-    "t_fit_start": 8.0,
-    "t_fit_end": 25.0,
+def _is_number(x) -> bool:
+    """A finite JSON number: no bool, NaN, Infinity or int beyond a double."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _at_least(k: int) -> tuple:
+    return (lambda x: x >= k, f">= {k}")
+
+
+# each check is (predicate, description); a failed check reads
+# "config key 'k' must be <description>, got <value>"
+_INTEGER = (lambda x: type(x) is int, "an integer")
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda x: _is_number(x) and x > 0, "a positive number")
+# a string or null: an int would reach ``open`` as a file descriptor
+_PATH = (lambda x: x is None or isinstance(x, str), "a path string or null")
+
+_INITIALS = ("gaussian", "soliton", "boosted-soliton", "file")
+
+# key: (default, type check, range check or None), in echo order
+_KEYS: dict[str, tuple] = {
+    "kappa": (0.5, _POSITIVE, None),
+    "cadence": (10, _INTEGER, _at_least(1)),
+    "dt": (1e-3, _POSITIVE, None),
+    "t_final": (1.0, _POSITIVE, None),
+    # echo-only: nothing reads it, every initial condition is deterministic
+    "seed": (0, _INTEGER, None),
+    "n": (256, _INTEGER, (lambda n: n >= 8 and not n & (n - 1), "a power of two >= 8")),
+    "L": (40.0, _POSITIVE, None),
+    "m": (2048, _INTEGER, _at_least(4)),
+    "r_max": (30.0, _POSITIVE, None),
+    "tol": (1e-10, _POSITIVE, None),
+    "max_iter": (500, _INTEGER, _at_least(1)),
+    "dimension": (1, _INTEGER, (lambda d: d in (1, 2, 3), "1, 2 or 3")),
+    "initial": ("gaussian", (lambda x: x in _INITIALS, f"one of {', '.join(_INITIALS)}"), None),
+    "amplitude": (1.0, _POSITIVE, None),
+    "width": (2.0, _POSITIVE, None),
+    "center": (None, (lambda x: x is None or _is_number(x), "a finite number or null"), None),
+    "phase_velocity": (0.0, _NUMBER, None),
+    "xi": (0.5, _NUMBER, None),
+    "input_path": (None, _PATH, None),
+    "output": (None, _PATH, None),
+    "snapshot_every": (0, _INTEGER, _at_least(0)),
+    "R0": (2.5, _POSITIVE, None),
+    "J": (4.0, _POSITIVE, None),
+    "T0": (50.0, _POSITIVE, None),
+    "eps": (0.25, _NUMBER, (lambda x: 0 < x <= 0.5, "in (0, 1/2]")),
+    "decay_exponent": (
+        "inf", (lambda r: r == "inf" or (_is_number(r) and r >= 1), '"inf" or a number >= 1'), None
+    ),
+    "t_fit_start": (8.0, _POSITIVE, None),
+    "t_fit_end": (25.0, _POSITIVE, None),
 }
-
-_INTEGER_KEYS = ("n", "m", "dimension", "cadence", "max_iter", "snapshot_every", "seed")
-
-_POSITIVE_KEYS = ("kappa", "dt", "t_final", "L", "r_max", "tol", "amplitude", "width", "R0", "J", "T0")
-
-_NUMBER_KEYS = ("xi", "center", "phase_velocity", "t_fit_start", "t_fit_end")
-
-# file paths: a string or null (an int would reach ``open`` as a file descriptor)
-_PATH_KEYS = ("output", "input_path")
 
 # the span each command steps through with dt
 _SPAN_KEYS = {"evolve": "t_final", "morawetz": "T0"}
-
-_REQUIRED = {"command"}
-
-_KNOWN_KEYS = set(_DEFAULTS) | _REQUIRED
 
 _COMMANDS = ("ground-state", "evolve", "morawetz", "classify", "disperse")
 
@@ -101,57 +112,33 @@ class RunConfig:
         return {"command": self.command, **self.options}
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat JSON config, filling documented defaults."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # ints past 4300 digits raise ValueError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = sorted(set(raw) - set(_KEYS) - {"command"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(_REQUIRED - set(raw))
-    if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    if "command" not in raw:
+        raise ConfigError("missing required key: command")
     if raw["command"] not in _COMMANDS:
         raise ConfigError(
             f"unknown command {raw['command']!r}; expected one of {', '.join(_COMMANDS)}"
         )
-    options = dict(_DEFAULTS)
-    options.update({k: v for k, v in raw.items() if k != "command"})
-    for key in _INTEGER_KEYS:
-        if not isinstance(options[key], int) or isinstance(options[key], bool):
-            raise ConfigError(f"config key {key!r} must be an integer, got {options[key]!r}")
-    for key in _POSITIVE_KEYS:
-        if not _is_number(options[key]) or options[key] <= 0:
-            raise ConfigError(f"config key {key!r} must be a positive number")
-    for key in _NUMBER_KEYS:
-        if not (_is_number(options[key]) or (key == "center" and options[key] is None)):
-            raise ConfigError(f"config key {key!r} must be a number, got {options[key]!r}")
-    for key, least in (("m", 4), ("cadence", 1), ("max_iter", 1), ("snapshot_every", 0)):
-        if options[key] < least:
-            raise ConfigError(f"config key {key!r} must be >= {least}, got {options[key]}")
-    for key in _PATH_KEYS:
-        if not (options[key] is None or isinstance(options[key], str)):
-            raise ConfigError(f"config key {key!r} must be a path string, got {options[key]!r}")
-    eps = options["eps"]
-    if not _is_number(eps) or not 0 < eps <= 0.5:
-        raise ConfigError(f"config key 'eps' must lie in (0, 1/2], got {eps!r}")
-    r = options["decay_exponent"]
-    if r != "inf" and not (_is_number(r) and r >= 1):
+    options = {key: raw.get(key, spec[0]) for key, spec in _KEYS.items()}
+    for key, (_, kind, limit) in _KEYS.items():
+        for check in (kind, limit):
+            if check is not None and not check[0](options[key]):
+                raise ConfigError(f"config key {key!r} must be {check[1]}, got {options[key]!r}")
+    if options["t_fit_start"] >= options["t_fit_end"]:
         raise ConfigError(
-            f"config key 'decay_exponent' must be \"inf\" or a number >= 1, got {r!r}"
+            f"config key 't_fit_start' must be below 't_fit_end', got "
+            f"{options['t_fit_start']!r} >= {options['t_fit_end']!r}"
         )
-    if options["n"] & (options["n"] - 1) or options["n"] < 8:
-        raise ConfigError(f"n = {options['n']} is not a power of two >= 8")
-    if options["dimension"] not in (1, 2, 3):
-        raise ConfigError("dimension must be 1, 2 or 3")
     span = _SPAN_KEYS.get(raw["command"])
     if span is not None:
         try:
@@ -272,12 +259,10 @@ def _initial_pair(cfg: RunConfig, grid: UniformGrid) -> FieldPair:
         u = env * np.exp(1j * phase)
         v = np.zeros(grid.shape, dtype=complex)
         return pair_from_arrays(grid, u, v, cfg.kappa)
-    if kind in ("soliton", "boosted-soliton"):
-        pair = solve_periodic_profile(grid, kappa=cfg.kappa, tol=1e-12)
-        if kind == "soliton":
-            return pair
-        return galilean_boost(pair, [cfg.xi] * grid.d)
-    raise ConfigError(f"unknown initial condition {kind!r}")
+    pair = solve_periodic_profile(grid, kappa=cfg.kappa, tol=1e-12)
+    if kind == "soliton":
+        return pair
+    return galilean_boost(pair, [cfg.xi] * grid.d)   # boosted-soliton
 
 
 def run_command(cfg: RunConfig) -> int:
@@ -287,6 +272,11 @@ def run_command(cfg: RunConfig) -> int:
     initial conditions are deterministic, so reruns are byte-identical.
     """
     out = cfg.output
+    # checked before any work: the CSV is evolve's only product
+    if cfg.command == "evolve" and out is None:
+        raise ConfigError("evolve requires an output path for the CSV series")
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"config key 'output' must be in an existing directory, got {out!r}")
 
     if cfg.command == "ground-state":
         grid = RadialGrid(cfg.m, cfg.r_max)
@@ -313,8 +303,6 @@ def run_command(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "evolve":
-        if out is None:    # checked before any work: the CSV is the run's only product
-            raise ConfigError("evolve requires an output path for the CSV series")
         grid = UniformGrid(cfg.dimension, cfg.n, cfg.L)
         pair = _initial_pair(cfg, grid)
         run_cfg = EvolutionConfig(

@@ -1,13 +1,19 @@
 import json
+from math import inf, nan
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import petviashvili_solve
 from qnls.cli import (
+    _COMMANDS,
+    _KEYS,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
     read_snapshot,
@@ -39,6 +45,12 @@ def test_parse_rejects_bad_input():
         parse_config("{not json")
     with pytest.raises(ConfigError, match="unknown command"):
         parse_config(json.dumps({"command": "explode"}))
+
+
+def test_unparsable_json_is_a_config_error():
+    for text in ("1" * 5000, "[" * 100_000, '{"command": "evolve", "n": ' + "9" * 5000 + "}"):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config(text)
 
 
 def test_snapshot_round_trip_bit_exact(tmp_path):
@@ -272,6 +284,15 @@ def test_classify_solves_the_ground_state_at_the_config_kappa(tmp_path, monkeypa
     ("decay_exponent", "fast"),
     ("decay_exponent", 0),
     ("decay_exponent", True),
+    ("kappa", nan),
+    ("R0", nan),
+    ("tol", nan),
+    ("L", inf),
+    ("center", inf),
+    ("xi", nan),
+    pytest.param("dt", 10**400, id="dt-1e400"),
+    pytest.param("T0", 10**400, id="T0-1e400"),
+    ("initial", 7),
 ])
 def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     conf = tmp_path / "bad.json"
@@ -316,3 +337,124 @@ def test_unreadable_input_path_is_a_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "input_path" in err
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_disperse_fit_window_must_be_ordered(tmp_path, capsys):
+    conf = tmp_path / "window.json"
+    conf.write_text(json.dumps({
+        "command": "disperse", "n": 64, "L": 40.0, "t_fit_start": 30.0, "t_fit_end": 8.0,
+    }))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'t_fit_start'" in err and "'t_fit_end'" in err
+
+
+def test_missing_output_directory_does_no_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("qnls.cli.evolve", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr("qnls.cli.petviashvili_solve", lambda *args, **kw: calls.append(args))
+    absent = str(tmp_path / "absent" / "x.csv")
+    for conf in (
+        {"command": "evolve", "n": 64, "L": 10.0, "t_final": 0.01, "output": absent},
+        {"command": "ground-state", "m": 64, "r_max": 10.0, "output": absent},
+    ):
+        path = tmp_path / "bad_dir.json"
+        path.write_text(json.dumps(conf))
+        assert main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'output'" in err
+    assert calls == []
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {
+        line.split("|")[1].strip(): line
+        for line in readme.splitlines() if line.startswith("| `")
+    }
+    for key, (default, _, _) in _KEYS.items():
+        assert f"`{key}`" in rows, key
+        assert f"`{json.dumps(default)}`" in rows[f"`{key}`"], key
+
+
+# JSON values, non-finite and past-double numbers included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([10**400, -10**400, nan, inf, -inf, "inf", "file"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# values for table keys: edge numbers, any JSON, and values valid for many
+# keys, so that checks past the first key are reached
+_VALUES = (
+    st.sampled_from([10**400, nan, inf, -inf, 1e308, 5e-324])
+    | _JSON
+    | st.floats(0.0, exclude_min=True)
+    | st.sampled_from([1, 8, 0.5, None])
+)
+
+
+def _passes(key, value) -> bool:
+    return all(check is None or check[0](value) for check in _KEYS[key][1:])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON | st.dictionaries(st.sampled_from(list(_KEYS)), _VALUES, max_size=6))
+def test_parse_config_returns_a_config_or_a_config_error(value):
+    if isinstance(value, dict):
+        docs = [{"command": c, **value} for c in _COMMANDS + ("explode",)]
+    else:
+        docs = [value]
+    for doc in docs:
+        try:
+            assert isinstance(parse_config(json.dumps(doc)), RunConfig)
+        except ConfigError:
+            pass
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.sampled_from(_COMMANDS), st.sampled_from(list(_KEYS)), _JSON)
+def test_one_bad_key_is_a_one_line_usage_error(tmp_path, capsys, command, key, value):
+    assume(not _passes(key, value))
+    conf = tmp_path / "bad.json"
+    conf.write_text(json.dumps({"command": command, key: value}))
+    capsys.readouterr()
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"'{key}'" in err
+
+
+@settings(
+    max_examples=15, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    dimension=st.sampled_from([1, 2]),
+    n=st.sampled_from([8, 16, 32]),
+    L=st.floats(4.0, 40.0),
+    dt=st.sampled_from([1e-3, 2.5e-3, 5e-3]),
+    steps=st.integers(1, 6),
+    cadence=st.integers(1, 3),
+    kappa=st.floats(0.25, 2.0),
+    amplitude=st.floats(0.01, 2.0),
+    width=st.floats(0.5, 4.0),
+    phase_velocity=st.floats(-1.0, 1.0),
+)
+def test_valid_evolve_configs_rerun_byte_identical(tmp_path, capsys, steps, **conf):
+    conf.update(command="evolve", t_final=steps * conf["dt"])
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**conf, "output": str(out)}))
+        capsys.readouterr()
+        assert main([str(path)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0][0].replace(b"a.csv", b"b.csv") == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
