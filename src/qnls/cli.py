@@ -66,7 +66,9 @@ _KEYS: dict[str, tuple] = {
     "seed": (0, _INTEGER, None),
     "n": (256, _INTEGER, (lambda n: n >= 8 and not n & (n - 1), "a power of two >= 8")),
     "L": (40.0, _POSITIVE, None),
-    "m": (2048, _INTEGER, _at_least(4)),
+    # m and n ** dimension are capped so that a typo such as 2**40 is a usage
+    # error, not an allocation
+    "m": (2048, _INTEGER, (lambda m: 4 <= m <= 2**20, "in [4, 2**20]")),
     "r_max": (30.0, _POSITIVE, None),
     "tol": (1e-10, _POSITIVE, None),
     "max_iter": (500, _INTEGER, _at_least(1)),
@@ -134,6 +136,11 @@ def parse_config(text: str) -> RunConfig:
         for check in (kind, limit):
             if check is not None and not check[0](options[key]):
                 raise ConfigError(f"config key {key!r} must be {check[1]}, got {options[key]!r}")
+    if options["n"] ** options["dimension"] > 2**22:
+        raise ConfigError(
+            f"config key 'n' must keep n ** dimension <= 2**22, got "
+            f"{options['n']!r} ** {options['dimension']!r}"
+        )
     if options["t_fit_start"] >= options["t_fit_end"]:
         raise ConfigError(
             f"config key 't_fit_start' must be below 't_fit_end', got "
@@ -275,6 +282,8 @@ def run_command(cfg: RunConfig) -> int:
     # checked before any work: the CSV is evolve's only product
     if cfg.command == "evolve" and out is None:
         raise ConfigError("evolve requires an output path for the CSV series")
+    if out is not None and (not os.path.basename(out) or os.path.isdir(out)):
+        raise ConfigError(f"config key 'output' must name a file, not a directory, got {out!r}")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"config key 'output' must be in an existing directory, got {out!r}")
 

@@ -29,6 +29,16 @@ transform and one inverse transform of both L(dt/2) and L(dt) applied to
 the post-substep state, which gives the state now and the next step's
 pre-substep state, so observing does not change the trajectory.
 
+The per-step path works on arrays only.  Each stepper allocates, once,
+the scratch of the array-level substep ``_substep``: the four RK4 stages,
+one stage argument and two real arrays for the density monitor.  RK4 then
+runs there with in-place ufuncs in the operation order of the
+out-of-place formula, so its results are the same bits; the public
+:func:`nonlinear_step` is a thin wrapper over the same substep.  Arrays
+handed out by ``sync`` or ``pair`` are never written again: every step
+returns its state in a new array, because ``evolve`` keeps snapshots and
+callers keep what they were given.
+
 Blow-up and substep failure are flagged outcomes, never exceptions.
 """
 
@@ -126,29 +136,58 @@ def linear_step(p: FieldPair, dt: float) -> FieldPair:
     return p.with_values(w[0], w[1])
 
 
-def _quadratic(w: np.ndarray) -> np.ndarray:
-    """(v conj(u), u^2): the substep right-hand side without its factor i."""
-    out = np.empty_like(w)
-    np.multiply(w[1], np.conj(w[0]), out=out[0])
-    np.multiply(w[0], w[0], out=out[1])
-    return out
+def _substep_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Scratch for :func:`_substep` on a stacked pair of ``shape``.
+
+    The four RK4 stages, one stage argument, |w|^2 per field and the
+    initial density |u|^2 + |v|^2.
+    """
+    stages = tuple(np.empty(shape, dtype=complex) for _ in range(5))
+    return stages + (np.empty(shape), np.empty(shape[1:]))
 
 
-def _rk4_substeps(w: np.ndarray, dt: float, nsub: int) -> np.ndarray:
-    h = dt / nsub
-    for _ in range(nsub):
-        k1 = _quadratic(w)
-        k2 = _quadratic(w + (0.5j * h) * k1)
-        k3 = _quadratic(w + (0.5j * h) * k2)
-        k4 = _quadratic(w + (1j * h) * k3)
-        w = w + (1j * h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return w
+def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarray:
+    """RK4 of u_t = i v conj(u), v_t = i u^2 over dt on the stacked pair ``w0``.
 
-
-def _density(w: np.ndarray) -> np.ndarray:
-    """|u|^2 + |v|^2, the substep flow's pointwise invariant."""
-    sq = np.abs(w) ** 2
-    return sq[0] + sq[1]
+    Substeps are refined until the exactly-conserved pointwise density
+    |u|^2 + |v|^2 drifts less than ``tol`` (relative to its own scale) over
+    the step; raises :class:`SubstepFailure` past 1024 substeps.  Every
+    stage runs in ``buffers`` (from :func:`_substep_buffers`); ``w0`` is
+    only read, and the result is a new array.
+    """
+    k1, k2, k3, k4, arg, sq, inv0 = buffers
+    np.square(np.abs(w0, out=sq), out=sq)
+    np.add(sq[0], sq[1], out=inv0)
+    scale = max(float(inv0.max()), 1e-300)
+    w = np.empty_like(w0)
+    nsub = 1
+    while True:
+        h = dt / nsub
+        prev = w0
+        for _ in range(nsub):
+            x = prev
+            for k, c in ((k1, 0.5j * h), (k2, 0.5j * h), (k3, 1j * h), (k4, None)):
+                # k = (v conj(u), u^2) at x: the right-hand side without its factor i
+                np.conjugate(x[0], out=k[0])
+                np.multiply(x[1], k[0], out=k[0])
+                np.multiply(x[0], x[0], out=k[1])
+                if c is not None:
+                    x = np.add(prev, np.multiply(c, k, out=arg), out=arg)
+            # w = prev + (i h / 6) (k1 + 2 (k2 + k3) + k4)
+            np.multiply(2.0, np.add(k2, k3, out=k2), out=k2)
+            np.add(np.add(k1, k2, out=k1), k4, out=k1)
+            np.add(prev, np.multiply(1j * h / 6.0, k1, out=k1), out=w)
+            prev = w
+        np.square(np.abs(w, out=sq), out=sq)
+        dens = np.add(sq[0], sq[1], out=sq[0])
+        drift = float(np.abs(np.subtract(dens, inv0, out=dens), out=dens).max()) / scale
+        if drift < tol:
+            return w
+        nsub *= 2
+        if nsub > 1024:
+            raise SubstepFailure(
+                f"substep refinement limit reached (pointwise drift {drift:.3e})"
+            )
 
 
 def nonlinear_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
@@ -160,28 +199,18 @@ def nonlinear_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
     :class:`SubstepFailure` past 1024 substeps.
     """
     w0 = _stacked(p)
-    inv0 = _density(w0)
-    scale = max(float(np.max(inv0)), 1e-300)
-    nsub = 1
-    while True:
-        w = _rk4_substeps(w0, dt, nsub)
-        drift = float(np.max(np.abs(_density(w) - inv0))) / scale
-        if drift < tol:
-            return p.with_values(w[0], w[1])
-        nsub *= 2
-        if nsub > 1024:
-            raise SubstepFailure(
-                f"substep refinement limit reached (pointwise drift {drift:.3e})"
-            )
+    w = _substep(w0, dt, tol, _substep_buffers(w0.shape))
+    return p.with_values(w[0], w[1])
 
 
 class SplitStepper:
     """Strang flow L(dt/2) N(dt) L(dt/2) of one pair, with fused half-steps.
 
-    L is the exact free flow and N the pointwise substep
-    (:func:`nonlinear_step`).  After a step the stepper keeps the
-    post-substep state with its trailing half-step pending; the next step
-    applies it together with its own leading half-step as L(dt).
+    L is the exact free flow and N the pointwise substep (``_substep``,
+    the array-level core of :func:`nonlinear_step`).  After a step the
+    stepper keeps the post-substep state with its trailing half-step
+    pending; the next step applies it together with its own leading
+    half-step as L(dt).
     :meth:`sync` un-fuses (see the module docstring).
     """
 
@@ -197,6 +226,7 @@ class SplitStepper:
         # L(dt/2) and L(dt), stacked so that sync applies both in one product
         self._free = np.array([_free_multiplier(grid, p0.kappa, t) for t in (0.5 * dt, dt)])
         self._state = _stacked(p0)
+        self._buffers = _substep_buffers(self._state.shape)
         self._synced = True       # _state is at the current time, not post-substep
         self._ahead = None        # the next step's pre-substep state, once known
 
@@ -206,9 +236,7 @@ class SplitStepper:
         if self._ahead is None:
             lead = self._free[0] if self._synced else self._free[1]
             self._ahead = grid.ifft(lead * grid.fft(self._state))
-        ahead = self._ahead
-        stepped = nonlinear_step(self._p0.with_values(ahead[0], ahead[1]), self.dt, self.tol)
-        self._state = _stacked(stepped)
+        self._state = _substep(self._ahead, self.dt, self.tol, self._buffers)
         self._synced = False
         self._ahead = None
         self.steps += 1

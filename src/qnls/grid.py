@@ -108,12 +108,17 @@ class UniformGrid:
         """Orthonormal forward transform over the last d axes.
 
         Leading axes are a batch: a stacked pair of shape (2, *shape) goes
-        through in one call.
+        through in one call.  In d = 1 the one-axis ``fft`` gives the same
+        bits as ``fftn`` over the last axis with less call overhead.
         """
+        if self.d == 1:
+            return scipy.fft.fft(values, axis=-1, norm="ortho")
         return scipy.fft.fftn(values, axes=_SPACE_AXES[-self.d:], norm="ortho")
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`fft`, batched the same way."""
+        if self.d == 1:
+            return scipy.fft.ifft(values, axis=-1, norm="ortho")
         return scipy.fft.ifftn(values, axes=_SPACE_AXES[-self.d:], norm="ortho")
 
     def convolve(self, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:

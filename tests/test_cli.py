@@ -293,6 +293,8 @@ def test_classify_solves_the_ground_state_at_the_config_kappa(tmp_path, monkeypa
     pytest.param("dt", 10**400, id="dt-1e400"),
     pytest.param("T0", 10**400, id="T0-1e400"),
     ("initial", 7),
+    ("n", 2**40),
+    ("m", 2**40),
 ])
 def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     conf = tmp_path / "bad.json"
@@ -366,6 +368,26 @@ def test_missing_output_directory_does_no_work(tmp_path, capsys, monkeypatch):
         assert err.count("\n") == 1
         assert "'output'" in err
     assert calls == []
+
+
+def test_output_that_is_not_a_file_name_does_no_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("qnls.cli.evolve", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr("qnls.cli.petviashvili_solve", lambda *args, **kw: calls.append(args))
+    (tmp_path / "sub").mkdir()
+    for out in (str(tmp_path / "sub"), "", str(tmp_path) + "/"):
+        for conf in (
+            {"command": "evolve", "n": 64, "L": 10.0, "t_final": 0.01, "output": out},
+            {"command": "ground-state", "m": 256, "r_max": 16.0, "tol": 1e-8, "output": out},
+        ):
+            path = tmp_path / "bad_output.json"
+            path.write_text(json.dumps(conf))
+            assert main([str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "'output'" in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad_output.json", "sub"]
 
 
 def test_readme_lists_every_config_key():
