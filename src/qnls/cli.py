@@ -156,7 +156,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def write_snapshot(p: FieldPair, t: float, path: str) -> None:
-    """Binary snapshot: header then interleaved (re, im) doubles, u then v."""
+    """Binary snapshot: header then u then v as little-endian complex128 (re, im)."""
     grid = p.grid
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
@@ -170,16 +170,11 @@ def write_snapshot(p: FieldPair, t: float, path: str) -> None:
             fh.write(struct.pack("<I", grid.m))
             fh.write(struct.pack("<d", grid.r_max))
         fh.write(struct.pack("<ddI", p.kappa, t, 2))
-        for values in (p.u.values, p.v.values):
-            flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
-            inter = np.empty(2 * flat.size)
-            inter[0::2] = flat.real
-            inter[1::2] = flat.imag
-            fh.write(inter.astype("<f8").tobytes())
+        fh.write(np.array((p.u.values, p.v.values), dtype="<c16").tobytes())
 
 
 def read_snapshot(path: str) -> tuple[FieldPair, float]:
-    """Inverse of :func:`write_snapshot`; bit-exact round trip."""
+    """Inverse of :func:`write_snapshot`, bit for bit: signed zeros, inf and NaN too."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != SNAPSHOT_MAGIC:
@@ -215,12 +210,9 @@ def read_snapshot(path: str) -> tuple[FieldPair, float]:
         raise ValueError(
             f"truncated snapshot: expected {payload} payload bytes, got {len(data) - off}"
         )
-    out = []
-    for _ in range(2):
-        inter = np.frombuffer(data, dtype="<f8", count=2 * size, offset=off)
-        off += 2 * size * 8
-        out.append((inter[0::2] + 1j * inter[1::2]).reshape(grid.shape))
-    return pair_from_arrays(grid, out[0], out[1], kappa), t
+    # astype copies the read-only buffer into native, writable complex
+    w = np.frombuffer(data, "<c16", count=2 * size, offset=off).astype(complex)
+    return pair_from_arrays(grid, *w.reshape((2,) + grid.shape), kappa), t
 
 
 def _fmt(x) -> str:
@@ -257,6 +249,17 @@ def _initial_pair(cfg: RunConfig, grid: UniformGrid) -> FieldPair:
             pair, _ = read_snapshot(cfg.input_path)
         except OSError as exc:
             raise ConfigError(f"cannot read input_path: {exc}") from exc
+        snap = pair.grid
+        if not isinstance(snap, UniformGrid):
+            raise ConfigError("input_path holds a radial profile, not a state on a periodic box")
+        want = {"dimension": grid.d, "n": grid.n, "L": grid.L, "kappa": cfg.kappa}
+        got = {"dimension": snap.d, "n": snap.n, "L": snap.L, "kappa": pair.kappa}
+        differ = [
+            f"{key!r} ({want[key]!r} in the config, {got[key]!r} in the snapshot)"
+            for key in want if got[key] != want[key]
+        ]
+        if differ:
+            raise ConfigError(f"the input_path snapshot disagrees with config keys {', '.join(differ)}")
         return pair
     if kind == "gaussian":
         center = cfg.center if cfg.center is not None else grid.L / 2.0

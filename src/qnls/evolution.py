@@ -52,6 +52,8 @@ from . import fields as fields_mod
 from .fields import FieldPair, lp_norm, pair_lp_norm
 from .grid import Field, UniformGrid
 
+RESOLUTION_FACTOR = 1.0   # evolve flags blow-up once max |u|, |v| exceeds this / h
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -62,7 +64,6 @@ class EvolutionConfig:
     cadence: int = 10                  # steps between diagnostics rows
     substep_tol: float = 1e-10         # pointwise |u|^2+|v|^2 drift per step
     blowup_growth: float = 100.0       # flag when H exceeds this multiple of H(0)
-    resolution_factor: float = 1.0     # flag when max|u| exceeds factor / h
     store_fields: bool = False         # keep snapshots at cadence
 
     def __post_init__(self) -> None:
@@ -102,9 +103,15 @@ class TimeSeries:
 
     records: list[DiagnosticsRecord] = field(default_factory=list)
     snapshots: list[tuple[float, FieldPair]] = field(default_factory=list)
-    blown_up: bool = False
-    blow_up_time: float | None = None
     outcome: str = "completed"       # or "blow-up", "substep-failure"
+
+    @property
+    def blown_up(self) -> bool:
+        return self.outcome == "blow-up"
+
+    @property
+    def blow_up_time(self) -> float | None:
+        return self.records[-1].t if self.blown_up else None
 
     def times(self) -> np.ndarray:
         return np.array([rec.t for rec in self.records])
@@ -284,20 +291,17 @@ def reference_rk4_step(p: FieldPair, dt: float) -> FieldPair:
 
 
 def _record(p: FieldPair, t: float) -> DiagnosticsRecord:
-    m = fields_mod.mass(p)
-    h = fields_mod.kinetic(p)
-    r = fields_mod.potential(p)
-    mom = fields_mod.momentum(p)
+    c = fields_mod.conserved_set(p)
     maxmod = max(
         float(np.max(np.abs(p.u.values))), float(np.max(np.abs(p.v.values)))
     )
     return DiagnosticsRecord(
         t=t,
-        mass=m,
-        kinetic=h,
-        potential=r,
-        energy=h - r,
-        momentum=mom,
+        mass=c.mass,
+        kinetic=c.kinetic,
+        potential=c.potential,
+        energy=c.energy,
+        momentum=c.momentum,
         l3_u=lp_norm(p.u, 3.0),
         l3_pair=pair_lp_norm(p, 3.0),
         max_modulus=maxmod,
@@ -307,9 +311,9 @@ def _record(p: FieldPair, t: float) -> DiagnosticsRecord:
 def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
     """Run Strang stepping, recording diagnostics every ``cadence`` steps.
 
-    Terminates early with the blow-up flag when the kinetic energy grows
-    past ``blowup_growth`` times its initial value or the max modulus
-    exceeds ``resolution_factor / h``, and with outcome
+    Terminates early with outcome ``"blow-up"``, recording the row that
+    trips it, when the max modulus exceeds ``RESOLUTION_FACTOR / h`` or a
+    row's kinetic energy exceeds ``blowup_growth`` times H(0); with outcome
     ``"substep-failure"`` when the substep misses its tolerance; NaN
     anywhere aborts with a diagnostic.  Early termination is a labeled
     outcome, not an error.
@@ -327,7 +331,7 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
     if cfg.store_fields:
         ts.snapshots.append((0.0, pair))
     h0 = rec0.kinetic
-    mod_bound = cfg.resolution_factor / grid.h
+    mod_bound = RESOLUTION_FACTOR / grid.h
 
     for step in range(1, nsteps + 1):
         try:
@@ -344,22 +348,13 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
                 f"non-finite field at t = {t:.6g} (step {step}); "
                 "reduce dt or check the initial data"
             )
-        if maxmod > mod_bound:
-            ts.blown_up = True
-            ts.blow_up_time = t
-            ts.outcome = "blow-up"
-            ts.records.append(_record(stepper.pair(), t))
-            break
-        if step % cfg.cadence == 0 or step == nsteps:
-            pair_t = stepper.pair()
-            rec = _record(pair_t, t)
-            if h0 > 0 and rec.kinetic > cfg.blowup_growth * h0:
-                ts.blown_up = True
-                ts.blow_up_time = t
-                ts.outcome = "blow-up"
-                ts.records.append(rec)
-                break
+        too_large = maxmod > mod_bound
+        if too_large or step % cfg.cadence == 0 or step == nsteps:
+            rec = _record(stepper.pair(), t)
             ts.records.append(rec)
+            if too_large or (h0 > 0 and rec.kinetic > cfg.blowup_growth * h0):
+                ts.outcome = "blow-up"
+                break
             if cfg.store_fields:
                 # copy: the synchronised state shares its buffer with the
                 # stepper's look-ahead
@@ -367,14 +362,12 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
     return ts
 
 
-def dispersive_decay_fit(
-    f0, t_range: tuple[float, float], r: float = np.inf, nsamples: int = 12
-) -> float:
+def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) -> float:
     """Fit the free-flow decay exponent of ||e^{it Lap} f0||_{L^r}.
 
-    Evolves the single field linearly (one spectral multiplier per sample
-    time), fits log-norm against log-t, and returns the slope; the
-    dispersive bound predicts -d(1/2 - 1/r).  Aborts when more than 1e-6
+    Evolves the single field linearly (one spectral multiplier at each of
+    12 log-spaced times), fits log-norm against log-t, and returns the
+    slope; the dispersive bound predicts -d(1/2 - 1/r).  Aborts when more than 1e-6
     of the mass sits near the box boundary at the final time (wrap-around
     contamination).
     """
@@ -386,7 +379,7 @@ def dispersive_decay_fit(
         raise ValueError("need 0 < t_start < t_end")
     k2 = grid.k2()
     fhat = grid.fft(f0.values)
-    times = np.geomspace(t0, t1, nsamples)
+    times = np.geomspace(t0, t1, 12)
     norms = []
     for t in times:
         ft = grid.ifft(np.exp(-1j * k2 * t) * fhat)

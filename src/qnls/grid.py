@@ -2,7 +2,11 @@
 
 Two domains are supported: periodic boxes [0, L)^d for d in {1, 2, 3}
 (dynamics, spectral calculus) and a half-line radial grid for the 5-D
-elliptic problem (half-offset nodes, second-order finite differences).
+elliptic problem (half-offset nodes; ``RadialGrid.gradient`` and the
+ground-state solver's Laplacian are fourth-order finite differences).
+The second-order :func:`radial_laplacian_apply` and
+:func:`radial_helmholtz_solve` have no caller in the package; they stay
+for their tests and for the benchmark's ``grid.helmholtz_*`` metrics.
 All quadrature conventions used elsewhere in the package are fixed here:
 Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
 weight on the radial grid, orthonormal FFT normalization, the min-image

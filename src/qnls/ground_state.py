@@ -70,7 +70,7 @@ from .grid import RadialGrid, UniformGrid, radial_ghosts
 #: quadratic nonlinearity
 PETVIASHVILI_GAMMA = 2.0
 
-#: amplitude of the Gaussian initial guess a * exp(-r^2)
+#: amplitude a of the Gaussian initial guess of every stationary solve
 INITIAL_AMPLITUDE = 3.0
 
 #: max-norm residual at which :func:`petviashvili_solve` leaves the
@@ -300,15 +300,11 @@ def _populate(
 
 
 def petviashvili_solve(
-    grid: RadialGrid,
-    kappa: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    amplitude: float = INITIAL_AMPLITUDE,
+    grid: RadialGrid, kappa: float = 0.5, tol: float = 1e-10, max_iter: int = 500
 ) -> GroundState:
     """Radial ground state: balanced sweeps, then a Newton finish.
 
-    Starts from phi = vphi = amplitude * exp(-r^2), runs the balanced
+    Starts from phi = vphi = INITIAL_AMPLITUDE * exp(-r^2), runs the balanced
     iteration with the solver's fourth-order radial operators down to
     ``NEWTON_SWITCH`` (or ``tol``, if looser) and then takes Newton steps
     until the residual is below ``tol``; see the module docstring.
@@ -316,7 +312,7 @@ def petviashvili_solve(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     r = grid.nodes()
-    guess = amplitude * np.exp(-(r**2))
+    guess = INITIAL_AMPLITUDE * np.exp(-(r**2))
     l4 = _lap4_band(grid)
     lap = partial(_lap4_apply, grid)
 
@@ -384,18 +380,13 @@ def _dense_radial_laplacian(grid: RadialGrid) -> np.ndarray:
 
 
 def oracle_coarse_solve(
-    m: int = 512,
-    r_max: float = 16.0,
-    kappa: float = 0.5,
-    tol: float = 1e-9,
-    max_iter: int = 6000,
-    damping: float = 0.5,
+    m: int = 512, r_max: float = 16.0, kappa: float = 0.5, tol: float = 1e-9
 ) -> GroundState:
     """Independent coarse verification solver.
 
-    Damped Picard iteration on the integral form phi = L1^{-1}(phi vphi),
-    vphi = L2^{-1}(phi^2), with the pair rescaled after every sweep so that
-    int phi^2 is held at its running value.  The held-mass fixed point is a
+    Picard iteration, damped by one half, on the integral form
+    phi = L1^{-1}(phi vphi), vphi = L2^{-1}(phi^2), with the pair rescaled
+    after every sweep so that int phi^2 is held at its running value.  The held-mass fixed point is a
     common rescaling (c phi*, c vphi*) of the true solution, so the measured
     factor c recovers it; the final profile is checked directly against the
     stationary equations.  Dense second-order linear algebra throughout.
@@ -414,15 +405,15 @@ def oracle_coarse_solve(
     held = float(grid.integrate(phi**2))
 
     c = 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 6001):
         phi_t = inv_l1 @ (phi * vphi)
         vphi_t = inv_l2 @ (phi**2)
         raw = float(grid.integrate(phi_t**2))
         if not np.isfinite(raw) or raw <= 0:
             raise ConvergenceError(f"oracle iterate degenerated at step {it}")
         c = np.sqrt(held / raw)
-        phi_n = (1.0 - damping) * phi + damping * c * phi_t
-        vphi_n = (1.0 - damping) * vphi + damping * c * vphi_t
+        phi_n = 0.5 * phi + 0.5 * c * phi_t
+        vphi_n = 0.5 * vphi + 0.5 * c * vphi_t
         delta = max(
             float(np.max(np.abs(phi_n - phi))), float(np.max(np.abs(vphi_n - vphi)))
         )
@@ -430,7 +421,7 @@ def oracle_coarse_solve(
         if delta < tol:
             break
     else:
-        raise ConvergenceError(f"oracle did not converge in {max_iter} sweeps")
+        raise ConvergenceError("oracle did not converge in 6000 sweeps")
 
     # undo the held-mass normalization: (c phi, c vphi) solves the system
     phi = c * phi
@@ -449,7 +440,7 @@ def pohozaev_ratios(gs: GroundState) -> tuple[float, float, float]:
 
 def sharp_gn_constant(gs: GroundState) -> float:
     """C_GN = 4 * 5^(-5/4) * M_gs^(-1/2), cross-checked against J(Q)^(-1/2)."""
-    c_formula = 4.0 * 5.0 ** (-1.25) * gs.mass ** (-0.5)
+    c_formula = gs.gn_constant
     c_direct = fields.gn_functional(gs.pair) ** (-0.5)
     rel = abs(c_formula - c_direct) / c_formula
     if rel > 1e-2:
@@ -460,12 +451,7 @@ def sharp_gn_constant(gs: GroundState) -> float:
 
 
 def solve_periodic_profile(
-    grid: UniformGrid,
-    kappa: float = 0.5,
-    tol: float = 1e-12,
-    max_iter: int = 2000,
-    amplitude: float = INITIAL_AMPLITUDE,
-    width: float = 1.0,
+    grid: UniformGrid, kappa: float = 0.5, tol: float = 1e-12, max_iter: int = 2000
 ) -> FieldPair:
     """Torus analog of the ground-state solve for dynamics experiments.
 
@@ -473,7 +459,8 @@ def solve_periodic_profile(
     but on a periodic box in d <= 3 where L1 and L2 invert diagonally in
     Fourier space, so the converged pair is a stationary state of the
     semi-discrete flow to the requested residual.  The exact evolution of
-    the returned data is (e^{it} phi, e^{2it} vphi).
+    the returned data is (e^{it} phi, e^{2it} vphi).  The initial guess is
+    INITIAL_AMPLITUDE * exp(-|x - c|^2 / 2) about the box centre c.
     """
     k2 = grid.k2()
 
@@ -482,7 +469,7 @@ def solve_periodic_profile(
 
     center = grid.L / 2.0
     rho2 = sum((c - center) ** 2 for c in grid.coords())
-    guess = amplitude * np.exp(-rho2 / (2.0 * width**2))
+    guess = INITIAL_AMPLITUDE * np.exp(-rho2 / 2.0)
     phi, vphi, _, _, _ = _balanced_iteration(
         grid, multiplier(-k2), multiplier(1.0 / (1.0 + k2)),
         multiplier(1.0 / (2.0 + kappa * k2)), kappa, guess, guess.copy(), tol, max_iter,

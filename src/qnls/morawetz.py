@@ -27,6 +27,10 @@ from .evolution import SplitStepper, SubstepFailure, _whole_steps
 from .fields import FieldPair, galilean_boost
 from .grid import UniformGrid, unit_ball_volume
 
+Q_MAX = 2.5      # the weight tables cover q = r/R in [0, Q_MAX]
+N_RADII = 12     # the interaction average's log-spaced radii in [R0, R0 e^J]
+S_STRIDE = 4     # its window centres: every S_STRIDE-th grid point
+
 
 def bump_gamma(r, eps: float):
     """C-infinity radial bump: 1 for r <= 1-eps, 0 for r >= 1, monotone between.
@@ -113,7 +117,7 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
 class MorawetzWeights:
     """Tabulated radial weights for one (d, R, eps).
 
-    Tables live in q = r/R on [0, q_max]; phi and phi1 vanish for q >= 2.
+    Tables live in q = r/R on [0, Q_MAX]; phi and phi1 vanish for q >= 2.
     :meth:`psi_of` interpolates psi and continues it analytically as
     psi = I2/q beyond the table (I2 = int_0^2 phi dq).
     """
@@ -144,7 +148,6 @@ def build_weights(
     R: float,
     eps: float,
     table_size: int = 4096,
-    q_max: float = 2.5,
     n_rho: int = 512,
     n_ang: int = 96,
 ) -> MorawetzWeights:
@@ -159,15 +162,15 @@ def build_weights(
         raise ValueError(f"weights are built for d in {{1, 2, 5}}, got {d}")
     if not R > 0:
         raise ValueError("window radius must be positive")
-    key = (d, float(eps), table_size, q_max, n_rho, n_ang)
+    key = (d, float(eps), table_size, n_rho, n_ang)
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = _build_scaled_tables(*key)
     tables = _TABLE_CACHE[key]
     return MorawetzWeights(d=d, R=float(R), eps=float(eps), **tables)
 
 
-def _build_scaled_tables(d, eps, table_size, q_max, n_rho, n_ang) -> dict:
-    q = np.linspace(0.0, q_max, table_size)
+def _build_scaled_tables(d, eps, table_size, n_rho, n_ang) -> dict:
+    q = np.linspace(0.0, Q_MAX, table_size)
     phi, phi1 = _bump_correlations(d, eps, q, n_rho, n_ang) / unit_ball_volume(d)
 
     # psi(q) = (1/q) int_0^q phi;  a(q) = int_0^q psi q' dq'.  Cumulative
@@ -234,7 +237,10 @@ class BoostChoice:
 
     xi: np.ndarray
     denominator: float
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.denominator <= 0
 
 
 def _window(grid: UniformGrid, s, R: float, eps: float) -> np.ndarray:
@@ -279,8 +285,8 @@ def _window_boost(p: FieldPair, win: np.ndarray) -> BoostChoice:
     """Momentum-killing boost a / n for the window ``win`` (see :func:`boost_xi`)."""
     _, n_tot, a_vec = _window_moments(p, win)
     if n_tot <= 0.0:
-        return BoostChoice(xi=np.zeros(p.grid.d), denominator=n_tot, degenerate=True)
-    return BoostChoice(xi=a_vec / n_tot, denominator=n_tot, degenerate=False)
+        return BoostChoice(xi=np.zeros(p.grid.d), denominator=n_tot)
+    return BoostChoice(xi=a_vec / n_tot, denominator=n_tot)
 
 
 def boost_xi(p: FieldPair, s, R: float, w: MorawetzWeights) -> BoostChoice:
@@ -393,8 +399,6 @@ class InteractionParams:
     J: float
     T0: float
     eps: float
-    n_R: int = 12
-    s_stride: int = 4
     cadence: int = 25
 
     @property
@@ -431,8 +435,8 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     integrals become three spectral correlations per shell and the
     integrand is nonnegative by construction; degenerate windows contribute
     zero without special-casing.  The s integral runs over every
-    ``s_stride``-th grid point, R over a logarithmic grid, t over samples
-    every ``cadence`` steps.  The suppressed positive constant of the
+    ``S_STRIDE``-th grid point, R over ``N_RADII`` log-spaced radii, t over
+    samples every ``cadence`` steps.  The suppressed positive constant of the
     estimate is not modeled; ratio stability under parameter doubling is
     what the result is for.
     """
@@ -441,8 +445,8 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
         raise TypeError("the interaction accumulator is evaluated in d = 1")
     kappa = p0.kappa
 
-    radii = params.R0 * np.exp(np.linspace(0.0, params.J, params.n_R))
-    ln_w = np.full(params.n_R, params.J / (params.n_R - 1))
+    radii = params.R0 * np.exp(np.linspace(0.0, params.J, N_RADII))
+    ln_w = np.full(N_RADII, params.J / (N_RADII - 1))
     ln_w[0] *= 0.5
     ln_w[-1] *= 0.5
 
@@ -459,8 +463,8 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     t_w[:-1] += 0.5 * np.diff(t_samples)
 
     stepper = SplitStepper(p0, dt)
-    stride_w = grid.h * params.s_stride
-    per_r = np.zeros(params.n_R)
+    stride_w = grid.h * S_STRIDE
+    per_r = np.zeros(N_RADII)
     per_t = np.zeros(len(sample_steps))
     outcome = "completed"
 
@@ -470,7 +474,7 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
         dens = np.array((l_comp[0], a_comp[0], nu))
         l_w, a_w, n_w = np.moveaxis(np.real(grid.convolve(kernels[:, None, :], dens)), 1, 0)
         cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
-        inner = np.sum(cells[:, :: params.s_stride], axis=1) * stride_w
+        inner = np.sum(cells[:, ::S_STRIDE], axis=1) * stride_w
         return ln_w * inner / radii
 
     n_samples = 0

@@ -23,6 +23,8 @@ from .morawetz import _window_boost, bump_gamma
 
 #: relative guard band for the at-threshold classification
 GUARD_BAND = 1e-9
+#: smoothing width of the ball cutoff chi = Gamma((x - s)/R)
+BALL_EPS = 0.05
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,6 @@ def classify_data(p: FieldPair, gs: GroundState) -> ThresholdReport:
     else:
         classification = "above"
 
-    if y < 1.0:
-        delta_prime = 4.0 * (1.0 - y**0.25)
-    else:
-        delta_prime = float("nan")
     return ThresholdReport(
         me=me,
         mh=mh,
@@ -88,8 +86,13 @@ def classify_data(p: FieldPair, gs: GroundState) -> ThresholdReport:
         me_ratio=me_ratio,
         classification=classification,
         coercivity_gap=4.0 * h - 5.0 * r,
-        delta_prime=delta_prime,
+        delta_prime=_delta_prime(y),
     )
+
+
+def _delta_prime(y: float) -> float:
+    """delta' = 4 (1 - y^(1/4)) for the product ratio y = 1 - delta; NaN for y >= 1."""
+    return 4.0 * (1.0 - y**0.25) if y < 1.0 else float("nan")
 
 
 def trapping_curve(y: float) -> float:
@@ -132,7 +135,7 @@ def delta_prime_from_delta(delta: float) -> float:
     """The explicit coercivity constant 4 (1 - (1-delta)^(1/4))."""
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return 4.0 * (1.0 - (1.0 - delta) ** 0.25)
+    return _delta_prime(1.0 - delta)
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,8 @@ class BallCoercivityReport:
     kinetic_excess_constant: float  # (H_loc - H_glob) R^2 / M when positive
 
 
-def coercivity_on_balls(
-    p: FieldPair, s, radius: float, gs: GroundState, eps: float = 0.05
-) -> BallCoercivityReport:
-    """Localized coercivity with cutoff chi = Gamma((x - s)/R).
+def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> BallCoercivityReport:
+    """Localized coercivity with cutoff chi = Gamma((x - s)/R), smoothed over BALL_EPS.
 
     Checks the localization identity int chi^2 |grad u|^2 = int
     |grad(chi u)|^2 + chi Lap(chi) |u|^2, then evaluates the localized gap
@@ -164,7 +165,7 @@ def coercivity_on_balls(
     grid = p.grid
     if not isinstance(grid, UniformGrid) or grid.d > 2:
         raise TypeError("ball coercivity is evaluated on uniform grids in d <= 2")
-    chi = bump_gamma(grid.distance(s) / radius, eps)
+    chi = bump_gamma(grid.distance(s) / radius, BALL_EPS)
     boosted = galilean_boost(p, _window_boost(p, chi**2).xi)
 
     # localization identity on the boosted u component
@@ -192,7 +193,7 @@ def coercivity_on_balls(
 
     mh_loc = m_loc * h_loc
     y_loc = mh_loc / gs.threshold_mh
-    delta_prime = 4.0 * (1.0 - y_loc**0.25) if y_loc < 1.0 else float("nan")
+    delta_prime = _delta_prime(y_loc)
     margin = gap - (delta_prime * h_loc if np.isfinite(delta_prime) else np.inf)
 
     h_glob = fields_mod.kinetic(boosted)

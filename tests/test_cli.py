@@ -67,6 +67,26 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     assert np.array_equal(q.v.values, p.v.values)
 
 
+def test_snapshot_round_trip_keeps_every_bit(tmp_path):
+    # np.array_equal calls -0.0 equal to 0.0 and cannot compare NaNs, so
+    # compare the bytes: signed zeros, infinities and NaN payloads included
+    g = UniformGrid(1, 8, 3.0)
+    nan_payload = np.array([0x7FF8_0000_0000_0123, 0xFFF8_0000_0000_0001], dtype=np.uint64).view(float)
+    re = np.array([-0.0, 0.0, 1.0, np.inf, -np.inf, nan_payload[0], nan_payload[1], -2.5])
+    im = np.array([np.inf, -0.0, -np.inf, nan_payload[1], 0.0, -0.0, nan_payload[0], np.nan])
+    u = re + 0j
+    u.imag = im
+    v = u[::-1].copy()
+    v.real = -v.real
+    p = pair_from_arrays(g, u, v)
+    path = str(tmp_path / "special.snap")
+    write_snapshot(p, 0.0, path)
+    q, _ = read_snapshot(path)
+    assert q.u.values.tobytes() == u.tobytes()
+    assert q.v.values.tobytes() == v.tobytes()
+    q.u.values[0] = 1.0   # the read arrays are writable
+
+
 def test_snapshot_radial_round_trip(tmp_path):
     g = RadialGrid(64, 12.0)
     r = g.nodes()
@@ -341,6 +361,42 @@ def test_unreadable_input_path_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_snapshot_that_disagrees_with_the_config_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    g = UniformGrid(1, 64, 20.0)
+    x = g.axis()
+    snap = str(tmp_path / "state.snap")
+    write_snapshot(pair_from_arrays(g, np.exp(-(x - 10.0) ** 2) + 0j, np.zeros(64, complex)), 0.0, snap)
+    base = {
+        "command": "evolve", "dt": 1e-3, "t_final": 0.002, "initial": "file",
+        "input_path": snap, "output": str(tmp_path / "run.csv"),
+    }
+    calls = []
+    monkeypatch.setattr("qnls.cli.evolve", lambda *args, **kw: calls.append(args))
+    conf = tmp_path / "mismatch.json"
+    conf.write_text(json.dumps({**base, "dimension": 2, "n": 256, "L": 40.0, "kappa": 2.0}))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert all(f"'{key}'" in err for key in ("dimension", "n", "L", "kappa"))
+    conf.write_text(json.dumps({**base, "n": 64, "L": 20.0, "kappa": 0.75}))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert "'kappa'" in err and "'n'" not in err and "'L'" not in err
+    radial = str(tmp_path / "radial.snap")
+    r = RadialGrid(64, 12.0).nodes()
+    write_snapshot(pair_from_arrays(RadialGrid(64, 12.0), np.exp(-r) + 0j, np.exp(-r) + 0j), 0.0, radial)
+    conf.write_text(json.dumps({**base, "input_path": radial}))
+    assert main([str(conf)]) == 1
+    assert "radial" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "run.csv").exists()
+
+    monkeypatch.undo()
+    conf.write_text(json.dumps({**base, "n": 64, "L": 20.0}))
+    assert main([str(conf)]) == 0
+    assert (tmp_path / "run.csv").exists()
+
+
 def test_disperse_fit_window_must_be_ordered(tmp_path, capsys):
     conf = tmp_path / "window.json"
     conf.write_text(json.dumps({
@@ -399,6 +455,20 @@ def test_readme_lists_every_config_key():
     for key, (default, _, _) in _KEYS.items():
         assert f"`{key}`" in rows, key
         assert f"`{json.dumps(default)}`" in rows[f"`{key}`"], key
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    # each example is an indented block that opens with "{"
+    examples = [json.loads(block) for block in section.split("\n\n") if block.startswith("    {")]
+    assert len(examples) >= 3
+    for idx, conf in enumerate(examples):
+        conf["output"] = str(tmp_path / f"example{idx}.out")
+        path = tmp_path / f"example{idx}.json"
+        path.write_text(json.dumps(conf))
+        assert main([str(path)]) == 0, (conf, capsys.readouterr())
+        assert (tmp_path / f"example{idx}.out").stat().st_size > 0
 
 
 # JSON values, non-finite and past-double numbers included
