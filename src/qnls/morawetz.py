@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi
 
 from . import fields as fields_mod
@@ -170,6 +169,10 @@ def build_weights(
 
 
 def _build_scaled_tables(d, eps, table_size, n_rho, n_ang) -> dict:
+    # imported here: scipy.interpolate loads scipy.optimize, sparse and
+    # spatial, which nothing else in the package needs
+    from scipy.interpolate import CubicSpline
+
     q = np.linspace(0.0, Q_MAX, table_size)
     phi, phi1 = _bump_correlations(d, eps, q, n_rho, n_ang) / unit_ball_volume(d)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from math import inf, nan
 from pathlib import Path
 
@@ -469,6 +473,44 @@ def test_readme_cli_examples_run(tmp_path, capsys):
         path.write_text(json.dumps(conf))
         assert main([str(path)]) == 0, (conf, capsys.readouterr())
         assert (tmp_path / f"example{idx}.out").stat().st_size > 0
+
+
+def test_substep_failure_from_the_cli_is_quiet(tmp_path, capfd):
+    # the substep overflows on its way to the refinement limit; the run
+    # ends with the labelled outcome and no numpy warning
+    g = UniformGrid(1, 64, 20.0)
+    x = g.axis()
+    bump = 1e3 * np.exp(-(x - 10.0) ** 2) + 0j
+    snap = str(tmp_path / "state.snap")
+    write_snapshot(pair_from_arrays(g, bump, bump.copy()), 0.0, snap)
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1.0,
+        "t_final": 1.0, "initial": "file", "input_path": snap,
+        "output": str(tmp_path / "run.csv"),
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(conf)]) == 0
+    out, err = capfd.readouterr()
+    assert json.loads(out)["outcome"] == "substep-failure"
+    assert err == ""
+    assert caught == []
+
+
+def test_importing_the_cli_leaves_out_the_spline_stack():
+    # only the weight-table build needs scipy.interpolate, and it imports
+    # scipy.optimize with it
+    import qnls
+
+    src = str(Path(qnls.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, qnls.cli; "
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # JSON values, non-finite and past-double numbers included
