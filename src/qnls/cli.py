@@ -187,12 +187,16 @@ def read_snapshot(path: str) -> tuple[FieldPair, float]:
     kind, dim = struct.unpack_from("<II", data, off)
     off += 8
     if kind == _GRID_UNIFORM:
+        if not 1 <= dim <= 3:
+            raise ValueError(f"uniform snapshot of dimension {dim}, expected 1, 2 or 3")
         counts = struct.unpack_from("<" + "I" * dim, data, off)
         off += 4 * dim
         (length,) = struct.unpack_from("<d", data, off)
         off += 8
         grid: UniformGrid | RadialGrid = UniformGrid(dim, counts[0], length)
     elif kind == _GRID_RADIAL:
+        if dim != 5:
+            raise ValueError(f"radial snapshot of dimension {dim}, expected 5")
         (m,) = struct.unpack_from("<I", data, off)
         off += 4
         (r_max,) = struct.unpack_from("<d", data, off)
@@ -372,7 +376,7 @@ def run_command(cfg: RunConfig) -> int:
             RadialGrid(cfg.m, cfg.r_max), kappa=cfg.kappa, tol=cfg.tol, max_iter=cfg.max_iter
         )
         rep = classify_data(pair, gs)
-        _write_json(out, cfg, {k: _jsonable(v) for k, v in asdict(rep).items()})
+        _write_json(out, cfg, asdict(rep))
         return 0
 
     if cfg.command == "disperse":
@@ -387,12 +391,6 @@ def run_command(cfg: RunConfig) -> int:
         return 0
 
     raise ConfigError(f"unhandled command {cfg.command!r}")
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    return v
 
 
 def main(argv: list[str] | None = None) -> int:

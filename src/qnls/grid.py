@@ -4,9 +4,6 @@ Two domains are supported: periodic boxes [0, L)^d for d in {1, 2, 3}
 (dynamics, spectral calculus) and a half-line radial grid for the 5-D
 elliptic problem (half-offset nodes; ``RadialGrid.gradient`` and the
 ground-state solver's Laplacian are fourth-order finite differences).
-The second-order :func:`radial_laplacian_apply` and
-:func:`radial_helmholtz_solve` have no caller in the package; they stay
-for their tests and for the benchmark's ``grid.helmholtz_*`` metrics.
 All quadrature conventions used elsewhere in the package are fixed here:
 Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
 weight on the radial grid, orthonormal FFT normalization, the min-image
@@ -20,7 +17,6 @@ from math import gamma as _gamma_fn, pi
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import solve_banded
 
 # Surface area of S^4 (radial quadrature weight in R^5) and unit-ball volume.
 SPHERE_AREA_4 = 8.0 * pi**2 / 3.0
@@ -219,50 +215,6 @@ def radial_ghosts(f: np.ndarray) -> np.ndarray:
     return np.concatenate(([f[1], f[0]], f, [-f[-1], -f[-2]]))
 
 
-def radial_laplacian_apply(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Apply the radial Laplacian d^2/dr^2 + (4/r) d/dr in R^5.
-
-    Second-order centered stencil; even reflection across r=0 (exact for the
-    half-offset nodes), homogeneous Dirichlet at r_max.
-    """
-    f = np.asarray(values)
-    r = grid.nodes()
-    dr = grid.dr
-    lo = f[0]
-    hi = -f[-1]
-    up = np.empty_like(f)
-    dn = np.empty_like(f)
-    up[:-1] = f[1:]
-    up[-1] = hi
-    dn[1:] = f[:-1]
-    dn[0] = lo
-    return (up - 2.0 * f + dn) / dr**2 + (4.0 / r) * (up - dn) / (2.0 * dr)
-
-
-def radial_helmholtz_solve(
-    grid: RadialGrid, alpha: float, beta: float, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve (alpha - beta * Laplacian_r) f = rhs on the radial grid.
-
-    Same stencil and boundary closure as :func:`radial_laplacian_apply`,
-    folded into a tridiagonal system and handed to the banded solver.
-    """
-    m = grid.m
-    r = grid.nodes()
-    dr = grid.dr
-    upper = -beta * (1.0 / dr**2 + 2.0 / (r * dr))   # couples f_{j+1}
-    lower = -beta * (1.0 / dr**2 - 2.0 / (r * dr))   # couples f_{j-1}
-    diag = np.full(m, alpha + 2.0 * beta / dr**2)
-    # ghost folds: f_{-1} = f_0 (even), f_m = -f_{m-1} (Dirichlet)
-    diag[0] += lower[0]
-    diag[-1] -= upper[-1]
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, np.asarray(rhs))
-
-
 @dataclass(frozen=True)
 class Field:
     """Complex samples attached to the grid they live on."""
@@ -278,20 +230,3 @@ class Field:
             )
         object.__setattr__(self, "values", vals)
 
-
-def transform_forward(f: Field) -> Field:
-    """Forward spectral transform (orthonormal convention)."""
-    if not isinstance(f.grid, UniformGrid):
-        raise TypeError("spectral transforms are defined on uniform grids only")
-    return Field(f.grid, f.grid.fft(f.values))
-
-
-def transform_inverse(f: Field) -> Field:
-    if not isinstance(f.grid, UniformGrid):
-        raise TypeError("spectral transforms are defined on uniform grids only")
-    return Field(f.grid, f.grid.ifft(f.values))
-
-
-def gradient(f: Field) -> list[Field]:
-    """Gradient of a field; one Field per space direction."""
-    return [Field(f.grid, g) for g in f.grid.gradient(f.values)]

@@ -26,7 +26,8 @@ the solver discretizes the radial Laplacian to fourth order internally:
 a five-point stencil L4 with the even (r = 0) and odd (r_max) ghost folds
 of ``radial_ghosts``, assembled once per solve as a (5, m) band.  A sweep
 applies L1^{-1} and L2^{-1} as one pentadiagonal banded solve each.  The
-public ``radial_laplacian_apply`` stencil stays second order.
+package's only second-order radial operator is the dense one of the
+independent oracle below.
 
 The balanced sweep contracts only linearly and, at m = 2048, plateaus
 near the round-off floor (1.5e-10 with exact banded inverses), so
@@ -431,11 +432,6 @@ def oracle_coarse_solve(
     residual = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
     pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
     return _populate(pair, residual, np.nan, it, (residual,))
-
-
-def pohozaev_ratios(gs: GroundState) -> tuple[float, float, float]:
-    """(1, H/M, R/M); equals (1, 5, 4) for the exact 5-D ground state."""
-    return gs.ratios
 
 
 def sharp_gn_constant(gs: GroundState) -> float:

@@ -180,12 +180,8 @@ def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> Ball
     scale = max(abs(lhs), abs(rhs), 1.0)
     identity_error = abs(lhs - rhs) / scale
 
-    cut = FieldPair(
-        Field(grid, chi * p.u.values), Field(grid, chi * p.v.values), p.kappa
-    )
-    cut_boosted = FieldPair(
-        Field(grid, chi * boosted.u.values), Field(grid, chi * boosted.v.values), p.kappa
-    )
+    cut = p.with_values(chi * p.u.values, chi * p.v.values)
+    cut_boosted = boosted.with_values(chi * boosted.u.values, chi * boosted.v.values)
     m_loc = fields_mod.mass(cut_boosted)
     h_loc = fields_mod.kinetic(cut_boosted)
     r_loc = fields_mod.potential(cut)

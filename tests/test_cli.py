@@ -133,6 +133,31 @@ def test_snapshot_truncation_detected(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("radial", [False, True])
+@pytest.mark.parametrize("dim", [0, 2**20])
+def test_snapshot_header_dimension_checked_before_sizing(tmp_path, capsys, radial, dim):
+    # the header's uint32 dimension sizes the grid-count format string, so
+    # it is checked against the grid kind first
+    g = RadialGrid(16, 5.0) if radial else UniformGrid(1, 16, 5.0)
+    z = np.zeros(g.shape, complex)
+    path = tmp_path / "dim.snap"
+    write_snapshot(pair_from_arrays(g, z, z), 0.0, str(path))
+    data = bytearray(path.read_bytes())
+    data[12:16] = dim.to_bytes(4, "little")   # after magic, version and grid kind
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"dimension {dim},"):
+        read_snapshot(str(path))
+    conf = tmp_path / "file.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 16, "L": 5.0, "dt": 1e-3, "t_final": 0.002,
+        "initial": "file", "input_path": str(path), "output": str(tmp_path / "run.csv"),
+    }))
+    assert main([str(conf)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ValueError" and f"dimension {dim}," in err["message"]
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_ground_state_command_reports_ratios(tmp_path):
     out = str(tmp_path / "gs.json")
     cfg = parse_config(json.dumps({

@@ -7,11 +7,6 @@ from qnls.grid import (
     RadialGrid,
     SPHERE_AREA_4,
     UniformGrid,
-    gradient,
-    radial_helmholtz_solve,
-    radial_laplacian_apply,
-    transform_forward,
-    transform_inverse,
     unit_ball_volume,
 )
 
@@ -38,8 +33,7 @@ def test_uniform_grid_rejects_bad_input():
 
 def test_transform_constant_is_dc_only():
     g = UniformGrid(1, 32, 2 * np.pi)
-    f = Field(g, np.ones(32, dtype=complex))
-    spec = transform_forward(f).values
+    spec = g.fft(np.ones(32, dtype=complex))
     assert abs(spec[0]) > 0
     assert np.max(np.abs(spec[1:])) < 1e-14 * abs(spec[0])
 
@@ -47,8 +41,7 @@ def test_transform_constant_is_dc_only():
 def test_transform_plane_wave_single_coefficient():
     g = UniformGrid(1, 32, 5.0)
     x = g.axis()
-    f = Field(g, np.exp(1j * (2 * np.pi / g.L) * x))
-    spec = transform_forward(f).values
+    spec = g.fft(np.exp(1j * (2 * np.pi / g.L) * x))
     mask = np.ones(32, dtype=bool)
     mask[1] = False
     assert abs(spec[1]) > 1.0
@@ -60,8 +53,7 @@ def test_transform_round_trip(d, n):
     rng = np.random.default_rng(0)
     g = UniformGrid(d, n, 7.3)
     vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-    f = Field(g, vals)
-    back = transform_inverse(transform_forward(f)).values
+    back = g.ifft(g.fft(vals))
     assert np.max(np.abs(back - vals)) < 1e-12 * np.max(np.abs(vals))
 
 
@@ -123,25 +115,24 @@ def test_gradient_plane_wave_exact():
     g = UniformGrid(1, 64, 11.0)
     x = g.axis()
     k = 2 * np.pi / g.L
-    f = Field(g, np.exp(1j * k * x))
-    (df,) = gradient(f)
-    assert np.max(np.abs(df.values - 1j * k * f.values)) < 1e-12
+    f = np.exp(1j * k * x)
+    (df,) = g.gradient(f)
+    assert np.max(np.abs(df - 1j * k * f)) < 1e-12
 
 
 def test_gradient_constant_zero():
     g = UniformGrid(2, 16, 4.0)
-    (dx, dy) = gradient(Field(g, np.full(g.shape, 2.5 + 0j)))
-    assert np.max(np.abs(dx.values)) < 1e-13
-    assert np.max(np.abs(dy.values)) < 1e-13
+    (dx, dy) = g.gradient(np.full(g.shape, 2.5 + 0j))
+    assert np.max(np.abs(dx)) < 1e-13
+    assert np.max(np.abs(dy)) < 1e-13
 
 
 def test_gradient_sine_closed_form():
     g = UniformGrid(1, 128, 6.0)
     x = g.axis()
-    f = Field(g, np.sin(4 * np.pi * x / g.L).astype(complex))
-    (df,) = gradient(f)
+    (df,) = g.gradient(np.sin(4 * np.pi * x / g.L).astype(complex))
     expected = (4 * np.pi / g.L) * np.cos(4 * np.pi * x / g.L)
-    assert np.max(np.abs(df.values - expected)) < 1e-10
+    assert np.max(np.abs(df - expected)) < 1e-10
 
 
 def test_radial_grid_nodes_positive_increasing():
@@ -150,45 +141,6 @@ def test_radial_grid_nodes_positive_increasing():
     assert np.all(r > 0)
     assert np.all(np.diff(r) > 0)
     assert r[0] == pytest.approx(g.dr / 2)
-
-
-def test_radial_laplacian_quadratic():
-    # f = r^2: Lap f = 2 + 4/r * 2r = 10 everywhere (2d at d=5)
-    g = RadialGrid(256, 10.0)
-    r = g.nodes()
-    lap = radial_laplacian_apply(g, r**2)
-    assert np.max(np.abs(lap[:-2] - 10.0)) < 1e-9
-
-
-def test_radial_laplacian_constant_interior():
-    g = RadialGrid(256, 10.0)
-    lap = radial_laplacian_apply(g, np.ones(256))
-    # Dirichlet closure pollutes only the last node
-    assert np.max(np.abs(lap[:-1])) < 1e-12
-
-
-def test_radial_laplacian_gaussian_closed_form():
-    g = RadialGrid(1024, 20.0)
-    r = g.nodes()
-    f = np.exp(-(r**2))
-    expected = (4 * r**2 - 10.0) * f
-    lap = radial_laplacian_apply(g, f)
-    core = r < 10.0
-    rel = np.max(np.abs(lap[core] - expected[core])) / np.max(np.abs(expected))
-    assert rel < 1e-3
-
-
-def test_radial_laplacian_second_order_convergence():
-    def max_err(m):
-        g = RadialGrid(m, 12.0)
-        r = g.nodes()
-        f = np.exp(-(r**2))
-        expected = (4 * r**2 - 10.0) * f
-        core = r < 8.0
-        return np.max(np.abs(radial_laplacian_apply(g, f) - expected)[core])
-
-    ratio = max_err(512) / max_err(1024)
-    assert 4.0 * 0.8 < ratio < 4.0 * 1.2
 
 
 def test_integrate_uniform_constant():
@@ -220,23 +172,7 @@ def test_unit_ball_volume_values():
     assert unit_ball_volume(5) == pytest.approx(BALL_VOLUME_5)
 
 
-def test_radial_helmholtz_manufactured_solution():
-    g = RadialGrid(2048, 16.0)
-    r = g.nodes()
-    f = np.exp(-(r**2))
-    rhs = 3.0 * f - 0.5 * (4 * r**2 - 10.0) * f   # (3 - 0.5 Lap) f
-    sol = radial_helmholtz_solve(g, 3.0, 0.5, rhs)
-    assert np.max(np.abs(sol - f)) < 5e-5          # O(dr^2)
-
-
 def test_field_shape_mismatch_rejected():
     g = UniformGrid(1, 16, 1.0)
     with pytest.raises(ValueError):
         Field(g, np.zeros(17, dtype=complex))
-
-
-def test_transforms_rejected_on_radial_grid():
-    g = RadialGrid(32, 5.0)
-    f = Field(g, np.zeros(32, dtype=complex))
-    with pytest.raises(TypeError):
-        transform_forward(f)

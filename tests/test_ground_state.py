@@ -15,7 +15,6 @@ from qnls.ground_state import (
     oracle_coarse_solve,
     petviashvili_normalization,
     petviashvili_solve,
-    pohozaev_ratios,
     sharp_gn_constant,
     solve_periodic_profile,
 )
@@ -24,7 +23,7 @@ from conftest import random_radial_pair
 
 
 def test_pohozaev_ratios_at_acceptance_resolution(gs_fine):
-    one, h_m, r_m = pohozaev_ratios(gs_fine)
+    one, h_m, r_m = gs_fine.ratios
     assert one == 1.0
     assert h_m == pytest.approx(5.0, abs=5e-3)
     assert r_m == pytest.approx(4.0, abs=4e-3)
@@ -173,6 +172,41 @@ def test_lap4_band_matches_stencil(m, r_max):
     direct = _lap4_apply(grid, f)
     banded = _band_matvec(_lap4_band(grid), f)
     assert np.max(np.abs(banded - direct)) <= 1e-15 * np.max(np.abs(direct))
+
+
+def test_lap4_quadratic():
+    # f = r^2: Lap f = 2 + 4/r * 2r = 10 everywhere (2d at d=5)
+    g = RadialGrid(256, 10.0)
+    r = g.nodes()
+    lap = _lap4_apply(g, r**2)
+    assert np.max(np.abs(lap[:-2] - 10.0)) < 1e-9
+
+
+def test_lap4_constant_interior():
+    g = RadialGrid(256, 10.0)
+    lap = _lap4_apply(g, np.ones(256))
+    # the odd reflection at r_max pollutes only the last two nodes
+    assert np.max(np.abs(lap[:-2])) < 1e-12
+
+
+def _gaussian_lap4_error(m, r_max, r_core):
+    """Max error of the stencil on e^{-r^2}, whose Laplacian is (4 r^2 - 10) e^{-r^2}."""
+    g = RadialGrid(m, r_max)
+    r = g.nodes()
+    f = np.exp(-(r**2))
+    expected = (4 * r**2 - 10.0) * f
+    core = r < r_core
+    return np.max(np.abs(_lap4_apply(g, f) - expected)[core]), np.max(np.abs(expected))
+
+
+def test_lap4_gaussian_closed_form():
+    err, scale = _gaussian_lap4_error(1024, 20.0, 10.0)
+    assert err / scale < 1e-6
+
+
+def test_lap4_fourth_order_convergence():
+    ratio = _gaussian_lap4_error(512, 12.0, 8.0)[0] / _gaussian_lap4_error(1024, 12.0, 8.0)[0]
+    assert 16.0 * 0.8 < ratio < 16.0 * 1.2
 
 
 def test_newton_band_is_the_jacobian():
