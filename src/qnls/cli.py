@@ -180,32 +180,36 @@ def read_snapshot(path: str) -> tuple[FieldPair, float]:
     if data[:4] != SNAPSHOT_MAGIC:
         raise ValueError("not a field snapshot (bad magic)")
     off = 4
-    (version,) = struct.unpack_from("<I", data, off)
-    off += 4
+
+    def unpack(fmt: str) -> tuple:
+        nonlocal off
+        end = off + struct.calcsize(fmt)
+        if end > len(data):
+            raise ValueError(
+                f"truncated snapshot: the header needs at least {end} bytes, got {len(data)}"
+            )
+        values = struct.unpack_from(fmt, data, off)
+        off = end
+        return values
+
+    (version,) = unpack("<I")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    kind, dim = struct.unpack_from("<II", data, off)
-    off += 8
+    kind, dim = unpack("<II")
     if kind == _GRID_UNIFORM:
         if not 1 <= dim <= 3:
             raise ValueError(f"uniform snapshot of dimension {dim}, expected 1, 2 or 3")
-        counts = struct.unpack_from("<" + "I" * dim, data, off)
-        off += 4 * dim
-        (length,) = struct.unpack_from("<d", data, off)
-        off += 8
+        counts = unpack("<" + "I" * dim)
+        (length,) = unpack("<d")
         grid: UniformGrid | RadialGrid = UniformGrid(dim, counts[0], length)
     elif kind == _GRID_RADIAL:
         if dim != 5:
             raise ValueError(f"radial snapshot of dimension {dim}, expected 5")
-        (m,) = struct.unpack_from("<I", data, off)
-        off += 4
-        (r_max,) = struct.unpack_from("<d", data, off)
-        off += 8
+        m, r_max = unpack("<Id")
         grid = RadialGrid(m, r_max)
     else:
         raise ValueError(f"unknown grid kind {kind}")
-    kappa, t, nfields = struct.unpack_from("<ddI", data, off)
-    off += 20
+    kappa, t, nfields = unpack("<ddI")
     if nfields != 2:
         raise ValueError(f"expected 2 fields, header says {nfields}")
     size = grid.size

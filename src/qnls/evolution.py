@@ -235,9 +235,12 @@ class SplitStepper:
     the array-level core of :func:`nonlinear_step`).  After a step the
     stepper keeps the post-substep state with its trailing half-step
     pending; the next step applies it together with its own leading
-    half-step as L(dt).  The forward transform of the post-substep state
-    is taken once and kept: the next step, :meth:`sync` or
-    :meth:`_modulus_bound`, whichever asks first, computes it, and the
+    half-step as L(dt).  ``_ahead``, the next step's pre-substep state, is
+    None exactly when ``_state`` is post-substep: the constructor computes
+    the first one, L(dt/2) of the initial state, and :meth:`sync` the later
+    ones together with the state itself.  The forward transform of the
+    post-substep state is taken once and kept: the next step, :meth:`sync`
+    or :meth:`_modulus_bound`, whichever asks first, computes it, and the
     others reuse it.  :meth:`sync` un-fuses (see the module docstring).
     """
 
@@ -254,9 +257,8 @@ class SplitStepper:
         self._free = np.array([_free_multiplier(grid, p0.kappa, t) for t in (0.5 * dt, dt)])
         self._state = _stacked(p0)
         self._buffers = _substep_buffers(self._state.shape)
-        self._synced = True       # _state is at the current time, not post-substep
-        self._ahead = None        # the next step's pre-substep state, once known
         self._hat = None          # the forward transform of _state, once taken
+        self._ahead = grid.ifft(self._free[0] * self._spectrum())
 
     def _spectrum(self) -> np.ndarray:
         if self._hat is None:
@@ -277,23 +279,20 @@ class SplitStepper:
     def step(self) -> None:
         """Advance by dt; raises :class:`SubstepFailure` like the substep."""
         if self._ahead is None:
-            lead = self._free[0] if self._synced else self._free[1]
             # the cached spectrum is a named array, so numpy cannot evaluate
             # the product in place with its operands swapped: the product
             # rounds as sync's does, and observing stays bit-neutral
-            self._ahead = self.grid.ifft(lead * self._spectrum())
+            self._ahead = self.grid.ifft(self._free[1] * self._spectrum())
         self._state = _substep(self._ahead, self.dt, self.tol, self._buffers)
-        self._synced = False
         self._ahead = None
         self._hat = None
         self.steps += 1
 
     def sync(self) -> np.ndarray:
         """The stacked (u, v) at time ``steps * dt``; the stepper's own array."""
-        if not self._synced:
+        if self._ahead is None:
             both = self.grid.ifft(self._free * self._spectrum())
             self._state, self._ahead = both[0], both[1]
-            self._synced = True
             self._hat = None
         return self._state
 

@@ -1,24 +1,32 @@
 """Ground state of the stationary system.
 
 Solves  phi - Lap phi = phi * vphi,   2 vphi - kappa Lap vphi = phi^2
-radially in R^5 by a normalized fixed-point iteration and extracts the
+radially in R^5 by a balanced fixed-point iteration and extracts the
 derived constants: the ground-state mass M_gs, the sharp
 Gagliardo-Nirenberg constant C_GN = 4 * 5^(-5/4) * M_gs^(-1/2), and the
 threshold products M(Q)E(Q), M(Q)H(Q).  The exact proportions
 M : H : R = 1 : 5 : 4 are the primary correctness oracle.
 
-Solver notes.  The plain normalized update
+Solver notes.  A sweep takes the plain update
 
-    S = (<L1 phi, phi> + <L2 vphi, vphi>) / (2 int vphi phi^2),
-    phi <- S^2 L1^{-1}(phi vphi),  vphi <- S^2 L2^{-1}(phi^2)
+    phi~ = L1^{-1}(phi vphi),  vphi~ = L2^{-1}(phi^2)
 
-is structurally marginal for this two-component system: the amplitude map
-(a, b) -> (S^2 ab, S^2 a^2) has eigenvalue -1 along (1, -2) and the
-iteration stalls in a period-2 cycle.  Each sweep therefore ends with a
-moment balance (p, q) that enforces both Nehari identities
-<L1 phi, phi> = <L2 vphi, vphi> = int vphi phi^2 exactly; the balanced
-iterate is contraction-stable and S = 1 at every subsequent step
-(Lakoba & Yang, J. Comput. Phys. 226 (2007) 1668).
+and then the moment balance
+
+    phi = (sqrt(e1 e2) / rho) phi~,  vphi = (e1 / rho) vphi~,
+    e1 = <L1 phi~, phi~>,  e2 = <L2 vphi~, vphi~>,  rho = int vphi~ phi~^2,
+
+which enforces both Nehari identities <L1 phi, phi> = <L2 vphi, vphi> =
+int vphi phi^2 exactly (Lakoba & Yang, J. Comput. Phys. 226 (2007) 1668).
+One scalar normalization of the update, Petviashvili's S^gamma with
+S = (e1 + e2) / (2 rho) (V. I. Petviashvili, Sov. J. Plasma Phys. 2
+(1976) 257), is structurally marginal for this two-component system: the
+amplitude map (a, b) -> (S^2 ab, S^2 a^2) has eigenvalue -1 along (1, -2)
+and the iteration stalls in a period-2 cycle.  The balance sets both
+amplitudes and is contraction-stable, and it needs no S: scaling
+(phi~, vphi~) by c != 0 scales e1 and e2 by c^2 and rho by c^3, so both
+balance coefficients scale by 1/c and the balanced iterate does not depend
+on c.  An S^gamma in front of the update would cancel exactly.
 
 The profile at the working resolution must carry the 1:5:4 identity to
 1e-3, which a second-order discretization cannot deliver at m = 2048, so
@@ -66,10 +74,6 @@ from scipy.linalg import solve_banded
 from . import fields
 from .fields import FieldPair, pair_from_arrays
 from .grid import RadialGrid, UniformGrid, radial_ghosts
-
-#: stabilizing exponent of the normalization factor; p/(p-1) = 2 for the
-#: quadratic nonlinearity
-PETVIASHVILI_GAMMA = 2.0
 
 #: amplitude a of the Gaussian initial guess of every stationary solve
 INITIAL_AMPLITUDE = 3.0
@@ -219,12 +223,13 @@ def _moments(grid, lap, kappa, phi, vphi) -> tuple[float, float, float]:
 
 
 def _balanced_iteration(grid, lap, inv1, inv2, kappa, phi, vphi, tol, max_iter):
-    """The normalized-and-balanced sweep shared by both stationary solvers.
+    """The balanced sweep shared by both stationary solvers.
 
     ``lap`` applies the Laplacian, ``inv1`` and ``inv2`` apply L1^{-1} and
-    L2^{-1}; (phi, vphi) is the initial guess.  Each sweep applies the
-    S^gamma-normalized inverse-operator update followed by the moment
-    balance described in the module docstring, and stops once both equation
+    L2^{-1}; (phi, vphi) is the initial guess.  Each sweep applies the plain
+    update phi~ = L1^{-1}(phi vphi), vphi~ = L2^{-1}(phi^2) and then the
+    moment balance of the module docstring, which makes the new iterate
+    independent of the scale of (phi~, vphi~).  Stops once both equation
     residuals drop below ``tol`` in max-norm.  Returns
     (phi, vphi, residual, iterations, residual history).
     """
@@ -233,17 +238,8 @@ def _balanced_iteration(grid, lap, inv1, inv2, kappa, phi, vphi, tol, max_iter):
     residual = np.inf
     history: list[float] = []
     for it in range(1, max_iter + 1):
-        e1, e2, rho = _moments(grid, lap, kappa, phi, vphi)
-        if not np.isfinite(rho) or rho <= 0:
-            raise ConvergenceError(
-                f"iteration collapsed: int vphi phi^2 = {rho} at step {it}"
-            )
-        s = (e1 + e2) / (2.0 * rho)
-        if not np.isfinite(s) or s <= 0:
-            raise ConvergenceError(f"normalization factor degenerated: S = {s}")
-        factor = s**PETVIASHVILI_GAMMA
-        phi_t = factor * inv1(phi * vphi)
-        vphi_t = factor * inv2(phi**2)
+        phi_t = inv1(phi * vphi)
+        vphi_t = inv2(phi**2)
 
         # moment balance: pin both Nehari identities of the new iterate
         e1, e2, rho = _moments(grid, lap, kappa, phi_t, vphi_t)
@@ -264,8 +260,9 @@ def _balanced_iteration(grid, lap, inv1, inv2, kappa, phi, vphi, tol, max_iter):
 def petviashvili_normalization(pair: FieldPair) -> float:
     """S = (<L1 phi, phi> + <L2 vphi, vphi>) / (2 int vphi phi^2).
 
-    Equals 1 at any exact solution of the stationary system; evaluated with
-    the solver's internal discretization.
+    A diagnostic of the Nehari identities, which the balanced sweep enforces
+    without computing S: it equals 1 at any exact solution of the stationary
+    system.  Evaluated with the solver's internal discretization.
     """
     grid = pair.grid
     if not isinstance(grid, RadialGrid):
@@ -389,7 +386,7 @@ def oracle_coarse_solve(
     phi = L1^{-1}(phi vphi), vphi = L2^{-1}(phi^2), with the pair rescaled
     after every sweep so that int phi^2 is held at its running value.  The held-mass fixed point is a
     common rescaling (c phi*, c vphi*) of the true solution, so the measured
-    factor c recovers it; the final profile is checked directly against the
+    scale c recovers it; the final profile is checked directly against the
     stationary equations.  Dense second-order linear algebra throughout.
     """
     if m > 512:
@@ -451,7 +448,7 @@ def solve_periodic_profile(
 ) -> FieldPair:
     """Torus analog of the ground-state solve for dynamics experiments.
 
-    Same normalized-and-balanced iteration as :func:`petviashvili_solve`,
+    Same balanced iteration as :func:`petviashvili_solve`,
     but on a periodic box in d <= 3 where L1 and L2 invert diagonally in
     Fourier space, so the converged pair is a stationary state of the
     semi-discrete flow to the requested residual.  The exact evolution of

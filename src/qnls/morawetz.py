@@ -29,6 +29,9 @@ from .grid import UniformGrid, unit_ball_volume
 Q_MAX = 2.5      # the weight tables cover q = r/R in [0, Q_MAX]
 N_RADII = 12     # the interaction average's log-spaced radii in [R0, R0 e^J]
 S_STRIDE = 4     # its window centres: every S_STRIDE-th grid point
+TABLE_SIZE = 4096   # nodes of each weight table on [0, Q_MAX]
+N_RHO = 512         # radial quadrature nodes of the bump correlations
+N_ANG = 96          # their Gauss-Jacobi angular nodes
 
 
 def bump_gamma(r, eps: float):
@@ -142,39 +145,32 @@ class MorawetzWeights:
 _TABLE_CACHE: dict = {}
 
 
-def build_weights(
-    d: int,
-    R: float,
-    eps: float,
-    table_size: int = 4096,
-    n_rho: int = 512,
-    n_ang: int = 96,
-) -> MorawetzWeights:
+def build_weights(d: int, R: float, eps: float) -> MorawetzWeights:
     """Build the weight tables for dimension d, window radius R, smoothing eps.
 
     phi is the normalized radial self-correlation of Gamma^2, phi1 the
     correlation of Gamma^3 with Gamma^2; psi and a follow by cumulative
     quadrature, the phi' table by centered differences.  The scaled
-    tables are cached per (d, eps, sizes) since they do not depend on R.
+    tables are cached per (d, eps) since they do not depend on R.
     """
     if d not in (1, 2, 5):
         raise ValueError(f"weights are built for d in {{1, 2, 5}}, got {d}")
     if not R > 0:
         raise ValueError("window radius must be positive")
-    key = (d, float(eps), table_size, n_rho, n_ang)
+    key = (d, float(eps))
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = _build_scaled_tables(*key)
     tables = _TABLE_CACHE[key]
     return MorawetzWeights(d=d, R=float(R), eps=float(eps), **tables)
 
 
-def _build_scaled_tables(d, eps, table_size, n_rho, n_ang) -> dict:
+def _build_scaled_tables(d, eps) -> dict:
     # imported here: scipy.interpolate loads scipy.optimize, sparse and
     # spatial, which nothing else in the package needs
     from scipy.interpolate import CubicSpline
 
-    q = np.linspace(0.0, Q_MAX, table_size)
-    phi, phi1 = _bump_correlations(d, eps, q, n_rho, n_ang) / unit_ball_volume(d)
+    q = np.linspace(0.0, Q_MAX, TABLE_SIZE)
+    phi, phi1 = _bump_correlations(d, eps, q, N_RHO, N_ANG) / unit_ball_volume(d)
 
     # psi(q) = (1/q) int_0^q phi;  a(q) = int_0^q psi q' dq'.  Cumulative
     # integrals via spline antiderivatives: smooth in q, so the table

@@ -158,6 +158,26 @@ def test_snapshot_header_dimension_checked_before_sizing(tmp_path, capsys, radia
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("size", [10, 16])
+def test_short_snapshot_header_is_truncated(tmp_path, capsys, size):
+    # cut inside the version-kind-dimension words, then after them
+    g = UniformGrid(1, 16, 5.0)
+    z = np.zeros(g.shape, complex)
+    path = tmp_path / "short.snap"
+    write_snapshot(pair_from_arrays(g, z, z), 0.0, str(path))
+    path.write_bytes(path.read_bytes()[:size])
+    conf = tmp_path / "file.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 16, "L": 5.0, "dt": 1e-3, "t_final": 0.002,
+        "initial": "file", "input_path": str(path), "output": str(tmp_path / "run.csv"),
+    }))
+    assert main([str(conf)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ValueError" and "truncated snapshot" in err["message"]
+    assert "unpack" not in err["message"]
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_ground_state_command_reports_ratios(tmp_path):
     out = str(tmp_path / "gs.json")
     cfg = parse_config(json.dumps({

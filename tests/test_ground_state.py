@@ -1,11 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from qnls import fields
 from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import (
     ConvergenceError,
+    _balanced_iteration,
     _band_matvec,
     _interleave,
     _lap4_apply,
@@ -163,6 +168,48 @@ def test_periodic_profile_solves_discrete_system(soliton_2d):
     r1 = phi - lap_phi - phi * vphi
     r2 = 2 * vphi - 0.5 * lap_vphi - phi**2
     assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-11
+
+
+def _radial_operators():
+    """The radial band of ``petviashvili_solve``: L4 and its banded inverses."""
+    grid = RadialGrid(256, 15.0)
+    l4 = _lap4_band(grid)
+
+    def inverse(alpha, beta):
+        band = -beta * l4
+        band[2] += alpha
+        return partial(solve_banded, (2, 2), band)
+
+    r = grid.nodes()
+    start = (3.0 * np.exp(-(r**2)), 2.0 * np.exp(-(r**2) / 2.0))
+    return grid, partial(_lap4_apply, grid), inverse(1.0, 1.0), inverse(2.0, 0.5), start
+
+
+def _periodic_operators():
+    """The spectral multipliers of ``solve_periodic_profile`` on a 2-D box."""
+    grid = UniformGrid(2, 32, 12.0)
+    k2 = grid.k2()
+
+    def multiplier(mult):
+        return lambda f: np.real(grid.ifft(mult * grid.fft(f)))
+
+    rho2 = sum((c - 6.0) ** 2 for c in grid.coords())
+    start = (3.0 * np.exp(-rho2 / 2.0), 2.0 * np.exp(-rho2 / 3.0))
+    return (grid, multiplier(-k2), multiplier(1.0 / (1.0 + k2)),
+            multiplier(1.0 / (2.0 + 0.5 * k2)), start)
+
+
+@pytest.mark.parametrize("operators", [_radial_operators, _periodic_operators])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(c=st.floats(0.1, 10.0))
+def test_balanced_sweep_is_scale_free(operators, c):
+    # the moment balance divides out any common scale of the update, so
+    # one sweep from (c phi, c vphi) lands on the sweep from (phi, vphi)
+    grid, lap, inv1, inv2, (phi, vphi) = operators()
+    ref = _balanced_iteration(grid, lap, inv1, inv2, 0.5, phi, vphi, np.inf, 1)
+    out = _balanced_iteration(grid, lap, inv1, inv2, 0.5, c * phi, c * vphi, np.inf, 1)
+    for a, b in zip(out[:2], ref[:2]):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("m, r_max", [(64, 10.0), (2048, 30.0)])

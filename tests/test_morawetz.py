@@ -8,7 +8,9 @@ from qnls import fields
 from qnls.grid import UniformGrid, unit_ball_volume
 from qnls.fields import galilean_boost, pair_from_arrays
 from qnls.morawetz import (
+    Q_MAX,
     InteractionParams,
+    _bump_correlations,
     boost_xi,
     build_weights,
     bump_gamma,
@@ -73,15 +75,15 @@ def _dense_correlation(d, k, eps, q, n_rho, n_ang):
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("eps", [0.025, 0.05, 0.25])
 def test_band_quadrature_matches_dense_quadrature(d, eps):
-    sizes = dict(n_rho=64, n_ang=24)
-    w = build_weights(d, 10.0, eps, table_size=513, **sizes)
-    for table, k in ((w.phi, 2), (w.phi1, 3)):
-        dense = _dense_correlation(d, k, eps, w.q, **sizes) / unit_ball_volume(d)
+    q = np.linspace(0.0, Q_MAX, 513)
+    phi, phi1 = _bump_correlations(d, eps, q, 64, 24) / unit_ball_volume(d)
+    for table, k in ((phi, 2), (phi1, 3)):
+        dense = _dense_correlation(d, k, eps, q, 64, 24) / unit_ball_volume(d)
         assert np.max(np.abs(table - dense)) <= 1e-13 * np.max(np.abs(dense))
-    outside = w.q >= 2.0
+    outside = q >= 2.0
     assert np.any(outside)
-    assert np.all(w.phi[outside] == 0.0)
-    assert np.all(w.phi1[outside] == 0.0)
+    assert np.all(phi[outside] == 0.0)
+    assert np.all(phi1[outside] == 0.0)
 
 
 def test_weight_constants_stable_under_eps_halving():
