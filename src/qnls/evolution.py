@@ -10,9 +10,10 @@ composed with a pointwise quadratic substep ODE
 
     u_t = i v conj(u),   v_t = i u^2,
 
-integrated by classical RK4.  The substep flow conserves |u|^2 + |v|^2
-pointwise, which gives a per-step accuracy monitor; substeps are refined
-until the monitored drift is below tolerance.
+integrated by classical RK4.  The substep flow conserves the density
+|u|^2 + |v|^2 and the Manley-Rowe invariant Re(conj(v) u^2) pointwise,
+which gives a per-step accuracy monitor; substeps are refined until both
+monitored drifts are below tolerance.
 
 One stepper, :class:`SplitStepper`, runs the flow for every caller
 (:func:`strang_step`, :func:`evolve` and the interaction accumulator in
@@ -76,7 +77,7 @@ class EvolutionConfig:
     dt: float
     t_final: float
     cadence: int = 10                  # steps between diagnostics rows
-    substep_tol: float = 1e-10         # pointwise |u|^2+|v|^2 drift per step
+    substep_tol: float = 1e-10         # pointwise invariant drift per step
     blowup_growth: float = 100.0       # flag when H exceeds this multiple of H(0)
     store_fields: bool = False         # keep snapshots at cadence
 
@@ -160,11 +161,28 @@ def linear_step(p: FieldPair, dt: float) -> FieldPair:
 def _substep_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Scratch for :func:`_substep` on a stacked pair of ``shape``.
 
-    The four RK4 stages, one stage argument, |w|^2 per field and the
-    initial density |u|^2 + |v|^2.
+    The four RK4 stages, one stage argument, and the two pointwise
+    invariants (density, scaled Manley-Rowe) at the end and at the start of
+    a step, each pair stacked like the fields.
     """
     stages = tuple(np.empty(shape, dtype=complex) for _ in range(5))
-    return stages + (np.empty(shape), np.empty(shape[1:]))
+    return stages + (np.empty(shape), np.empty(shape))
+
+
+def _density(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|u|^2 + |v|^2 of the stacked pair ``w`` into ``out[0]``; ``out[1]`` is scratch."""
+    np.square(np.abs(w, out=out), out=out)
+    return np.add(out[0], out[1], out=out[0])
+
+
+def _manley_rowe(w: np.ndarray, scratch: np.ndarray, factor: float, out: np.ndarray) -> np.ndarray:
+    """``factor`` Re(conj(v) u^2) of the stacked pair ``w`` into ``out``.
+
+    ``scratch`` is a complex array of the shape of ``w``.
+    """
+    np.multiply(w[0], w[0], out=scratch[0])
+    np.multiply(np.conjugate(w[1], out=scratch[1]), scratch[0], out=scratch[0])
+    return np.multiply(scratch[0].real, factor, out=out)
 
 
 # data far past the substep's reach overflows on its way to the refinement
@@ -174,16 +192,21 @@ def _substep_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarray:
     """RK4 of u_t = i v conj(u), v_t = i u^2 over dt on the stacked pair ``w0``.
 
-    Substeps are refined until the exactly-conserved pointwise density
-    |u|^2 + |v|^2 drifts less than ``tol`` (relative to its own scale) over
-    the step; raises :class:`SubstepFailure` past 1024 substeps.  Every
-    stage runs in ``buffers`` (from :func:`_substep_buffers`); ``w0`` is
-    only read, and the result is a new array.
+    Substeps are refined until both exactly-conserved pointwise invariants
+    drift less than ``tol`` over the step: the density |u|^2 + |v|^2
+    relative to its maximum s, and the Manley-Rowe invariant
+    Re(conj(v) u^2) relative to s^(3/2), which bounds it.  The density
+    alone misses error along its own level sets.  Raises
+    :class:`SubstepFailure` past 1024 substeps.  Every stage runs in
+    ``buffers`` (from :func:`_substep_buffers`); ``w0`` is only read, and
+    the result is a new array.
     """
-    k1, k2, k3, k4, arg, sq, inv0 = buffers
-    np.square(np.abs(w0, out=sq), out=sq)
-    np.add(sq[0], sq[1], out=inv0)
-    scale = max(float(inv0.max()), 1e-300)
+    k1, k2, k3, k4, arg, inv, inv0 = buffers
+    scale = max(float(_density(w0, inv0).max()), 1e-300)
+    # Re(conj(v) u^2) / sqrt(s) drifts by less than tol s iff it meets its
+    # bound, so one maximum over both stacked invariants decides
+    mr_factor = 1.0 / np.sqrt(scale)
+    _manley_rowe(w0, k1, mr_factor, inv0[1])
     w = np.empty_like(w0)
     nsub = 1
     while True:
@@ -203,9 +226,10 @@ def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarra
             np.add(np.add(k1, k2, out=k1), k4, out=k1)
             np.add(prev, np.multiply(1j * h / 6.0, k1, out=k1), out=w)
             prev = w
-        np.square(np.abs(w, out=sq), out=sq)
-        dens = np.add(sq[0], sq[1], out=sq[0])
-        drift = float(np.abs(np.subtract(dens, inv0, out=dens), out=dens).max()) / scale
+        _density(w, inv)
+        _manley_rowe(w, k1, mr_factor, inv[1])
+        drift = np.subtract(inv, inv0, out=inv)
+        drift = float(np.abs(drift, out=drift).max()) / scale
         if drift < tol:
             return w
         nsub *= 2
@@ -218,10 +242,10 @@ def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarra
 def nonlinear_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
     """Pointwise substep ODE u_t = i v conj(u), v_t = i u^2 over dt.
 
-    RK4 on the stacked pair with substep refinement until the
-    exactly-conserved pointwise density |u|^2 + |v|^2 drifts less than
-    ``tol`` (relative to its own scale) over the step; raises
-    :class:`SubstepFailure` past 1024 substeps.
+    RK4 on the stacked pair with substep refinement until both
+    exactly-conserved pointwise invariants, |u|^2 + |v|^2 and
+    Re(conj(v) u^2), drift less than ``tol`` (relative to their scales)
+    over the step; raises :class:`SubstepFailure` past 1024 substeps.
     """
     w0 = _stacked(p)
     w = _substep(w0, dt, tol, _substep_buffers(w0.shape))

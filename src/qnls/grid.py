@@ -8,11 +8,18 @@ All quadrature conventions used elsewhere in the package are fixed here:
 Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
 weight on the radial grid, orthonormal FFT normalization, the min-image
 displacement on the torus and the periodic convolution built on both.
+
+Each grid computes its constant arrays once, on first use: the nodes and
+r^4 of the radial grid; the axis, coordinate meshes, wavenumbers, |k|^2
+and Nyquist-zeroed wavenumber meshes of the torus.  The accessors return
+these shared arrays read-only, so a caller that wants to write into one
+must copy it first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gamma as _gamma_fn, pi
 
 import numpy as np
@@ -33,6 +40,17 @@ def unit_ball_volume(d: int) -> float:
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a shared grid constant read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
+def _mesh(axis: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    """The d read-only ``ij`` meshgrid arrays of one axis repeated d times."""
+    return tuple(map(_read_only, np.meshgrid(*([axis] * d), indexing="ij")))
 
 
 @dataclass(frozen=True)
@@ -68,18 +86,43 @@ class UniformGrid:
     def size(self) -> int:
         return self.n**self.d
 
+    @cached_property
+    def _axis(self) -> np.ndarray:
+        return _read_only(np.arange(self.n) * self.h)
+
+    @cached_property
+    def _coords(self) -> tuple[np.ndarray, ...]:
+        return _mesh(self._axis, self.d)
+
+    @cached_property
+    def _wavenumbers(self) -> np.ndarray:
+        return _read_only(2.0 * pi * np.fft.fftfreq(self.n, d=self.h))
+
+    @cached_property
+    def _k2(self) -> np.ndarray:
+        return _read_only(sum(km**2 for km in _mesh(self._wavenumbers, self.d)))
+
+    @cached_property
+    def _derivative_wavenumbers(self) -> tuple[np.ndarray, ...]:
+        k = self._wavenumbers.copy()
+        k[self.n // 2] = 0.0
+        return _mesh(k, self.d)
+
+    @cached_property
+    def _dirichlet_k2(self) -> np.ndarray:
+        return _read_only(sum(km**2 for km in self._derivative_wavenumbers))
+
     def axis(self) -> np.ndarray:
         """1-D coordinate axis [0, L)."""
-        return np.arange(self.n) * self.h
+        return self._axis
 
     def coords(self) -> list[np.ndarray]:
         """d meshgrid coordinate arrays of shape ``self.shape``."""
-        ax = self.axis()
-        return list(np.meshgrid(*([ax] * self.d), indexing="ij"))
+        return list(self._coords)
 
     def wavenumbers(self) -> np.ndarray:
         """Signed wavenumbers 2*pi*m/L for one axis, FFT ordering."""
-        return 2.0 * pi * np.fft.fftfreq(self.n, d=self.h)
+        return self._wavenumbers
 
     def displacement(self, s) -> list[np.ndarray]:
         """Signed min-image displacement x - s in [-L/2, L/2), one array per axis."""
@@ -94,15 +137,11 @@ class UniformGrid:
 
     def k2(self) -> np.ndarray:
         """|k|^2 multiplier array of shape ``self.shape``."""
-        k = self.wavenumbers()
-        return sum(km**2 for km in np.meshgrid(*([k] * self.d), indexing="ij"))
+        return self._k2
 
     def derivative_wavenumbers(self) -> list[np.ndarray]:
         """Wavenumber meshes with the Nyquist mode zeroed (odd derivatives)."""
-        k = self.wavenumbers()
-        k = k.copy()
-        k[self.n // 2] = 0.0
-        return list(np.meshgrid(*([k] * self.d), indexing="ij"))
+        return list(self._derivative_wavenumbers)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Orthonormal forward transform over the last d axes.
@@ -142,8 +181,7 @@ class UniformGrid:
 
         Uses the Nyquist-zeroed wavenumbers of :meth:`gradient`.
         """
-        k2 = sum(km**2 for km in self.derivative_wavenumbers())
-        return float(np.sum(k2 * np.abs(self.fft(values)) ** 2) * self.h**self.d)
+        return float(np.sum(self._dirichlet_k2 * np.abs(self.fft(values)) ** 2) * self.h**self.d)
 
     def integrate(self, values: np.ndarray):
         """Riemann sum times h^d (spectrally accurate for smooth data)."""
@@ -182,13 +220,20 @@ class RadialGrid:
     def size(self) -> int:
         return self.m
 
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        return _read_only((np.arange(self.m) + 0.5) * self.dr)
+
+    @cached_property
+    def _r4(self) -> np.ndarray:
+        return _read_only(self._nodes**4)
+
     def nodes(self) -> np.ndarray:
-        return (np.arange(self.m) + 0.5) * self.dr
+        return self._nodes
 
     def integrate(self, values: np.ndarray):
         """Midpoint rule: sum f(r_j) * sigma_4 * r_j^4 * dr."""
-        r = self.nodes()
-        return SPHERE_AREA_4 * np.sum(values * r**4) * self.dr
+        return SPHERE_AREA_4 * np.sum(values * self._r4) * self.dr
 
     def gradient(self, values: np.ndarray) -> list[np.ndarray]:
         """Fourth-order centered d/dr.

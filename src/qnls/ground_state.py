@@ -32,10 +32,12 @@ The profile at the working resolution must carry the 1:5:4 identity to
 1e-3, which a second-order discretization cannot deliver at m = 2048, so
 the solver discretizes the radial Laplacian to fourth order internally:
 a five-point stencil L4 with the even (r = 0) and odd (r_max) ghost folds
-of ``radial_ghosts``, assembled once per solve as a (5, m) band.  A sweep
-applies L1^{-1} and L2^{-1} as one pentadiagonal banded solve each.  The
-package's only second-order radial operator is the dense one of the
-independent oracle below.
+of ``radial_ghosts``, assembled once per solve as a (5, m) band.  L1 and
+L2 are factored once per solve, one back-substitution per sweep: LAPACK
+``gbtrf`` once, then ``gbtrs``, the two halves of the ``gbsv`` that
+``scipy.linalg.solve_banded`` would run on every call, so the bits are
+the same.  The package's only second-order radial operator is the dense
+one of the independent oracle below.
 
 The balanced sweep contracts only linearly and, at m = 2048, plateaus
 near the round-off floor (1.5e-10 with exact banded inverses), so
@@ -46,14 +48,15 @@ With (phi_j, vphi_j) interleaved per node the Jacobian
 
     [[1 - L4 - diag vphi, -diag phi], [-2 diag phi, 2 - kappa L4]]
 
-is a (4, 4) band, so a step is one O(m) banded solve.  ``iterations``
-and ``residual_history`` count sweeps and Newton steps together, and
-``max_iter`` bounds their sum.  The solve returns once the max-norm
-residual of the fourth-order system falls below ``tol`` and raises
-:class:`ConvergenceError` at the first Newton step that does not reduce
-it: that is the float64 floor.  ``GroundState.residual_floor`` estimates
-the floor as eps * max_i sum_j |J_ij| |x_j|; the 4/r term at the first
-node makes it grow like 1/dr^2 (about 5e-10 at m = 2048, r_max = 30).
+is a (4, 4) band, so a step is one O(m) banded solve: each Newton step
+factors its Jacobian once.  ``iterations`` and ``residual_history`` count
+sweeps and Newton steps together, and ``max_iter`` bounds their sum.
+The solve returns once the max-norm residual of the fourth-order system
+falls below ``tol`` and raises :class:`ConvergenceError` at the first
+Newton step that does not reduce it: that is the float64 floor.
+``GroundState.residual_floor`` estimates the floor as
+eps * max_i sum_j |J_ij| |x_j|; the 4/r term at the first node makes it
+grow like 1/dr^2 (about 5e-10 at m = 2048, r_max = 30).
 The residuals reached sit below that bound, yet on grids finer than
 about m = 2048 at r_max = 30 they no longer reach 1e-10: m = 3072 and
 4096 stall at residuals of 1.8-5.6e-10, so they cannot certify
@@ -69,7 +72,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from . import fields
 from .fields import FieldPair, pair_from_arrays
@@ -173,6 +176,28 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
         else:
             y[-k:] += band[d, : n + k] * x[: n + k]
     return y
+
+
+def _banded_solver(band: np.ndarray, l: int):
+    """Factor a square band once; return the solve x = A^{-1} b it supports.
+
+    ``band`` holds A in ``solve_banded`` storage with ``l`` diagonals on each
+    side.  ``dgbtrf`` LU-factors it in the (3l + 1, n) layout that
+    ``solve_banded`` builds (l extra rows for the fill-in of row pivoting)
+    and the returned closure back-substitutes with ``dgbtrs``.  LAPACK's
+    ``gbsv`` behind ``solve_banded`` is these same two calls, so every
+    solve gives its bits without refactoring A.
+    """
+    ab = np.zeros((3 * l + 1, band.shape[1]), order="F")
+    ab[l:] = band
+    lu, piv, info = lapack.dgbtrf(ab, l, l, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return lapack.dgbtrs(lu, l, l, rhs, piv)[0]
+
+    return solve
 
 
 def _newton_band(l4: np.ndarray, kappa: float, phi: np.ndarray, vphi: np.ndarray) -> np.ndarray:
@@ -317,7 +342,7 @@ def petviashvili_solve(
     def inverse(alpha, beta):
         band = -beta * l4
         band[2] += alpha
-        return partial(solve_banded, (2, 2), band, check_finite=False)
+        return _banded_solver(band, 2)
 
     phi, vphi, residual, it, history = _balanced_iteration(
         grid, lap, inverse(1.0, 1.0), inverse(2.0, kappa), kappa, guess, guess.copy(),
@@ -331,7 +356,7 @@ def petviashvili_solve(
                 f"no convergence after {max_iter} iterations (residual {residual:.3e})"
             )
         jac = _newton_band(l4, kappa, phi, vphi)
-        step = solve_banded((4, 4), jac, _interleave(*res), check_finite=False)
+        step = _banded_solver(jac, 4)(_interleave(*res))
         it += 1
         phi_n, vphi_n = phi - step[0::2], vphi - step[1::2]
         res = _residuals(lap, kappa, phi_n, vphi_n)

@@ -120,7 +120,8 @@ def boosted_kinetic(p: FieldPair, xi) -> float:
             raise ValueError(f"xi must have {g.d} components")
         lin = 2.0 * kap * float(np.dot(xi, mom))
     else:
-        if np.max(np.abs(np.imag(p.u.values))) > 0 or np.max(np.abs(np.imag(p.v.values))) > 0:
+        # np.any counts a NaN imaginary part as nonzero, so NaN is not real
+        if np.any(np.imag(p.u.values)) or np.any(np.imag(p.v.values)):
             raise ValueError("radial boosted kinetic assumes real profiles")
         lin = 0.0
     return h + lin + quad

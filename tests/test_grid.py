@@ -176,3 +176,78 @@ def test_field_shape_mismatch_rejected():
     g = UniformGrid(1, 16, 1.0)
     with pytest.raises(ValueError):
         Field(g, np.zeros(17, dtype=complex))
+
+
+def _uniform_formulas(g):
+    """Each cached accessor's value, by the expression it evaluated on every call before caching."""
+    ax = np.arange(g.n) * g.h
+    k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.h)
+    kd = k.copy()
+    kd[g.n // 2] = 0.0
+    return {
+        "axis": [ax],
+        "coords": np.meshgrid(*([ax] * g.d), indexing="ij"),
+        "wavenumbers": [k],
+        "k2": [sum(km**2 for km in np.meshgrid(*([k] * g.d), indexing="ij"))],
+        "derivative_wavenumbers": np.meshgrid(*([kd] * g.d), indexing="ij"),
+    }
+
+
+def _as_list(value):
+    return value if isinstance(value, list) else [value]
+
+
+def _assert_cached_read_only(grid, formulas):
+    for name, want in formulas.items():
+        first = _as_list(getattr(grid, name)())
+        second = _as_list(getattr(grid, name)())
+        assert len(first) == len(want), name
+        for a, b, w in zip(first, second, want):
+            assert np.array_equal(a, w), name
+            assert a is b, name
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+def test_uniform_grid_constants_are_shared_and_read_only(d, n):
+    g = UniformGrid(d, n, 7.3)
+    _assert_cached_read_only(g, _uniform_formulas(g))
+
+
+def test_radial_grid_nodes_are_shared_and_read_only():
+    g = RadialGrid(100, 13.0)
+    _assert_cached_read_only(g, {"nodes": [(np.arange(g.m) + 0.5) * g.dr]})
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+def test_cached_quadratures_keep_their_bits(d, n):
+    rng = np.random.default_rng(d)
+    g = UniformGrid(d, n, 7.3)
+    vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    kd = _uniform_formulas(g)["derivative_wavenumbers"]
+    k2 = sum(km**2 for km in kd)
+    want = float(np.sum(k2 * np.abs(g.fft(vals)) ** 2) * g.h**g.d)
+    assert g.dirichlet(vals) == want
+    assert g.dirichlet(vals) == want            # again, from the filled cache
+
+    rg = RadialGrid(64 * d, 5.0 * d)
+    vals = rng.normal(size=rg.m) + 1j * rng.normal(size=rg.m)
+    r = (np.arange(rg.m) + 0.5) * rg.dr
+    want = SPHERE_AREA_4 * np.sum(vals * r**4) * rg.dr
+    assert rg.integrate(vals) == want
+    assert rg.integrate(vals) == want
+
+
+def test_filled_caches_keep_equality_and_hash():
+    pairs = [(UniformGrid(d, 16, 4.0), UniformGrid(d, 16, 4.0)) for d in (1, 2, 3)]
+    pairs.append((RadialGrid(32, 6.0), RadialGrid(32, 6.0)))
+    for filled, fresh in pairs:
+        for name in ("axis", "coords", "wavenumbers", "k2", "derivative_wavenumbers", "nodes"):
+            if hasattr(filled, name):
+                getattr(filled, name)()
+        filled.dirichlet(np.ones(filled.shape))
+        filled.integrate(np.ones(filled.shape))
+        assert filled == fresh
+        assert hash(filled) == hash(fresh)
+        assert {filled: 1}[fresh] == 1

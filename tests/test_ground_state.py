@@ -3,14 +3,16 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from qnls import fields
 from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import (
+    NEWTON_SWITCH,
     ConvergenceError,
     _balanced_iteration,
+    _banded_solver,
     _band_matvec,
     _interleave,
     _lap4_apply,
@@ -290,3 +292,55 @@ def test_residual_floor_reported(gs_fine):
 def test_tolerance_below_the_floor_names_it():
     with pytest.raises(ConvergenceError, match="floor"):
         petviashvili_solve(RadialGrid(4096, 30.0), tol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.integers(4, 4096),
+    alpha=st.floats(0.5, 4.0),
+    beta=st.floats(0.05, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_solver_matches_solve_banded(m, alpha, beta, seed):
+    # dgbtrf once, then dgbtrs per right-hand side, is the gbsv behind
+    # solve_banded split in two: every solve must give the same bits
+    rng = np.random.default_rng(seed)
+    grid = RadialGrid(m, rng.uniform(5.0, 40.0))
+    l4 = _lap4_band(grid)
+    sweep = -beta * l4
+    sweep[2] += alpha
+    r = grid.nodes()
+    phi = rng.uniform(0.2, 3.0) * np.exp(-((r / rng.uniform(0.5, 3.0)) ** 2))
+    vphi = rng.uniform(0.2, 3.0) * np.exp(-((r / rng.uniform(0.5, 3.0)) ** 2))
+    jac = _newton_band(l4, beta, phi, vphi)
+    for band, l in ((sweep, 2), (jac, 4)):
+        solve = _banded_solver(band, l)
+        for _ in range(2):          # the factors survive a back-substitution
+            rhs = rng.normal(size=band.shape[1])
+            want = solve_banded((l, l), band, rhs, check_finite=False)
+            assert np.array_equal(solve(rhs), want)
+
+
+def test_banded_solver_rejects_a_singular_band():
+    band = np.ones((5, 8))
+    band[:, 3] = 0.0                # column 3 of the matrix is zero
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _banded_solver(band, 2)
+
+
+def test_solve_factors_each_band_once(monkeypatch):
+    # L1 and L2 once per solve, then one Jacobian per Newton step
+    bandwidths = []
+    dgbtrf = lapack.dgbtrf
+
+    def counting_dgbtrf(ab, kl, ku, **kwargs):
+        bandwidths.append(kl)
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbtrf", counting_dgbtrf)
+    gs = petviashvili_solve(RadialGrid(256, 12.0))
+    sweeps = 1 + next(i for i, res in enumerate(gs.residual_history) if res < NEWTON_SWITCH)
+    newton_steps = gs.iterations - sweeps
+    assert newton_steps >= 1
+    assert len(bandwidths) == 2 + newton_steps
+    assert bandwidths == [2, 2] + [4] * newton_steps

@@ -82,7 +82,10 @@ def _reference_substep(w0, dt, tol):
         sq = np.abs(w) ** 2
         return sq[0] + sq[1]
 
-    inv0 = density(w0)
+    def manley_rowe(w):
+        return np.real(np.conj(w[1]) * w[0] ** 2)
+
+    inv0, mr0 = density(w0), manley_rowe(w0)
     scale = max(float(np.max(inv0)), 1e-300)
     nsub = 1
     while True:
@@ -93,7 +96,8 @@ def _reference_substep(w0, dt, tol):
             k3 = quadratic(w + (0.5j * h) * k2)
             k4 = quadratic(w + (1j * h) * k3)
             w = w + (1j * h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if float(np.max(np.abs(density(w) - inv0))) / scale < tol:
+        if (float(np.max(np.abs(density(w) - inv0))) / scale < tol
+                and float(np.max(np.abs(manley_rowe(w) - mr0))) / scale**1.5 < tol):
             return w, nsub
         nsub *= 2
         assert nsub <= 1024

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qnls import fields
-from qnls.grid import UniformGrid
+from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import galilean_boost, pair_from_arrays
 from qnls.evolution import EvolutionConfig, evolve
 from qnls.threshold import (
@@ -116,6 +116,22 @@ def test_potential_term_boost_invariant():
     assert fields.potential(galilean_boost(p, xi)) == pytest.approx(
         fields.potential(p), rel=1e-12, abs=1e-14
     )
+
+
+@pytest.mark.parametrize("imag", [1e-3, np.nan])
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_radial_boost_rejects_profiles_that_are_not_real(field, imag):
+    # a NaN imaginary part must fail the realness check too, not pass it
+    # and turn H(u^xi) and the coercivity gap into NaN
+    g = RadialGrid(64, 8.0)
+    r = g.nodes()
+    arrays = {"u": np.exp(-(r**2)).astype(complex), "v": np.exp(-(r**2) / 2.0).astype(complex)}
+    arrays[field].imag[5] = imag
+    p = pair_from_arrays(g, arrays["u"], arrays["v"], 0.5)
+    with pytest.raises(ValueError, match="real profiles"):
+        boosted_kinetic(p, np.zeros(1))
+    with pytest.raises(ValueError, match="real profiles"):
+        coercivity_gap(p, np.zeros(1))
 
 
 def test_delta_prime_formula():
