@@ -105,11 +105,14 @@ class DiagnosticsRecord:
     mass: float
     kinetic: float
     potential: float
-    energy: float
     momentum: np.ndarray
     l3_u: float
     l3_pair: float
     max_modulus: float
+
+    @property
+    def energy(self) -> float:
+        return self.kinetic - self.potential
 
 
 @dataclass
@@ -355,17 +358,15 @@ def reference_rk4_step(p: FieldPair, dt: float) -> FieldPair:
 
 
 def _record(p: FieldPair, t: float) -> DiagnosticsRecord:
-    c = fields_mod.conserved_set(p)
     maxmod = max(
         float(np.max(np.abs(p.u.values))), float(np.max(np.abs(p.v.values)))
     )
     return DiagnosticsRecord(
         t=t,
-        mass=c.mass,
-        kinetic=c.kinetic,
-        potential=c.potential,
-        energy=c.energy,
-        momentum=c.momentum,
+        mass=fields_mod.mass(p),
+        kinetic=fields_mod.kinetic(p),
+        potential=fields_mod.potential(p),
+        momentum=fields_mod.momentum(p),
         l3_u=lp_norm(p.u, 3.0),
         l3_pair=pair_lp_norm(p, 3.0),
         max_modulus=maxmod,

@@ -48,17 +48,6 @@ def pair_from_arrays(
     return FieldPair(Field(grid, u), Field(grid, v), kappa)
 
 
-@dataclass(frozen=True)
-class ConservedSet:
-    """Snapshot of the conserved functionals; E = H - R by construction."""
-
-    mass: float
-    kinetic: float
-    potential: float
-    energy: float
-    momentum: np.ndarray
-
-
 def mass(p: FieldPair) -> float:
     """M = ||u||_2^2 + ||v||_2^2."""
     g = p.grid
@@ -80,13 +69,6 @@ def potential(p: FieldPair) -> float:
 def energy(p: FieldPair) -> float:
     """E = H - R."""
     return kinetic(p) - potential(p)
-
-
-def conserved_set(p: FieldPair) -> ConservedSet:
-    h = kinetic(p)
-    r = potential(p)
-    mom = momentum(p) if isinstance(p.grid, UniformGrid) else np.zeros(1)
-    return ConservedSet(mass(p), h, r, h - r, mom)
 
 
 def momentum(p: FieldPair) -> np.ndarray:

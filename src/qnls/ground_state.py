@@ -1,10 +1,10 @@
 """Ground state of the stationary system.
 
 Solves  phi - Lap phi = phi * vphi,   2 vphi - kappa Lap vphi = phi^2
-radially in R^5 by a balanced fixed-point iteration and extracts the
-derived constants: the ground-state mass M_gs, the sharp
-Gagliardo-Nirenberg constant C_GN = 4 * 5^(-5/4) * M_gs^(-1/2), and the
-threshold products M(Q)E(Q), M(Q)H(Q).  The exact proportions
+radially in R^5 by a balanced fixed-point iteration.  The result derives
+its constants from the profile when read: the ground-state mass M_gs,
+the sharp Gagliardo-Nirenberg constant C_GN = 4 * 5^(-5/4) * M_gs^(-1/2),
+and the threshold products M(Q)E(Q), M(Q)H(Q).  The exact proportions
 M : H : R = 1 : 5 : 4 are the primary correctness oracle.
 
 Solver notes.  A sweep takes the plain update
@@ -69,7 +69,7 @@ damped held-mass Picard) cross-checks M_gs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -92,29 +92,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundState:
-    """Converged profile pair with residuals and derived constants."""
+    """Converged profile pair with the residuals its solve measured.
+
+    Every constant of the ground state is a functional of ``pair`` and is
+    derived from it when read: M, H and R once each, the rest from them.
+    """
 
     pair: FieldPair
     residual_norm: float
     residual_floor: float                # round-off floor of the residual; NaN if not estimated
     iterations: int                      # sweeps plus Newton steps
     residual_history: tuple[float, ...]
-    ratios: tuple[float, float, float]   # (1, H/M, R/M); exactly (1, 5, 4) in theory
-    mass: float                          # M_gs
-    kinetic: float
-    potential: float
-    energy: float
-    gn_constant: float                   # C_GN
-    threshold_me: float                  # M(Q) E(Q)
-    threshold_mh: float                  # M(Q) H(Q)
 
     @property
     def grid(self):
         return self.pair.grid
-
-    @property
-    def kappa(self) -> float:
-        return self.pair.kappa
 
     @property
     def phi(self) -> np.ndarray:
@@ -123,6 +115,43 @@ class GroundState:
     @property
     def vphi(self) -> np.ndarray:
         return np.real(self.pair.v.values)
+
+    @cached_property
+    def mass(self) -> float:
+        """M_gs."""
+        return fields.mass(self.pair)
+
+    @cached_property
+    def kinetic(self) -> float:
+        return fields.kinetic(self.pair)
+
+    @cached_property
+    def potential(self) -> float:
+        return fields.potential(self.pair)
+
+    @property
+    def energy(self) -> float:
+        return self.kinetic - self.potential
+
+    @property
+    def ratios(self) -> tuple[float, float, float]:
+        """(1, H/M, R/M); exactly (1, 5, 4) in theory."""
+        return (1.0, self.kinetic / self.mass, self.potential / self.mass)
+
+    @property
+    def gn_constant(self) -> float:
+        """C_GN = 4 * 5^(-5/4) * M_gs^(-1/2)."""
+        return 4.0 * 5.0 ** (-1.25) * self.mass ** (-0.5)
+
+    @property
+    def threshold_me(self) -> float:
+        """M(Q) E(Q)."""
+        return self.mass * self.energy
+
+    @property
+    def threshold_mh(self) -> float:
+        """M(Q) H(Q)."""
+        return self.mass * self.kinetic
 
 
 def _lap4_apply(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
@@ -297,31 +326,6 @@ def petviashvili_normalization(pair: FieldPair) -> float:
     return (e1 + e2) / (2.0 * rho)
 
 
-def _populate(
-    pair: FieldPair, residual: float, floor: float, iterations: int, history: tuple[float, ...]
-) -> GroundState:
-    m = fields.mass(pair)
-    h = fields.kinetic(pair)
-    r = fields.potential(pair)
-    e = h - r
-    c_gn = 4.0 * 5.0 ** (-1.25) * m ** (-0.5)
-    return GroundState(
-        pair=pair,
-        residual_norm=residual,
-        residual_floor=floor,
-        iterations=iterations,
-        residual_history=history,
-        ratios=(1.0, h / m, r / m),
-        mass=m,
-        kinetic=h,
-        potential=r,
-        energy=e,
-        gn_constant=c_gn,
-        threshold_me=m * e,
-        threshold_mh=m * h,
-    )
-
-
 def petviashvili_solve(
     grid: RadialGrid, kappa: float = 0.5, tol: float = 1e-10, max_iter: int = 500
 ) -> GroundState:
@@ -373,7 +377,7 @@ def petviashvili_solve(
         raise ConvergenceError("converged to a sign-changing profile")
     floor = _residual_floor(_newton_band(l4, kappa, phi, vphi), phi, vphi)
     pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
-    return _populate(pair, residual, floor, it, tuple(history))
+    return GroundState(pair, residual, floor, it, tuple(history))
 
 
 def _dense_radial_laplacian(grid: RadialGrid) -> np.ndarray:
@@ -453,7 +457,7 @@ def oracle_coarse_solve(
     res2 = 2.0 * vphi - kappa * (lap @ vphi) - phi**2
     residual = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
     pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
-    return _populate(pair, residual, np.nan, it, (residual,))
+    return GroundState(pair, residual, np.nan, it, (residual,))
 
 
 def sharp_gn_constant(gs: GroundState) -> float:

@@ -410,13 +410,17 @@ class InteractionResult:
     accumulator: float
     nu: float
     e0: float
-    ratio: float            # accumulator / (nu * E0^2)
     per_radius: np.ndarray  # accumulator share per R shell
     radii: np.ndarray
     per_time: np.ndarray    # accumulator share per time sample
     times: np.ndarray
     n_time_samples: int
     outcome: str
+
+    @property
+    def ratio(self) -> float:
+        """accumulator / (nu * E0^2); inf when E0 = 0."""
+        return self.accumulator / (self.nu * self.e0**2) if self.e0 != 0 else np.inf
 
 
 def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> InteractionResult:
@@ -495,13 +499,10 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
 
     total = float(np.sum(per_r)) / (params.J * params.T0)
     e0 = fields_mod.energy(p0)
-    nu_param = params.nu
-    ratio = total / (nu_param * e0**2) if e0 != 0 else np.inf
     return InteractionResult(
         accumulator=total,
-        nu=nu_param,
+        nu=params.nu,
         e0=e0,
-        ratio=ratio,
         per_radius=per_r / (params.J * params.T0),
         radii=radii,
         per_time=per_t / (params.J * params.T0),

@@ -145,12 +145,25 @@ class BallCoercivityReport:
     localized_mass: float
     localized_kinetic: float      # H(chi u^xi)
     localized_potential: float    # R(chi u)
-    gap: float                    # 4 H(chi u^xi) - 5 R(chi u)
     delta_prime: float
-    margin: float                 # gap - delta' H(chi u^xi)
-    passed: bool
     identity_error: float         # chi^2-localization identity residual
     kinetic_excess_constant: float  # (H_loc - H_glob) R^2 / M when positive
+
+    @property
+    def gap(self) -> float:
+        """4 H(chi u^xi) - 5 R(chi u)."""
+        return 4.0 * self.localized_kinetic - 5.0 * self.localized_potential
+
+    @property
+    def margin(self) -> float:
+        """gap - delta' H(chi u^xi); -inf when delta' is not finite."""
+        h_loc = self.localized_kinetic
+        return self.gap - (self.delta_prime * h_loc if np.isfinite(self.delta_prime) else np.inf)
+
+    @property
+    def passed(self) -> bool:
+        margin = self.margin
+        return bool(np.isfinite(margin) and margin >= -1e-12 * max(self.localized_kinetic, 1.0))
 
 
 def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> BallCoercivityReport:
@@ -186,12 +199,7 @@ def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> Ball
     m_loc = fields_mod.mass(cut_boosted)
     h_loc = fields_mod.kinetic(cut_boosted)
     r_loc = fields_mod.potential(cut)
-    gap = 4.0 * h_loc - 5.0 * r_loc
-
-    mh_loc = m_loc * h_loc
-    y_loc = mh_loc / gs.threshold_mh
-    delta_prime = _delta_prime(y_loc)
-    margin = gap - (delta_prime * h_loc if np.isfinite(delta_prime) else np.inf)
+    y_loc = m_loc * h_loc / gs.threshold_mh
 
     h_glob = fields_mod.kinetic(boosted)
     m_glob = fields_mod.mass(p)
@@ -202,10 +210,7 @@ def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> Ball
         localized_mass=m_loc,
         localized_kinetic=h_loc,
         localized_potential=r_loc,
-        gap=gap,
-        delta_prime=delta_prime,
-        margin=margin,
-        passed=bool(np.isfinite(margin) and margin >= -1e-12 * max(h_loc, 1.0)),
+        delta_prime=_delta_prime(y_loc),
         identity_error=identity_error,
         kinetic_excess_constant=excess,
     )

@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from qnls.evolution import EvolutionConfig, evolve
 from qnls.grid import RadialGrid, UniformGrid
-from qnls.fields import pair_from_arrays
-from qnls.ground_state import petviashvili_solve
+from qnls.fields import galilean_boost, pair_from_arrays
+from qnls.ground_state import petviashvili_solve, solve_periodic_profile
 from qnls.cli import (
     _COMMANDS,
     _KEYS,
     ConfigError,
     RunConfig,
+    _initial_pair,
     main,
     parse_config,
     read_snapshot,
@@ -176,6 +178,71 @@ def test_short_snapshot_header_is_truncated(tmp_path, capsys, size):
     assert err["error"] == "ValueError" and "truncated snapshot" in err["message"]
     assert "unpack" not in err["message"]
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("version", 2, "unsupported snapshot version 2"),
+    ("kind", 7, "unknown grid kind 7"),
+    ("count", 3, "expected 2 fields, header says 3"),
+])
+def test_snapshot_header_rejections(tmp_path, capsys, field, value, message):
+    g = UniformGrid(1, 16, 5.0)
+    z = np.zeros(g.shape, complex)
+    path = tmp_path / "bad.snap"
+    write_snapshot(pair_from_arrays(g, z, z), 0.0, str(path))
+    data = bytearray(path.read_bytes())
+    # version and grid kind follow the magic; the field count ends the header
+    offset = {"version": 4, "kind": 8, "count": len(data) - 2 * g.size * 16 - 4}[field]
+    data[offset:offset + 4] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=message):
+        read_snapshot(str(path))
+    conf = tmp_path / "file.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 16, "L": 5.0, "dt": 1e-3, "t_final": 0.002,
+        "initial": "file", "input_path": str(path), "output": str(tmp_path / "run.csv"),
+    }))
+    assert main([str(conf)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    err = json.loads(out)
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_evolve_writes_every_third_snapshot(tmp_path):
+    out = tmp_path / "run.csv"
+    cfg = parse_config(json.dumps({
+        "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1e-3,
+        "t_final": 0.02, "cadence": 2, "initial": "gaussian", "amplitude": 0.5,
+        "snapshot_every": 3, "output": str(out),
+    }))
+    assert run_command(cfg) == 0
+    pair = _initial_pair(cfg, UniformGrid(1, 64, 20.0))
+    ts = evolve(pair, EvolutionConfig(dt=1e-3, t_final=0.02, cadence=2, store_fields=True))
+    assert len(ts.snapshots) == 11
+    names = [f"run.csv.{idx:06d}.snap" for idx in range(0, 11, 3)]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.csv", *names]
+    for name, (t, snap) in zip(names, ts.snapshots[::3]):
+        q, t_read = read_snapshot(str(tmp_path / name))
+        assert t_read == t
+        assert q.u.values.tobytes() == snap.u.values.tobytes()
+        assert q.v.values.tobytes() == snap.v.values.tobytes()
+
+
+def test_boosted_soliton_starts_from_the_boosted_profile(tmp_path):
+    out = str(tmp_path / "boost.csv")
+    assert run_command(parse_config(json.dumps({
+        "command": "evolve", "dimension": 2, "n": 32, "L": 16.0, "dt": 1e-3,
+        "t_final": 0.002, "initial": "boosted-soliton", "xi": 0.7,
+        "snapshot_every": 1, "output": out,
+    }))) == 0
+    grid = UniformGrid(2, 32, 16.0)
+    want = galilean_boost(solve_periodic_profile(grid, 0.5, tol=1e-12), [0.7, 0.7])
+    q, t = read_snapshot(out + ".000000.snap")
+    assert t == 0.0
+    assert q.u.values.tobytes() == want.u.values.tobytes()
+    assert q.v.values.tobytes() == want.v.values.tobytes()
 
 
 def test_ground_state_command_reports_ratios(tmp_path):

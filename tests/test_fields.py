@@ -4,7 +4,6 @@ import pytest
 from qnls.grid import Field, UniformGrid
 from qnls.fields import (
     FieldPair,
-    conserved_set,
     energy,
     galilean_boost,
     gn_functional,
@@ -74,8 +73,7 @@ def test_energy_identity_and_linear_data():
     assert energy(pair_from_arrays(g, z, z)) == 0.0
     rng = np.random.default_rng(2)
     p = random_envelope_pair(g, rng)
-    cs = conserved_set(p)
-    assert cs.energy == cs.kinetic - cs.potential
+    assert energy(p) == kinetic(p) - potential(p)
     # v = 0 makes R vanish: E = ||grad u||^2 >= 0
     pu = pair_from_arrays(g, p.u.values, z)
     assert potential(pu) == 0.0
@@ -159,6 +157,14 @@ def test_pair_lp_norm_combines_components():
     p = pair_from_arrays(g, u, u)
     single = lp_norm(p.u, 3.0)
     assert pair_lp_norm(p, 3.0) == pytest.approx(2 ** (1 / 3) * single, rel=1e-12)
+
+
+def test_pair_sup_norm_is_the_larger_max_modulus():
+    p = random_envelope_pair(_grid1(), np.random.default_rng(5))
+    u, v = p.u.values, p.v.values
+    for q in (p, p.with_values(3.0 * u, v), p.with_values(u, 3.0 * v)):
+        umax, vmax = np.max(np.abs(q.u.values)), np.max(np.abs(q.v.values))
+        assert pair_lp_norm(q, np.inf) == max(umax, vmax)
 
 
 def test_amplitude_and_dilation_scaling_laws():

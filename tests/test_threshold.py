@@ -30,7 +30,8 @@ def test_threshold_products_consistency(gs_fine):
 def test_threshold_rejects_degenerate_state(gs_fine):
     from dataclasses import replace
 
-    broken = replace(gs_fine, mass=0.0)
+    zero = np.zeros(gs_fine.grid.shape, complex)
+    broken = replace(gs_fine, pair=gs_fine.pair.with_values(zero, zero))
     with pytest.raises(ValueError):
         variational_thresholds(broken)
     unconverged = replace(gs_fine, residual_norm=1.0)
@@ -240,6 +241,18 @@ def test_rescale_to_e0_demo_and_errors():
             rescale_to_E0(focusing)
     with pytest.raises(ValueError):
         rescale_to_E0(pair_from_arrays(g, z, z))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rescale_to_e0_on_the_radial_grid(seed):
+    p = random_radial_pair(RadialGrid(1024, 24.0), np.random.default_rng(seed))
+    assert fields.energy(p) > 0
+    scaled, lam = rescale_to_E0(p)
+    assert scaled.grid == RadialGrid(1024, 24.0 / lam)
+    assert np.array_equal(scaled.u.values, lam**2 * p.u.values)
+    assert np.array_equal(scaled.v.values, lam**2 * p.v.values)
+    e = fields.energy(scaled)
+    assert abs(fields.mass(scaled) - e) / e < 1e-12
 
 
 def test_rescale_identity_when_already_balanced():
