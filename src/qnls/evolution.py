@@ -15,6 +15,19 @@ integrated by classical RK4.  The substep flow conserves the density
 which gives a per-step accuracy monitor; substeps are refined until both
 monitored drifts are below tolerance.
 
+Where the monitor cannot fail, a proven bound skips it.  Scaling (u, v) by
+1/sqrt(s), s the step's maximum density, maps the step to one on a state
+with |u|, |v| <= 1 and step tau = |dt| sqrt(s); the right-hand side is
+quadratic, so the RK4 step is a polynomial W(tau) of degree 15 whose
+coefficients are majorized by those of the scalar RK4 step of y' = y^2
+from y = 1.  RK4 has order 4 and the flow conserves both invariants, so
+their relative drifts have no terms below tau^5 and are at most
+P(tau) = sum_{k >= 5} [tau^k] max(2 W^2, W^3) tau^k.  A step with
+tau <= tau*(tol), the root of P(tau*) = tol/2 - 100 eps, passes the
+monitor at one substep; it is returned unchecked, and it is the same
+array the monitor would accept, so certified steps keep their bits.  At
+tol = 1e-10, tau* = 4.73e-3 (see ``_substep``).
+
 One stepper, :class:`SplitStepper`, runs the flow for every caller
 (:func:`strang_step`, :func:`evolve` and the interaction accumulator in
 ``morawetz``).  It holds (u, v) stacked as one ``(2, *shape)`` array, so
@@ -57,9 +70,12 @@ Blow-up and substep failure are flagged outcomes, never exceptions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import fields as fields_mod
 from .fields import FieldPair, lp_norm, pair_lp_norm
@@ -88,6 +104,8 @@ class EvolutionConfig:
             raise ValueError("t_final must be nonnegative")
         if self.cadence < 1:
             raise ValueError("cadence must be at least 1")
+        if not self.substep_tol >= 0:
+            raise ValueError(f"substep_tol must be nonnegative, got {self.substep_tol}")
         _whole_steps(self.t_final, self.dt)
 
 
@@ -188,6 +206,55 @@ def _manley_rowe(w: np.ndarray, scratch: np.ndarray, factor: float, out: np.ndar
     return np.multiply(scratch[0].real, factor, out=out)
 
 
+def _rk4_majorant() -> Polynomial:
+    """W(tau): the RK4 step of y' = y^2 from y = 1, a polynomial of degree 15.
+
+    The stages are :func:`_substep`'s with every coefficient replaced by its
+    modulus, so W majorizes, coefficient by coefficient, each component of
+    the substep on a state with |u|, |v| <= 1.
+    """
+    one, tau = Polynomial([1.0]), Polynomial([0.0, 1.0])
+    k1 = one
+    k2 = (one + 0.5 * tau * k1) ** 2
+    k3 = (one + 0.5 * tau * k2) ** 2
+    k4 = (one + tau * k3) ** 2
+    return one + tau / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _drift_majorant() -> Polynomial:
+    """P(tau) = sum_{k >= 5} [tau^k] max(2 W^2, W^3) tau^k.
+
+    |u|^2 + |v|^2 of the step is majorized by 2 W^2 and Re(conj(v) u^2) by
+    W^3; both drifts vanish below tau^5, so P bounds the larger one.
+    """
+    w = _rk4_majorant()
+    density, manley_rowe = (2.0 * w**2).coef, (w**3).coef
+    tail = np.maximum(np.pad(density, (0, manley_rowe.size - density.size)), manley_rowe)
+    tail[:5] = 0.0
+    return Polynomial(tail)
+
+
+_DRIFT_MAJORANT = _drift_majorant()
+
+
+@lru_cache(maxsize=8)
+def _certified_tau(tol: float) -> float:
+    """tau*(tol): the largest tau found with P(tau) <= tol/2 - 100 eps.
+
+    Bisection on [0, 1] keeps P(lower end) within the target, and P grows
+    with tau.  Without a positive target (tol <= 0 or NaN) it is -inf, so
+    no step is certified.
+    """
+    target = 0.5 * tol - 100.0 * np.finfo(float).eps
+    if not target > 0:
+        return -math.inf
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _DRIFT_MAJORANT(mid) <= target else (lo, mid)
+    return lo
+
+
 # data far past the substep's reach overflows on its way to the refinement
 # limit: the outcome is then the labelled SubstepFailure, not a warning (the
 # decorator costs about half of what a with block built per call does)
@@ -203,13 +270,43 @@ def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarra
     :class:`SubstepFailure` past 1024 substeps.  Every stage runs in
     ``buffers`` (from :func:`_substep_buffers`); ``w0`` is only read, and
     the result is a new array.
+
+    A step with tau = |dt| sqrt(s) <= tau*(tol) (``_certified_tau``) is
+    returned after one RK4 substep without the drift check, because the
+    check must pass.  In exact arithmetic the step on (u, v) is sqrt(s)
+    times the step over tau on (u, v) / sqrt(s), whose components are at
+    most 1 in modulus.  Each RK4 stage is then a polynomial in tau whose
+    coefficients are at most those of the same stage for y' = y^2 from
+    y = 1: the right-hand side (v conj(u), u^2) of two majorized series is
+    majorized by the square of their majorant, and the factors i and
+    conjugation keep moduli.  So the step is majorized by W(tau), the
+    density by 2 W^2 and the Manley-Rowe invariant by W^3, coefficient by
+    coefficient.  RK4 matches the exact flow through tau^4 and the flow
+    keeps both invariants, so both relative drifts are polynomials with no
+    terms below tau^5, bounded by P(tau) (``_drift_majorant``).
+
+    Rounding is what the two margins pay for.  Absolute errors: at
+    tau <= 5e-3 (tol <= 1e-10) the stages enter the step scaled by tau, so
+    the computed step is within a few eps of the exact one on the unit
+    scale, and forming and subtracting the invariants adds a few eps more:
+    about 15 eps for either drift by a count over the operations (at most
+    5 eps measured at tau = 1e-6 on random states), which 100 eps covers
+    with room; at a larger tol the held-back half of tol dwarfs it.
+    Relative errors: s, sqrt(s), tau, the coefficients of P and its value
+    at tau* are each off by a few eps, which moves the bound by a factor
+    1 + O(50 eps); the factor 1/2 on tol covers that.  So a certified step
+    is the array the monitor accepts at nsub = 1, and trajectories keep
+    their bits.  tol <= 0, and s NaN or inf, fail the comparison and run
+    the monitor.
     """
     k1, k2, k3, k4, arg, inv, inv0 = buffers
     scale = max(float(_density(w0, inv0).max()), 1e-300)
-    # Re(conj(v) u^2) / sqrt(s) drifts by less than tol s iff it meets its
-    # bound, so one maximum over both stacked invariants decides
-    mr_factor = 1.0 / np.sqrt(scale)
-    _manley_rowe(w0, k1, mr_factor, inv0[1])
+    certified = abs(dt) * math.sqrt(scale) <= _certified_tau(tol)
+    if not certified:
+        # Re(conj(v) u^2) / sqrt(s) drifts by less than tol s iff it meets
+        # its bound, so one maximum over both stacked invariants decides
+        mr_factor = 1.0 / np.sqrt(scale)
+        _manley_rowe(w0, k1, mr_factor, inv0[1])
     w = np.empty_like(w0)
     nsub = 1
     while True:
@@ -229,6 +326,8 @@ def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarra
             np.add(np.add(k1, k2, out=k1), k4, out=k1)
             np.add(prev, np.multiply(1j * h / 6.0, k1, out=k1), out=w)
             prev = w
+        if certified:
+            return w
         _density(w, inv)
         _manley_rowe(w, k1, mr_factor, inv[1])
         drift = np.subtract(inv, inv0, out=inv)

@@ -9,6 +9,15 @@ Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
 weight on the radial grid, orthonormal FFT normalization, the min-image
 displacement on the torus and the periodic convolution built on both.
 
+The torus transforms send complex128 input straight to pocketfft's
+``c2c``, bound once at import from ``scipy.fft``'s own backend: that is
+the call ``scipy.fft.fftn(..., norm="ortho")`` ends in, so the bits are
+the same and only scipy.fft's argument handling around each transform is
+skipped.  Real input stays on the public ``scipy.fft`` functions, whose
+real-to-complex path gives different bits than ``c2c`` of the same data
+cast to complex; so does every input when the private module cannot be
+imported.
+
 Each grid computes its constant arrays once, on first use: the nodes and
 r^4 of the radial grid; the axis, coordinate meshes, wavenumbers, |k|^2
 and Nyquist-zeroed wavenumber meshes of the torus.  The accessors return
@@ -25,12 +34,20 @@ from math import gamma as _gamma_fn, pi
 import numpy as np
 import scipy.fft
 
+try:
+    from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
+except ImportError:   # a scipy laid out otherwise: the public path below
+    _c2c = None
+
 # Surface area of S^4 (radial quadrature weight in R^5) and unit-ball volume.
 SPHERE_AREA_4 = 8.0 * pi**2 / 3.0
 BALL_VOLUME_5 = 8.0 * pi**2 / 15.0
 
 # trailing axes of a sample array; a grid of dimension d transforms the last d
 _SPACE_AXES = (-3, -2, -1)
+_COMPLEX = np.dtype(complex)
+# pocketfft's normalisation code for norm="ortho", 1/sqrt(n) both ways
+_ORTHO = 1
 
 
 def unit_ball_volume(d: int) -> float:
@@ -99,6 +116,10 @@ class UniformGrid:
         return _read_only(2.0 * pi * np.fft.fftfreq(self.n, d=self.h))
 
     @cached_property
+    def _axes(self) -> tuple[int, ...]:
+        return _SPACE_AXES[-self.d:]
+
+    @cached_property
     def _k2(self) -> np.ndarray:
         return _read_only(sum(km**2 for km in _mesh(self._wavenumbers, self.d)))
 
@@ -147,18 +168,24 @@ class UniformGrid:
         """Orthonormal forward transform over the last d axes.
 
         Leading axes are a batch: a stacked pair of shape (2, *shape) goes
-        through in one call.  In d = 1 the one-axis ``fft`` gives the same
-        bits as ``fftn`` over the last axis with less call overhead.
+        through in one call.  Complex128 input goes to pocketfft's ``c2c``
+        directly, real input through ``scipy.fft`` (module docstring); in
+        d = 1 the one-axis ``fft`` gives the same bits as ``fftn`` over the
+        last axis with less call overhead.
         """
+        if _c2c is not None and values.dtype is _COMPLEX:
+            return _c2c(values, self._axes, True, _ORTHO, None, 1)
         if self.d == 1:
             return scipy.fft.fft(values, axis=-1, norm="ortho")
-        return scipy.fft.fftn(values, axes=_SPACE_AXES[-self.d:], norm="ortho")
+        return scipy.fft.fftn(values, axes=self._axes, norm="ortho")
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`fft`, batched the same way."""
+        """Inverse of :meth:`fft`, batched and dispatched the same way."""
+        if _c2c is not None and values.dtype is _COMPLEX:
+            return _c2c(values, self._axes, False, _ORTHO, None, 1)
         if self.d == 1:
             return scipy.fft.ifft(values, axis=-1, norm="ortho")
-        return scipy.fft.ifftn(values, axes=_SPACE_AXES[-self.d:], norm="ortho")
+        return scipy.fft.ifftn(values, axes=self._axes, norm="ortho")
 
     def convolve(self, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Periodic convolution int k(x - y) f(y) dy as a Riemann sum.
@@ -168,8 +195,13 @@ class UniformGrid:
         axes.  Through the orthonormal pair the circular sum is n^(d/2)
         ifft(fft(k) fft(f)); the Riemann sum adds h^d.
         """
+        return self.convolver(kernel)(values)
+
+    def convolver(self, kernel: np.ndarray):
+        """The map f -> ``convolve(kernel, f)``, with the kernel transformed once."""
+        kernel_hat = self.fft(kernel)
         scale = np.sqrt(self.size) * self.h**self.d
-        return self.ifft(self.fft(kernel) * self.fft(values)) * scale
+        return lambda values: self.ifft(kernel_hat * self.fft(values)) * scale
 
     def gradient(self, values: np.ndarray) -> list[np.ndarray]:
         """Spectral gradient, exact for resolved plane waves; batched like :meth:`fft`."""

@@ -453,8 +453,10 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     ln_w[0] *= 0.5
     ln_w[-1] *= 0.5
 
-    # window kernels per shell, sampled on the min-image distance from the origin
+    # window kernels per shell, sampled on the min-image distance from the
+    # origin and transformed once for every sample
     kernels = bump_gamma(grid.distance([0.0]) / radii[:, None], params.eps) ** 2
+    window_sums = grid.convolver(kernels[:, None, :])
 
     nsteps = _whole_steps(params.T0, dt)
     sample_steps = list(range(0, nsteps + 1, params.cadence))
@@ -475,7 +477,7 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
         """ln_w * (1/R) * int (l n - kappa a^2) ds, one entry per shell."""
         l_comp, a_comp, nu = _densities(p0.with_values(w[0], w[1]))
         dens = np.array((l_comp[0], a_comp[0], nu))
-        l_w, a_w, n_w = np.moveaxis(np.real(grid.convolve(kernels[:, None, :], dens)), 1, 0)
+        l_w, a_w, n_w = np.moveaxis(np.real(window_sums(dens)), 1, 0)
         cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
         inner = np.sum(cells[:, ::S_STRIDE], axis=1) * stride_w
         return ln_w * inner / radii

@@ -311,3 +311,9 @@ def test_config_validation():
         EvolutionConfig(dt=1e-3, t_final=1.0, cadence=0)
     with pytest.raises(ValueError):
         EvolutionConfig(dt=1e-3, t_final=0.0105)   # 10.5 steps
+    # a NaN or negative tolerance cannot be met: a run would only spend
+    # 1024 substeps on its way to a substep failure
+    for tol in (np.nan, -1e-10, -np.inf):
+        with pytest.raises(ValueError, match="substep_tol"):
+            EvolutionConfig(dt=1e-3, t_final=1.0, substep_tol=tol)
+    assert EvolutionConfig(dt=1e-3, t_final=1.0, substep_tol=0.0).substep_tol == 0.0

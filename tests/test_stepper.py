@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from qnls import evolution
+from qnls import evolution, grid as grid_mod
 from qnls.grid import UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.evolution import (
@@ -122,6 +122,134 @@ def test_one_dimensional_transforms_equal_fftn_over_the_last_axis(batch, n):
     for x in (z, z.real):
         for ours, theirs in ((grid.fft, scipy.fft.fftn), (grid.ifft, scipy.fft.ifftn)):
             assert np.array_equal(ours(x), theirs(x, axes=(-1,), norm="ortho"))
+
+
+@pytest.mark.parametrize("d, batch", [(1, ()), (1, (3, 2)), (2, ()), (2, (2,)), (2, (3, 2)),
+                                      (3, ()), (3, (2,))])
+@pytest.mark.parametrize("direct", [True, False], ids=["c2c", "fallback"])
+def test_transforms_equal_fftn_over_the_space_axes(d, batch, direct, monkeypatch):
+    # complex input goes straight to pocketfft's c2c, real input and every
+    # input without the binding through scipy.fft: the same bits either way
+    if not direct:
+        monkeypatch.setattr(grid_mod, "_c2c", None)
+    grid = UniformGrid(d, {1: 64, 2: 32, 3: 16}[d], 10.0)
+    rng = np.random.default_rng(10 * d + len(batch))
+    shape = batch + grid.shape
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    axes = tuple(range(-d, 0))
+    for x in (z, z.real):
+        for ours, theirs in ((grid.fft, scipy.fft.fftn), (grid.ifft, scipy.fft.ifftn)):
+            assert np.array_equal(ours(x), theirs(x, axes=axes, norm="ortho"))
+
+
+def _scalar_rk4(tau):
+    """One RK4 step of y' = y^2 from y = 1."""
+    k1 = 1.0
+    k2 = (1.0 + 0.5 * tau * k1) ** 2
+    k3 = (1.0 + 0.5 * tau * k2) ** 2
+    k4 = (1.0 + tau * k3) ** 2
+    return 1.0 + tau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_drift_majorant_is_the_tail_of_the_scalar_rk4_step():
+    # RK4 matches y = 1/(1 - tau) through tau^4, so the terms of 2 W^2 and W^3
+    # below tau^5 are those of 2/(1 - tau)^2 and 1/(1 - tau)^3
+    w_poly = evolution._rk4_majorant()
+    assert w_poly.degree() == 15
+    for tau in np.linspace(0.0, 1.0, 11):
+        assert w_poly(tau) == pytest.approx(_scalar_rk4(tau), rel=1e-14)
+    for tau in np.linspace(0.05, 0.5, 10):
+        w = _scalar_rk4(tau)
+        powers = tau ** np.arange(5)
+        density_tail = 2.0 * w**2 - 2.0 * np.dot([1, 2, 3, 4, 5], powers)
+        manley_rowe_tail = w**3 - np.dot([1, 3, 6, 10, 15], powers)
+        expected = max(density_tail, manley_rowe_tail)
+        assert evolution._DRIFT_MAJORANT(tau) == pytest.approx(expected, rel=1e-9)
+
+
+def _random_state(rng, n, amp):
+    """A stacked pair with maximum density amp^2 at a random node.
+
+    Densities and the split between the fields are random, so are all phases;
+    half the nodes sit at the maximum density.
+    """
+    dens = np.where(rng.random(n) < 0.5, 1.0, rng.random(n))
+    share = rng.random(n)
+    mod = np.sqrt(dens * np.array((share, 1.0 - share)))
+    w = amp * mod * np.exp(2j * np.pi * rng.random((2, n)))
+    return w, float(np.max(np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_amp=st.floats(-3.0, 3.0),
+    frac=st.floats(1e-3, 1.0),
+)
+def test_a_certified_substep_is_the_reference_rk4_step(seed, log_amp, frac):
+    tol = 1e-10
+    w0, s = _random_state(np.random.default_rng(seed), 64, 10.0**log_amp)
+    dt = frac * evolution._certified_tau(tol) / np.sqrt(s)
+    ref, nsub = _reference_substep(w0, dt, tol)
+    assert nsub == 1
+    w = evolution._substep(w0, dt, tol, evolution._substep_buffers(w0.shape))
+    assert np.array_equal(w, ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), log_tau=st.floats(-3.0, np.log10(0.5)))
+def test_measured_drift_stays_below_the_majorant(seed, log_tau):
+    # one RK4 step over tau on a state of maximum density 1 (an infinite tol
+    # accepts the first substep), drifts measured as the monitor does; 100
+    # eps is the certificate's rounding allowance
+    tau = 10.0**log_tau
+    w0, s = _random_state(np.random.default_rng(seed), 256, 1.0)
+    w, nsub = _reference_substep(w0, tau / np.sqrt(s), np.inf)
+    assert nsub == 1
+
+    def invariants(w):
+        return np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2, np.real(np.conj(w[1]) * w[0] ** 2)
+
+    (rho0, mr0), (rho, mr) = invariants(w0), invariants(w)
+    drift = max(np.max(np.abs(rho - rho0)) / s, np.max(np.abs(mr - mr0)) / s**1.5)
+    assert drift <= evolution._DRIFT_MAJORANT(tau) + 100.0 * np.finfo(float).eps
+
+
+def _monitor_calls(monkeypatch):
+    """Count the substep's Manley-Rowe evaluations, which only the monitor makes."""
+    calls = [0]
+    original = evolution._manley_rowe
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(evolution, "_manley_rowe", counted)
+    return calls
+
+
+@pytest.mark.parametrize("frac, monitored", [(1.0 - 1e-6, False), (1.0 + 1e-6, True)])
+def test_the_monitor_runs_just_above_tau_star_only(frac, monitored, monkeypatch):
+    tol = 1e-10
+    w0, s = _random_state(np.random.default_rng(11), 64, 2.0)
+    dt = frac * evolution._certified_tau(tol) / np.sqrt(s)
+    calls = _monitor_calls(monkeypatch)
+    w = evolution._substep(w0, dt, tol, evolution._substep_buffers(w0.shape))
+    assert (calls[0] > 0) == monitored
+    assert np.array_equal(w, _reference_substep(w0, dt, tol)[0])
+
+
+@pytest.mark.parametrize("case", ["tol zero", "tol negative", "tol nan", "s nan", "s inf"])
+def test_the_certificate_never_clears_what_it_cannot_bound(case, monkeypatch):
+    # a tiny state at a tiny step: any positive tolerance would certify it
+    w0, _ = _random_state(np.random.default_rng(12), 16, 1e-3)
+    tol = {"tol zero": 0.0, "tol negative": -1e-10, "tol nan": np.nan}.get(case, 1e-10)
+    if case.startswith("s "):
+        w0[0, 5] = {"s nan": np.nan, "s inf": np.inf}[case]
+    calls = _monitor_calls(monkeypatch)
+    with np.errstate(invalid="ignore"), pytest.raises(SubstepFailure):
+        evolution._substep(w0, 1e-3, tol, evolution._substep_buffers(w0.shape))
+    assert calls[0] > 0
 
 
 def test_nan_state_is_a_substep_failure():
