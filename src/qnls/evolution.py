@@ -49,18 +49,29 @@ grid size.
 Between rows ``evolve`` still checks the resolution bound max |u|, |v| <=
 ``RESOLUTION_FACTOR / h``, but without un-fusing.  With the orthonormal
 transform and |e^{-i |k|^2 s}| = 1, every sample of the synchronised state
-has modulus at most B = max over the two fields of sum_k |w_k| / sqrt(N),
-w the kept spectrum and N the number of grid points.  A step whose
-B (1 + ``MODULUS_MARGIN``) is within the bound cannot trip it; any other
-step is un-fused and checked exactly, so ``evolve`` makes the same
-decisions, and records the same rows, as a check after every step would.
+has modulus at most a in u and b in v, where (a, b) = sum_k |w_k| /
+sqrt(N) per field, w the kept spectrum and N the number of grid points.
+A step whose B = max(a, b) times (1 + ``MODULUS_MARGIN``) is within the
+bound cannot trip it; any other step is un-fused and checked exactly, so
+``evolve`` makes the same decisions, and records the same rows, as a check
+after every step would.
 
-The per-step path works on arrays only.  Each stepper allocates, once,
-the scratch of the array-level substep ``_substep``: the four RK4 stages,
-one stage argument and two real arrays for the density monitor.  RK4 then
-runs there with in-place ufuncs in the operation order of the
-out-of-place formula, so its results are the same bits; the public
-:func:`nonlinear_step` is a thin wrapper over the same substep.  Arrays
+The per-step path works on arrays only, and pays for as few numpy calls
+as it can.  Each stepper allocates, once, the scratch of the array-level
+substep ``_substep`` (``_SubstepBuffers``): the four RK4 stages and one
+stage argument, each with its two halves (u, v) bound once, and two real
+arrays for the density monitor; the stage factors i h/2, i h and i h/6
+are 0-d arrays, built once per h.  RK4 then runs there as one pass of
+in-place ufuncs, with ``out`` passed positionally, in the operation order
+of the out-of-place formula, so its results are the same bits; the
+public :func:`nonlinear_step` is a thin wrapper over the same substep.
+The stepper takes one reduction per step, the l1 sums (a, b) of the
+spectrum it keeps anyway: they bound the modulus for ``evolve`` and, since
+the next step's pre-substep state is the inverse transform of the same
+spectrum times unimodular multipliers, its maximum density s <=
+(a^2 + b^2) (1 + ``MODULUS_MARGIN``)^2 for the substep's certificate, so
+a certified step makes no pass over the density.  Only the exact
+fallback and the monitored refinement run under ``np.errstate``.  Arrays
 handed out by ``sync`` or ``pair`` are never written again: every step
 returns its state in a new array, because ``evolve`` keeps snapshots and
 callers keep what they were given.
@@ -179,15 +190,74 @@ def linear_step(p: FieldPair, dt: float) -> FieldPair:
     return p.with_values(w[0], w[1])
 
 
-def _substep_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Scratch for :func:`_substep` on a stacked pair of ``shape``.
+class _SubstepBuffers:
+    """Scratch of :func:`_substep` on a stacked pair of one shape.
 
-    The four RK4 stages, one stage argument, and the two pointwise
-    invariants (density, scaled Manley-Rowe) at the end and at the start of
-    a step, each pair stacked like the fields.
+    The four RK4 stages and one stage argument, each with its halves (u, v)
+    bound once as attributes; the two pointwise invariants (density, scaled
+    Manley-Rowe) at the end and at the start of a step, each pair stacked
+    like the fields; and the stage factors i h/2, i h and i h/6 as 0-d
+    arrays, built once per h (:meth:`factors`).  A 0-d array costs a ufunc
+    call about half of what a Python complex does, and every value is the
+    same, so the products keep their bits.
     """
-    stages = tuple(np.empty(shape, dtype=complex) for _ in range(5))
-    return stages + (np.empty(shape), np.empty(shape))
+
+    __slots__ = ("k1", "k1u", "k1v", "k2", "k2u", "k2v", "k3", "k3u", "k3v",
+                 "k4", "k4u", "k4v", "arg", "argu", "argv", "inv", "inv0", "_h", "_factors")
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.k1, self.k2, self.k3, self.k4, self.arg = (
+            np.empty(shape, dtype=complex) for _ in range(5)
+        )
+        self.k1u, self.k1v = self.k1
+        self.k2u, self.k2v = self.k2
+        self.k3u, self.k3v = self.k3
+        self.k4u, self.k4v = self.k4
+        self.argu, self.argv = self.arg
+        self.inv, self.inv0 = np.empty(shape), np.empty(shape)
+        self._h = None
+
+    def factors(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """i h/2, i h and i h/6 as 0-d arrays, rebuilt only when h changes."""
+        if h != self._h:
+            self._h = h
+            self._factors = (np.array(0.5j * h), np.array(1j * h), np.array(1j * h / 6.0))
+        return self._factors
+
+
+# the 2 of the RK4 weights, a 0-d array like the stage factors
+_TWO = np.array(2.0)
+
+
+def _rk4(w0: np.ndarray, b: _SubstepBuffers, h: float, out: np.ndarray) -> np.ndarray:
+    """One RK4 step of u_t = i v conj(u), v_t = i u^2 over h from ``w0`` into ``out``.
+
+    The stages run in ``b`` with in-place ufuncs in the operation order of
+    the out-of-place formula, so the result has its bits; ``out`` may be
+    ``w0``.  Each stage k = (v conj(u), u^2) at the stage argument is the
+    right-hand side without its factor i.
+    """
+    half, full, sixth = b.factors(h)
+    u0, v0 = w0
+    np.conjugate(u0, b.k1u)
+    np.multiply(v0, b.k1u, b.k1u)
+    np.multiply(u0, u0, b.k1v)
+    np.add(w0, np.multiply(half, b.k1, b.arg), b.arg)
+    np.conjugate(b.argu, b.k2u)
+    np.multiply(b.argv, b.k2u, b.k2u)
+    np.multiply(b.argu, b.argu, b.k2v)
+    np.add(w0, np.multiply(half, b.k2, b.arg), b.arg)
+    np.conjugate(b.argu, b.k3u)
+    np.multiply(b.argv, b.k3u, b.k3u)
+    np.multiply(b.argu, b.argu, b.k3v)
+    np.add(w0, np.multiply(full, b.k3, b.arg), b.arg)
+    np.conjugate(b.argu, b.k4u)
+    np.multiply(b.argv, b.k4u, b.k4u)
+    np.multiply(b.argu, b.argu, b.k4v)
+    # out = w0 + (i h / 6) (k1 + 2 (k2 + k3) + k4)
+    np.multiply(_TWO, np.add(b.k2, b.k3, b.k2), b.k2)
+    np.add(np.add(b.k1, b.k2, b.k1), b.k4, b.k1)
+    return np.add(w0, np.multiply(sixth, b.k1, b.k1), out)
 
 
 def _density(w: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -255,11 +325,10 @@ def _certified_tau(tol: float) -> float:
     return lo
 
 
-# data far past the substep's reach overflows on its way to the refinement
-# limit: the outcome is then the labelled SubstepFailure, not a warning (the
-# decorator costs about half of what a with block built per call does)
-@np.errstate(over="ignore", invalid="ignore")
-def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarray:
+def _substep(
+    w0: np.ndarray, dt: float, tol: float, buffers: _SubstepBuffers,
+    l1: tuple[float, float] | None,
+) -> np.ndarray:
     """RK4 of u_t = i v conj(u), v_t = i u^2 over dt on the stacked pair ``w0``.
 
     Substeps are refined until both exactly-conserved pointwise invariants
@@ -268,8 +337,8 @@ def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarra
     Re(conj(v) u^2) relative to s^(3/2), which bounds it.  The density
     alone misses error along its own level sets.  Raises
     :class:`SubstepFailure` past 1024 substeps.  Every stage runs in
-    ``buffers`` (from :func:`_substep_buffers`); ``w0`` is only read, and
-    the result is a new array.
+    ``buffers`` (a :class:`_SubstepBuffers`); ``w0`` is only read, and the
+    result is a new array.
 
     A step with tau = |dt| sqrt(s) <= tau*(tol) (``_certified_tau``) is
     returned after one RK4 substep without the drift check, because the
@@ -285,6 +354,14 @@ def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarra
     keeps both invariants, so both relative drifts are polynomials with no
     terms below tau^5, bounded by P(tau) (``_drift_majorant``).
 
+    ``l1``, unless None, is a pair (a, b) with |u| <= a (1 + ``MODULUS_MARGIN``)
+    and |v| <= b (1 + ``MODULUS_MARGIN``) at every node of ``w0``: the l1
+    sums of the spectrum the stepper takes anyway.  Then s <= (a^2 + b^2)
+    (1 + ``MODULUS_MARGIN``)^2, and a step with |dt| sqrt(a^2 + b^2)
+    (1 + ``MODULUS_MARGIN``) <= tau* is certified without a pass over the
+    density.  A step that this bound misses, and every step with
+    ``l1=None``, falls back to the exact rule on s.
+
     Rounding is what the two margins pay for.  Absolute errors: at
     tau <= 5e-3 (tol <= 1e-10) the stages enter the step scaled by tau, so
     the computed step is within a few eps of the exact one on the unit
@@ -298,47 +375,50 @@ def _substep(w0: np.ndarray, dt: float, tol: float, buffers: tuple) -> np.ndarra
     is the array the monitor accepts at nsub = 1, and trajectories keep
     their bits.  tol <= 0, and s NaN or inf, fail the comparison and run
     the monitor.
+
+    A certified step cannot raise a floating-point warning, so it runs
+    outside ``np.errstate``: its state is finite with sqrt(s) <= tau* / |dt|
+    and tau* < 1, so every stage and product is at most about s, finite
+    unless |dt| < 1e-150.  The exact rule and the monitor run under
+    ``np.errstate``: data far past the substep's reach overflows on its way
+    to the refinement limit, and the outcome is then the labelled
+    :class:`SubstepFailure`, not a warning.
     """
-    k1, k2, k3, k4, arg, inv, inv0 = buffers
-    scale = max(float(_density(w0, inv0).max()), 1e-300)
-    certified = abs(dt) * math.sqrt(scale) <= _certified_tau(tol)
-    if not certified:
+    tau_star = _certified_tau(tol)
+    w = np.empty_like(w0)
+    if l1 is not None and abs(dt) * math.hypot(*l1) * (1.0 + MODULUS_MARGIN) <= tau_star:
+        return _rk4(w0, buffers, dt, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv, inv0 = buffers.inv, buffers.inv0
+        scale = max(float(_density(w0, inv0).max()), 1e-300)
+        if abs(dt) * math.sqrt(scale) <= tau_star:
+            return _rk4(w0, buffers, dt, w)
         # Re(conj(v) u^2) / sqrt(s) drifts by less than tol s iff it meets
         # its bound, so one maximum over both stacked invariants decides
         mr_factor = 1.0 / np.sqrt(scale)
-        _manley_rowe(w0, k1, mr_factor, inv0[1])
-    w = np.empty_like(w0)
-    nsub = 1
-    while True:
-        h = dt / nsub
-        prev = w0
-        for _ in range(nsub):
-            x = prev
-            for k, c in ((k1, 0.5j * h), (k2, 0.5j * h), (k3, 1j * h), (k4, None)):
-                # k = (v conj(u), u^2) at x: the right-hand side without its factor i
-                np.conjugate(x[0], out=k[0])
-                np.multiply(x[1], k[0], out=k[0])
-                np.multiply(x[0], x[0], out=k[1])
-                if c is not None:
-                    x = np.add(prev, np.multiply(c, k, out=arg), out=arg)
-            # w = prev + (i h / 6) (k1 + 2 (k2 + k3) + k4)
-            np.multiply(2.0, np.add(k2, k3, out=k2), out=k2)
-            np.add(np.add(k1, k2, out=k1), k4, out=k1)
-            np.add(prev, np.multiply(1j * h / 6.0, k1, out=k1), out=w)
-            prev = w
-        if certified:
-            return w
-        _density(w, inv)
-        _manley_rowe(w, k1, mr_factor, inv[1])
-        drift = np.subtract(inv, inv0, out=inv)
-        drift = float(np.abs(drift, out=drift).max()) / scale
-        if drift < tol:
-            return w
-        nsub *= 2
-        if nsub > 1024:
-            raise SubstepFailure(
-                f"substep refinement limit reached (pointwise drift {drift:.3e})"
-            )
+        _manley_rowe(w0, buffers.k1, mr_factor, inv0[1])
+        nsub = 1
+        while True:
+            h = dt / nsub
+            prev = w0
+            for _ in range(nsub):
+                prev = _rk4(prev, buffers, h, w)
+            _density(w, inv)
+            _manley_rowe(w, buffers.k1, mr_factor, inv[1])
+            drift = np.subtract(inv, inv0, out=inv)
+            drift = float(np.abs(drift, out=drift).max()) / scale
+            if drift < tol:
+                return w
+            nsub *= 2
+            if nsub > 1024:
+                raise SubstepFailure(
+                    f"substep refinement limit reached (pointwise drift {drift:.3e})"
+                )
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise ValueError(f"substep tolerance must be nonnegative, got {tol}")
 
 
 def nonlinear_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
@@ -347,10 +427,12 @@ def nonlinear_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
     RK4 on the stacked pair with substep refinement until both
     exactly-conserved pointwise invariants, |u|^2 + |v|^2 and
     Re(conj(v) u^2), drift less than ``tol`` (relative to their scales)
-    over the step; raises :class:`SubstepFailure` past 1024 substeps.
+    over the step; raises :class:`SubstepFailure` past 1024 substeps, and
+    ``ValueError`` for a NaN or negative ``tol``.
     """
+    _check_tol(tol)
     w0 = _stacked(p)
-    w = _substep(w0, dt, tol, _substep_buffers(w0.shape))
+    w = _substep(w0, dt, tol, _SubstepBuffers(w0.shape), None)
     return p.with_values(w[0], w[1])
 
 
@@ -367,13 +449,17 @@ class SplitStepper:
     ones together with the state itself.  The forward transform of the
     post-substep state is taken once and kept: the next step, :meth:`sync`
     or :meth:`_modulus_bound`, whichever asks first, computes it, and the
-    others reuse it.  :meth:`sync` un-fuses (see the module docstring).
+    others reuse it; so do its l1 sums (:meth:`_l1_sums`), which
+    :meth:`sync` takes before it lets the spectrum go, so that every step
+    has them for its certificate.  :meth:`sync` un-fuses (see the module
+    docstring).
     """
 
     def __init__(self, p0: FieldPair, dt: float, tol: float = 1e-10) -> None:
         grid = p0.grid
         if not isinstance(grid, UniformGrid):
             raise TypeError("time stepping is defined on uniform grids")
+        _check_tol(tol)
         self.grid = grid
         self.dt = dt
         self.tol = tol
@@ -382,8 +468,10 @@ class SplitStepper:
         # L(dt/2) and L(dt), stacked so that sync applies both in one product
         self._free = np.array([_free_multiplier(grid, p0.kappa, t) for t in (0.5 * dt, dt)])
         self._state = _stacked(p0)
-        self._buffers = _substep_buffers(self._state.shape)
+        self._buffers = _SubstepBuffers(self._state.shape)
+        self._root_n = math.sqrt(grid.size)
         self._hat = None          # the forward transform of _state, once taken
+        self._l1 = None           # its l1 sums per field, once taken
         self._ahead = grid.ifft(self._free[0] * self._spectrum())
 
     def _spectrum(self) -> np.ndarray:
@@ -391,16 +479,25 @@ class SplitStepper:
             self._hat = self.grid.fft(self._state)
         return self._hat
 
-    def _modulus_bound(self) -> float:
-        """B = max over both fields of sum_k |w_k| / sqrt(N), w the spectrum of the state.
+    def _l1_sums(self) -> tuple[float, float]:
+        """(a, b) = sum_k |w_k| / sqrt(N) per field, w the kept spectrum.
 
         Through the orthonormal transform every sample of ifft(m w) with
-        |m_k| = 1 has modulus at most B, so B bounds max |u|, |v| of the
-        state that :meth:`sync` would return, up to ``MODULUS_MARGIN``.
-        A non-finite state gives a non-finite B.
+        |m_k| = 1 has modulus at most a in u and b in v, up to
+        ``MODULUS_MARGIN``: a bound on the state :meth:`sync` returns and
+        on the next step's pre-substep state alike, both ifft(m w).  One
+        reduction per spectrum serves :meth:`_modulus_bound` and the
+        substep's certificate.  A non-finite state gives non-finite sums.
         """
-        mod = np.abs(self._spectrum(), out=self._buffers[5])   # the substep's |w|^2 scratch
-        return max(float(mod[0].sum()), float(mod[1].sum())) / np.sqrt(self.grid.size)
+        if self._l1 is None:
+            mod = np.abs(self._spectrum(), out=self._buffers.inv)
+            a, b = np.add.reduce(mod.reshape(2, -1), 1).tolist()
+            self._l1 = (a / self._root_n, b / self._root_n)
+        return self._l1
+
+    def _modulus_bound(self) -> float:
+        """B = max(a, b) (:meth:`_l1_sums`), which bounds max |u|, |v| of the state."""
+        return max(self._l1_sums())
 
     def step(self) -> None:
         """Advance by dt; raises :class:`SubstepFailure` like the substep."""
@@ -409,9 +506,9 @@ class SplitStepper:
             # the product in place with its operands swapped: the product
             # rounds as sync's does, and observing stays bit-neutral
             self._ahead = self.grid.ifft(self._free[1] * self._spectrum())
-        self._state = _substep(self._ahead, self.dt, self.tol, self._buffers)
-        self._ahead = None
-        self._hat = None
+        # the look-ahead is ifft(m w) of the spectrum whose sums _l1 holds
+        self._state = _substep(self._ahead, self.dt, self.tol, self._buffers, self._l1_sums())
+        self._ahead = self._hat = self._l1 = None
         self.steps += 1
 
     def sync(self) -> np.ndarray:
@@ -419,6 +516,8 @@ class SplitStepper:
         if self._ahead is None:
             both = self.grid.ifft(self._free * self._spectrum())
             self._state, self._ahead = both[0], both[1]
+            # taken before the spectrum goes, for the next step's certificate
+            self._l1_sums()
             self._hat = None
         return self._state
 

@@ -9,13 +9,15 @@ Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
 weight on the radial grid, orthonormal FFT normalization, the min-image
 displacement on the torus and the periodic convolution built on both.
 
-The torus transforms send complex128 input straight to pocketfft's
-``c2c``, bound once at import from ``scipy.fft``'s own backend: that is
-the call ``scipy.fft.fftn(..., norm="ortho")`` ends in, so the bits are
-the same and only scipy.fft's argument handling around each transform is
-skipped.  Real input stays on the public ``scipy.fft`` functions, whose
-real-to-complex path gives different bits than ``c2c`` of the same data
-cast to complex; so does every input when the private module cannot be
+The torus transforms send complex128 and float64 input straight to
+pocketfft's ``c2c``, bound once at import from ``scipy.fft``'s own
+backend: that is the call ``scipy.fft.fftn(..., norm="ortho")`` ends in
+for either dtype, so the bits are the same and only scipy.fft's argument
+handling around each transform is skipped.  (Real data cast to complex
+first would give other bits: ``c2c`` transforms float64 input on its own
+real-to-complex path.)  Every other dtype, float32 and integers among
+them, stays on the public ``scipy.fft`` functions, which convert it as
+they document; so does every input when the private module cannot be
 imported.
 
 Each grid computes its constant arrays once, on first use: the nodes and
@@ -45,7 +47,7 @@ BALL_VOLUME_5 = 8.0 * pi**2 / 15.0
 
 # trailing axes of a sample array; a grid of dimension d transforms the last d
 _SPACE_AXES = (-3, -2, -1)
-_COMPLEX = np.dtype(complex)
+_COMPLEX, _REAL = np.dtype(complex), np.dtype(float)
 # pocketfft's normalisation code for norm="ortho", 1/sqrt(n) both ways
 _ORTHO = 1
 
@@ -168,12 +170,13 @@ class UniformGrid:
         """Orthonormal forward transform over the last d axes.
 
         Leading axes are a batch: a stacked pair of shape (2, *shape) goes
-        through in one call.  Complex128 input goes to pocketfft's ``c2c``
-        directly, real input through ``scipy.fft`` (module docstring); in
-        d = 1 the one-axis ``fft`` gives the same bits as ``fftn`` over the
-        last axis with less call overhead.
+        through in one call.  Complex128 and float64 input go to
+        pocketfft's ``c2c`` directly, other dtypes through ``scipy.fft``
+        (module docstring); in d = 1 the one-axis ``fft`` gives the same
+        bits as ``fftn`` over the last axis with less call overhead.
         """
-        if _c2c is not None and values.dtype is _COMPLEX:
+        dtype = values.dtype
+        if (dtype is _COMPLEX or dtype is _REAL) and _c2c is not None:
             return _c2c(values, self._axes, True, _ORTHO, None, 1)
         if self.d == 1:
             return scipy.fft.fft(values, axis=-1, norm="ortho")
@@ -181,7 +184,8 @@ class UniformGrid:
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`fft`, batched and dispatched the same way."""
-        if _c2c is not None and values.dtype is _COMPLEX:
+        dtype = values.dtype
+        if (dtype is _COMPLEX or dtype is _REAL) and _c2c is not None:
             return _c2c(values, self._axes, False, _ORTHO, None, 1)
         if self.d == 1:
             return scipy.fft.ifft(values, axis=-1, norm="ortho")

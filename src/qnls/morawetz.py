@@ -476,10 +476,11 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     def shell_integrands(w: np.ndarray) -> np.ndarray:
         """ln_w * (1/R) * int (l n - kappa a^2) ds, one entry per shell."""
         l_comp, a_comp, nu = _densities(p0.with_values(w[0], w[1]))
-        dens = np.array((l_comp[0], a_comp[0], nu))
-        l_w, a_w, n_w = np.moveaxis(np.real(window_sums(dens)), 1, 0)
+        sums = window_sums(np.array((l_comp[0], a_comp[0], nu))).real
+        # views, not a moveaxis: per-call overhead dominates on these arrays
+        l_w, a_w, n_w = sums[:, 0], sums[:, 1], sums[:, 2]
         cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
-        inner = np.sum(cells[:, ::S_STRIDE], axis=1) * stride_w
+        inner = np.add.reduce(cells[:, ::S_STRIDE], 1) * stride_w
         return ln_w * inner / radii
 
     n_samples = 0

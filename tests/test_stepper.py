@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -128,18 +129,31 @@ def test_one_dimensional_transforms_equal_fftn_over_the_last_axis(batch, n):
                                       (3, ()), (3, (2,))])
 @pytest.mark.parametrize("direct", [True, False], ids=["c2c", "fallback"])
 def test_transforms_equal_fftn_over_the_space_axes(d, batch, direct, monkeypatch):
-    # complex input goes straight to pocketfft's c2c, real input and every
-    # input without the binding through scipy.fft: the same bits either way
-    if not direct:
+    # complex128 and float64 input go straight to pocketfft's c2c, float32
+    # input and every input without the binding through scipy.fft: the same
+    # bits either way, and float32 keeps scipy.fft's complex64 result
+    calls = [0]
+    if direct:
+        def counted(*args, _c2c=grid_mod._c2c):
+            calls[0] += 1
+            return _c2c(*args)
+
+        monkeypatch.setattr(grid_mod, "_c2c", counted)
+    else:
         monkeypatch.setattr(grid_mod, "_c2c", None)
     grid = UniformGrid(d, {1: 64, 2: 32, 3: 16}[d], 10.0)
     rng = np.random.default_rng(10 * d + len(batch))
     shape = batch + grid.shape
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     axes = tuple(range(-d, 0))
-    for x in (z, z.real):
+    for x, bound in ((z, True), (z.real, True), (z.real.copy(), True),
+                     (z.real.astype(np.float32), False)):
+        before = calls[0]
         for ours, theirs in ((grid.fft, scipy.fft.fftn), (grid.ifft, scipy.fft.ifftn)):
-            assert np.array_equal(ours(x), theirs(x, axes=axes, norm="ortho"))
+            got, expected = ours(x), theirs(x, axes=axes, norm="ortho")
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert calls[0] - before == (2 if direct and bound else 0)
 
 
 def _scalar_rk4(tau):
@@ -192,7 +206,7 @@ def test_a_certified_substep_is_the_reference_rk4_step(seed, log_amp, frac):
     dt = frac * evolution._certified_tau(tol) / np.sqrt(s)
     ref, nsub = _reference_substep(w0, dt, tol)
     assert nsub == 1
-    w = evolution._substep(w0, dt, tol, evolution._substep_buffers(w0.shape))
+    w = evolution._substep(w0, dt, tol, evolution._SubstepBuffers(w0.shape), None)
     assert np.array_equal(w, ref)
 
 
@@ -215,16 +229,20 @@ def test_measured_drift_stays_below_the_majorant(seed, log_tau):
     assert drift <= evolution._DRIFT_MAJORANT(tau) + 100.0 * np.finfo(float).eps
 
 
-def _monitor_calls(monkeypatch):
-    """Count the substep's Manley-Rowe evaluations, which only the monitor makes."""
+def _counted(monkeypatch, name):
+    """Count the calls of ``evolution.<name>``.
+
+    Only the monitor evaluates ``_manley_rowe``; ``_density`` runs in the
+    exact certificate rule and in the monitor.
+    """
     calls = [0]
-    original = evolution._manley_rowe
+    original = getattr(evolution, name)
 
     def counted(*args):
         calls[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(evolution, "_manley_rowe", counted)
+    monkeypatch.setattr(evolution, name, counted)
     return calls
 
 
@@ -233,8 +251,8 @@ def test_the_monitor_runs_just_above_tau_star_only(frac, monitored, monkeypatch)
     tol = 1e-10
     w0, s = _random_state(np.random.default_rng(11), 64, 2.0)
     dt = frac * evolution._certified_tau(tol) / np.sqrt(s)
-    calls = _monitor_calls(monkeypatch)
-    w = evolution._substep(w0, dt, tol, evolution._substep_buffers(w0.shape))
+    calls = _counted(monkeypatch, "_manley_rowe")
+    w = evolution._substep(w0, dt, tol, evolution._SubstepBuffers(w0.shape), None)
     assert (calls[0] > 0) == monitored
     assert np.array_equal(w, _reference_substep(w0, dt, tol)[0])
 
@@ -246,9 +264,9 @@ def test_the_certificate_never_clears_what_it_cannot_bound(case, monkeypatch):
     tol = {"tol zero": 0.0, "tol negative": -1e-10, "tol nan": np.nan}.get(case, 1e-10)
     if case.startswith("s "):
         w0[0, 5] = {"s nan": np.nan, "s inf": np.inf}[case]
-    calls = _monitor_calls(monkeypatch)
+    calls = _counted(monkeypatch, "_manley_rowe")
     with np.errstate(invalid="ignore"), pytest.raises(SubstepFailure):
-        evolution._substep(w0, 1e-3, tol, evolution._substep_buffers(w0.shape))
+        evolution._substep(w0, 1e-3, tol, evolution._SubstepBuffers(w0.shape), None)
     assert calls[0] > 0
 
 
@@ -345,6 +363,19 @@ def _evolve_checked_every_step(p0, cfg):
     return ts
 
 
+def _assert_same_series(ts, ref):
+    assert ts.outcome == ref.outcome
+    assert len(ts.records) == len(ref.records)
+    for rec, expected in zip(ts.records, ref.records):
+        for f in dataclasses.fields(rec):
+            assert np.array_equal(getattr(rec, f.name), getattr(expected, f.name)), f.name
+    assert len(ts.snapshots) == len(ref.snapshots)
+    for (t, q), (t_ref, q_ref) in zip(ts.snapshots, ref.snapshots):
+        assert t == t_ref
+        assert np.array_equal(q.u.values, q_ref.u.values)
+        assert np.array_equal(q.v.values, q_ref.v.values)
+
+
 def _gaussian_pair(grid, amp):
     rho2 = sum((x - 0.5 * grid.L) ** 2 for x in grid.coords())
     u = amp * np.exp(-rho2).astype(complex)
@@ -378,16 +409,7 @@ def test_evolve_matches_a_modulus_check_after_every_step(case, request):
         p0, cfg = {"spike": _spike, "resolved": _resolved,
                    "trips_between_rows": _trips_between_rows}[case]()
     ts, ref = evolve(p0, cfg), _evolve_checked_every_step(p0, cfg)
-    assert ts.outcome == ref.outcome
-    assert len(ts.records) == len(ref.records)
-    for rec, expected in zip(ts.records, ref.records):
-        for f in dataclasses.fields(rec):
-            assert np.array_equal(getattr(rec, f.name), getattr(expected, f.name)), f.name
-    assert len(ts.snapshots) == len(ref.snapshots)
-    for (t, q), (t_ref, q_ref) in zip(ts.snapshots, ref.snapshots):
-        assert t == t_ref
-        assert np.array_equal(q.u.values, q_ref.u.values)
-        assert np.array_equal(q.v.values, q_ref.v.values)
+    _assert_same_series(ts, ref)
     if case == "resolved":
         assert ts.outcome == "completed" and len(ts.snapshots) > 1
     elif case != "torus_soliton":
@@ -416,3 +438,126 @@ def test_evolve_unfuses_only_at_rows(monkeypatch):
     assert calls["unfuse"] == 8
     # one transform each way per step, plus the leading half-step from p0
     assert calls["fft"] + calls["ifft"] == 2 * (400 + 1) + 9 * per_row
+
+
+@pytest.mark.parametrize("tol, error", [(np.nan, ValueError), (-1e-10, ValueError),
+                                        (0.0, SubstepFailure)], ids=["nan", "negative", "zero"])
+@pytest.mark.parametrize("entry", ["nonlinear_step", "SplitStepper", "strang_step"])
+def test_public_stepping_entries_reject_a_bad_tol(entry, tol, error):
+    # a NaN or negative tolerance cannot be met: the substep would only
+    # climb its 1024-substep ladder on the way to a SubstepFailure; zero
+    # keeps that labelled failure
+    run = {"nonlinear_step": nonlinear_step, "strang_step": strang_step,
+           "SplitStepper": lambda *args: SplitStepper(*args).step()}[entry]
+    p = random_envelope_pair(UniformGrid(1, 32, 10.0), np.random.default_rng(13), amp=0.5)
+    with pytest.raises(error, match=f"got {tol}" if error is ValueError else None):
+        run(p, 1e-2, tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-4, 10.0),
+    kappa=st.floats(0.1, 4.0),
+    aligned=st.booleans(),
+)
+def test_l1_sums_bound_the_density_of_the_next_pre_substep_state(d, seed, dt, kappa, aligned):
+    grid = UniformGrid(d, {1: 64, 2: 16, 3: 8}[d], 10.0)
+    rng = np.random.default_rng(seed)
+    shape = (2,) + grid.shape
+    spectrum = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    spectrum *= 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    if aligned:
+        # both fields peak at one node after L(dt/2): |u|^2 + |v|^2 = a^2 + b^2 there
+        delta = np.zeros(grid.shape)
+        delta[tuple(rng.integers(grid.n, size=d))] = 1.0
+        peak = grid.fft(delta) * np.sqrt(grid.size)
+        half = evolution._free_multiplier(grid, kappa, 0.5 * dt)
+        spectrum = np.abs(spectrum) * np.conj(half) * peak
+    w = grid.ifft(spectrum)
+    stepper = SplitStepper(pair_from_arrays(grid, w[0], w[1], kappa), dt)
+    a, b = stepper._l1_sums()
+    bound = (a * a + b * b) * (1.0 + evolution.MODULUS_MARGIN) ** 2
+    # the look-ahead L(dt/2) that the first step takes, and the L(dt) that a
+    # fused step takes of the same kind of spectrum
+    fused = grid.ifft(stepper._free[1] * stepper._spectrum())
+    for ahead in (stepper._ahead, fused):
+        density = np.abs(ahead[0]) ** 2 + np.abs(ahead[1]) ** 2
+        assert np.max(density) <= bound
+    if aligned:
+        density = np.abs(stepper._ahead[0]) ** 2 + np.abs(stepper._ahead[1]) ** 2
+        assert np.max(density) >= bound * (1.0 - 1e-6)
+
+
+def test_an_unobserved_certified_step_makes_no_density_pass(monkeypatch):
+    grid = UniformGrid(2, 32, 12.0)
+    p = random_envelope_pair(grid, np.random.default_rng(14), amp=0.5)
+    # |dt| sqrt(a^2 + b^2) is about 0.56 tau* at every step
+    stepper, reference = SplitStepper(p, 1e-3), SplitStepper(p, 1e-3)
+    density, monitor = _counted(monkeypatch, "_density"), _counted(monkeypatch, "_manley_rowe")
+    for k in range(6):
+        stepper.step()
+        if k == 2:
+            stepper.sync()   # the sums are taken before the spectrum goes
+    assert density[0] == monitor[0] == 0
+    # what the exact rule gives: the same array, after a pass per step
+    monkeypatch.setattr(SplitStepper, "_l1_sums", lambda self: (math.inf, math.inf))
+    for _ in range(6):
+        reference.step()
+    assert density[0] == 6 and monitor[0] == 0
+    assert np.array_equal(stepper.sync(), reference.sync())
+
+
+def test_a_step_the_l1_bound_misses_falls_back_to_the_exact_rule(monkeypatch):
+    # tau is 0.9 tau* on the exact s, but the sums claim sqrt(2 s): 1.27 tau*
+    tol = 1e-10
+    w0, s = _random_state(np.random.default_rng(15), 64, 2.0)
+    dt = 0.9 * evolution._certified_tau(tol) / np.sqrt(s)
+    density, monitor = _counted(monkeypatch, "_density"), _counted(monkeypatch, "_manley_rowe")
+    w = evolution._substep(w0, dt, tol, evolution._SubstepBuffers(w0.shape),
+                           (np.sqrt(s), np.sqrt(s)))
+    assert density[0] == 1 and monitor[0] == 0
+    assert np.array_equal(w, _reference_substep(w0, dt, tol)[0])
+
+
+@pytest.mark.parametrize("frac, monitored", [(1.0 - 1e-6, False), (1.0 + 1e-6, True)])
+def test_the_l1_certificate_clears_nothing_the_exact_rule_refuses(frac, monitored, monkeypatch):
+    # both fields peak at one node of the look-ahead, where the sums are
+    # tight: a = b = max |u| = max |v|, and s = a^2 + b^2
+    tol, amp, kappa = 1e-10, 3.0, 0.5
+    grid = UniformGrid(1, 64, 10.0)
+    spike = np.zeros((2, grid.n), dtype=complex)
+    spike[:, 17] = amp
+    dt = frac * evolution._certified_tau(tol) / (np.sqrt(2.0) * amp)
+    half = evolution._free_multiplier(grid, kappa, 0.5 * dt)
+    w = grid.ifft(np.conj(half) * grid.fft(spike))
+    stepper = SplitStepper(pair_from_arrays(grid, w[0], w[1], kappa), dt, tol)
+    ahead = stepper._ahead.copy()
+    density, monitor = _counted(monkeypatch, "_density"), _counted(monkeypatch, "_manley_rowe")
+    stepper.step()
+    assert (density[0] > 0) == (monitor[0] > 0) == monitored
+    assert np.array_equal(stepper._state, _reference_substep(ahead, dt, tol)[0])
+
+
+def test_runs_keep_their_bits_without_the_l1_bound(monkeypatch, soliton_2d):
+    # the l1 sums certify every substep of the stepper and of the soliton
+    # run; the other run trips the modulus bound between rows
+    p = random_envelope_pair(UniformGrid(1, 128, 20.0), np.random.default_rng(16), amp=0.5)
+    runs = [(soliton_2d, EvolutionConfig(dt=1e-3, t_final=0.05, cadence=7, store_fields=True)),
+            _trips_between_rows()]
+
+    def observe():
+        stepper, states = SplitStepper(p, 1e-3), []
+        for k in range(30):
+            stepper.step()
+            if k % 4 == 0:
+                states.append(stepper.sync().copy())
+        return states + [stepper.sync()], [evolve(p0, cfg) for p0, cfg in runs]
+
+    states, series = observe()
+    monkeypatch.setattr(SplitStepper, "_l1_sums", lambda self: (math.inf, math.inf))
+    ref_states, ref_series = observe()
+    assert all(np.array_equal(x, y) for x, y in zip(states, ref_states, strict=True))
+    for ts, ref in zip(series, ref_series, strict=True):
+        _assert_same_series(ts, ref)

@@ -1,0 +1,154 @@
+"""Output digest of the qnls CLI: one sha256 per artifact of a fixed manifest.
+
+Usage:
+    python3 tools/digest.py                 # print the digest as JSON
+    python3 tools/digest.py --against FILE  # list the entries that differ
+
+The manifest below runs every command, in d = 1, 2 and 3, with snapshots
+written and read back (``initial: "file"``), a ``blow-up``, a
+``substep-failure``, a usage error and a numeric error.  Each run is
+``python -m qnls.cli CONFIG`` in its own process, from the ``src/`` next
+to this script, inside one temporary directory with relative paths, so
+artifacts never embed a location.  Runs go in manifest order, because the
+``file`` runs read snapshots that earlier runs wrote.
+
+The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
+each run, and ``files/<name>`` of every file left in the directory, to the
+sha256 of its bytes.  Outputs are byte-identical per platform only
+(numpy's SIMD kernels may round differently on other CPUs), so compare
+digests taken on one machine.  With ``--against`` the script prints the
+entries that differ or that only one digest has, and exits 1 if there are
+any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# (run name, config); "output" names are relative to the run directory
+MANIFEST: list[tuple[str, dict]] = [
+    ("ground-state", {"command": "ground-state", "m": 256, "r_max": 20.0, "output": "gs"}),
+    ("evolve-1d-gaussian", {
+        "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1e-3, "t_final": 0.06,
+        "cadence": 10, "amplitude": 0.6, "width": 1.5, "phase_velocity": 0.4,
+        "snapshot_every": 2, "output": "e1.csv",
+    }),
+    ("evolve-1d-soliton", {
+        "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 2e-3, "t_final": 0.1,
+        "cadence": 25, "initial": "soliton", "output": "e1s.csv",
+    }),
+    ("evolve-2d-boosted-soliton", {
+        "command": "evolve", "dimension": 2, "n": 64, "L": 16.0, "dt": 2e-3, "t_final": 0.04,
+        "cadence": 5, "initial": "boosted-soliton", "xi": 0.3, "snapshot_every": 4,
+        "output": "e2.csv",
+    }),
+    ("evolve-3d-gaussian", {
+        "command": "evolve", "dimension": 3, "n": 16, "L": 10.0, "dt": 1e-3, "t_final": 0.01,
+        "cadence": 5, "amplitude": 0.5, "width": 1.5, "output": "e3.csv",
+    }),
+    ("evolve-2d-file", {
+        "command": "evolve", "dimension": 2, "n": 64, "L": 16.0, "dt": 2e-3, "t_final": 0.02,
+        "cadence": 5, "initial": "file", "input_path": "e2.csv.000004.snap",
+        "output": "e2f.csv",
+    }),
+    # max |u| = 1.875 of the torus soliton exceeds 1/h = 0.5 after one step
+    ("evolve-blow-up", {
+        "command": "evolve", "dimension": 1, "n": 256, "L": 512.0, "dt": 1e-3, "t_final": 0.01,
+        "initial": "soliton", "output": "blow.csv",
+    }),
+    ("evolve-substep-failure", {
+        "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1.0, "t_final": 1.0,
+        "amplitude": 1000.0, "width": 0.7071067811865476, "output": "fail.csv",
+    }),
+    ("morawetz-gaussian", {
+        "command": "morawetz", "n": 128, "L": 64.0, "dt": 2e-3, "T0": 0.5,
+        "amplitude": 0.3, "width": 3.0, "phase_velocity": 0.2, "output": "mw",
+    }),
+    ("morawetz-1d-soliton", {
+        "command": "morawetz", "n": 256, "L": 512.0, "dt": 1e-3, "T0": 0.5,
+        "initial": "soliton", "output": "mws",
+    }),
+    ("morawetz-file", {
+        "command": "morawetz", "n": 64, "L": 20.0, "dt": 1e-3, "T0": 0.1, "R0": 1.0, "J": 2.0,
+        "initial": "file", "input_path": "e1.csv.000002.snap", "output": "mwf",
+    }),
+    ("classify-1d", {"command": "classify", "dimension": 1, "n": 64, "L": 20.0, "m": 256,
+                     "r_max": 20.0, "amplitude": 0.5, "output": "cl1"}),
+    ("classify-2d-stdout", {"command": "classify", "dimension": 2, "n": 32, "L": 16.0,
+                            "m": 256, "r_max": 20.0, "initial": "soliton"}),
+    ("disperse-1d", {"command": "disperse", "dimension": 1, "n": 512, "L": 200.0,
+                     "t_fit_start": 4.0, "t_fit_end": 12.0, "output": "d1"}),
+    ("disperse-2d-l4", {"command": "disperse", "dimension": 2, "n": 128, "L": 120.0,
+                        "decay_exponent": 4, "t_fit_start": 4.0, "t_fit_end": 12.0,
+                        "output": "d2"}),
+    ("usage-error", {"command": "evolve", "kapa": 1.0}),
+    ("numeric-error", {"command": "ground-state", "m": 128, "r_max": 10.0, "tol": 1e-15,
+                       "max_iter": 2}),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest() -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out: dict[str, str] = {}
+    with tempfile.TemporaryDirectory(prefix="qnls-digest-") as work:
+        for name, config in MANIFEST:
+            config_path = f"{name}.json"
+            with open(os.path.join(work, config_path), "w") as fh:
+                json.dump(config, fh, sort_keys=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qnls.cli", config_path],
+                cwd=work, env=env, capture_output=True, check=False,
+            )
+            out[f"{name}/stdout"] = _sha(proc.stdout)
+            out[f"{name}/stderr"] = _sha(proc.stderr)
+            out[f"{name}/exit"] = _sha(str(proc.returncode).encode())
+        for fname in sorted(os.listdir(work)):
+            with open(os.path.join(work, fname), "rb") as fh:
+                out[f"files/{fname}"] = _sha(fh.read())
+    return out
+
+
+def differences(ours: dict[str, str], theirs: dict[str, str]) -> list[str]:
+    """One line per entry that differs or that only one of the digests has."""
+    lines = []
+    for key in sorted(set(ours) | set(theirs)):
+        if key not in theirs:
+            lines.append(f"only in this tree: {key}")
+        elif key not in ours:
+            lines.append(f"only in the earlier digest: {key}")
+        elif ours[key] != theirs[key]:
+            lines.append(f"differs: {key}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE", help="an earlier digest to compare with")
+    args = parser.parse_args(argv)
+    ours = digest()
+    if args.against is None:
+        print(json.dumps(ours, indent=1, sort_keys=True))
+        return 0
+    with open(args.against) as fh:
+        theirs = json.load(fh)
+    lines = differences(ours, theirs)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(set(ours) | set(theirs))} entries differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
