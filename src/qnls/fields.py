@@ -115,17 +115,23 @@ def galilean_boost(p: FieldPair, xi) -> FieldPair:
     )
 
 
+def _check_exponent(p: float) -> None:
+    """Raise ValueError unless 1 <= p <= inf; NaN is refused too."""
+    if not p >= 1:
+        raise ValueError(f"exponent must lie in [1, inf], got {p}")
+
+
 def lp_norm(f: Field, p: float) -> float:
     """(int |f|^p)^(1/p); p = inf returns the max modulus."""
+    _check_exponent(p)
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
-        raise ValueError(f"exponent must lie in [1, inf], got {p}")
     return float(f.grid.integrate(np.abs(f.values) ** p)) ** (1.0 / p)
 
 
 def pair_lp_norm(p: FieldPair, q: float) -> float:
-    """L^q norm of the pair: (int |u|^q + |v|^q)^(1/q)."""
+    """L^q norm of the pair: (int |u|^q + |v|^q)^(1/q), for q in [1, inf]."""
+    _check_exponent(q)
     if q == np.inf:
         return max(lp_norm(p.u, q), lp_norm(p.v, q))
     g = p.grid

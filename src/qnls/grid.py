@@ -10,15 +10,19 @@ weight on the radial grid, orthonormal FFT normalization, the min-image
 displacement on the torus and the periodic convolution built on both.
 
 The torus transforms send complex128 and float64 input straight to
-pocketfft's ``c2c``, bound once at import from ``scipy.fft``'s own
-backend: that is the call ``scipy.fft.fftn(..., norm="ortho")`` ends in
-for either dtype, so the bits are the same and only scipy.fft's argument
+pocketfft's ``c2c``, the call ``scipy.fft.fftn(..., norm="ortho")`` ends
+in for either dtype, so the bits are the same and only scipy.fft's argument
 handling around each transform is skipped.  (Real data cast to complex
 first would give other bits: ``c2c`` transforms float64 input on its own
-real-to-complex path.)  Every other dtype, float32 and integers among
-them, stays on the public ``scipy.fft`` functions, which convert it as
-they document; so does every input when the private module cannot be
-imported.
+real-to-complex path.)  ``c2c`` is bound once at import from scipy's
+compiled ``pypocketfft`` module, loaded by file with
+:func:`_scipy_extension`: importing it through its package runs
+``scipy.fft``'s ``__init__``, which loads scipy's array-API layer,
+``numpy.f2py`` and ``scipy.special``, about 0.4 s of CPU per process
+and more than half of the package's start-up.  Every other dtype,
+float32 and integers among them, stays on the public ``scipy.fft``
+functions, imported on first use, which convert it as they document; so
+does every input when the compiled module cannot be loaded.
 
 Each grid computes its constant arrays once, on first use: the nodes and
 r^4 of the radial grid; the axis, coordinate meshes, wavenumbers, |k|^2
@@ -29,17 +33,53 @@ must copy it first.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import gamma as _gamma_fn, pi
 
 import numpy as np
-import scipy.fft
 
-try:
-    from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
-except ImportError:   # a scipy laid out otherwise: the public path below
-    _c2c = None
+
+def _scipy_extension(dotted_name: str):
+    """One of scipy's compiled modules, loaded from its file; None on any failure.
+
+    ``dotted_name`` is the module's name inside scipy, such as
+    ``"scipy.linalg._flapack"``.  ``find_spec`` locates scipy without
+    importing it, so no package ``__init__`` along the dotted path runs.
+    A module scipy has already imported is returned as it is; otherwise
+    ``sys.modules`` is left as it was found, so a later import of the
+    package loads the module the usual way, and CPython hands that second
+    load of a single-phase extension the same function objects.  None
+    sends the caller to the public import.
+    """
+    if dotted_name in sys.modules:
+        return sys.modules[dotted_name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    base = os.path.join(scipy_spec.submodule_search_locations[0], *dotted_name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base + suffix
+        if not os.path.isfile(path):
+            continue
+        loader = importlib.machinery.ExtensionFileLoader(dotted_name, path)
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(dotted_name, path, loader=loader))
+            loader.exec_module(module)
+        except Exception:   # whatever the file raises, the public import raises again in context
+            return None
+        finally:
+            sys.modules.pop(dotted_name, None)
+        return module
+    return None
+
+
+_c2c = getattr(_scipy_extension("scipy.fft._pocketfft.pypocketfft"), "c2c", None)
 
 # Surface area of S^4 (radial quadrature weight in R^5) and unit-ball volume.
 SPHERE_AREA_4 = 8.0 * pi**2 / 3.0
@@ -178,6 +218,8 @@ class UniformGrid:
         dtype = values.dtype
         if (dtype is _COMPLEX or dtype is _REAL) and _c2c is not None:
             return _c2c(values, self._axes, True, _ORTHO, None, 1)
+        import scipy.fft
+
         if self.d == 1:
             return scipy.fft.fft(values, axis=-1, norm="ortho")
         return scipy.fft.fftn(values, axes=self._axes, norm="ortho")
@@ -187,6 +229,8 @@ class UniformGrid:
         dtype = values.dtype
         if (dtype is _COMPLEX or dtype is _REAL) and _c2c is not None:
             return _c2c(values, self._axes, False, _ORTHO, None, 1)
+        import scipy.fft
+
         if self.d == 1:
             return scipy.fft.ifft(values, axis=-1, norm="ortho")
         return scipy.fft.ifftn(values, axes=self._axes, norm="ortho")

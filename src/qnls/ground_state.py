@@ -36,8 +36,13 @@ of ``radial_ghosts``, assembled once per solve as a (5, m) band.  L1 and
 L2 are factored once per solve, one back-substitution per sweep: LAPACK
 ``gbtrf`` once, then ``gbtrs``, the two halves of the ``gbsv`` that
 ``scipy.linalg.solve_banded`` would run on every call, so the bits are
-the same.  The package's only second-order radial operator is the dense
-one of the independent oracle below.
+the same.  ``dgbtrf`` and ``dgbtrs`` come from scipy's compiled
+``_flapack``, loaded by file with ``grid._scipy_extension``: they are the
+objects ``scipy.linalg.lapack`` re-exports, without the 0.3 s of CPU that
+importing ``scipy.linalg`` adds to every process's start-up.  When the
+file cannot be loaded they come from ``scipy.linalg.lapack`` itself.
+The package's only second-order radial operator is the dense one of the
+independent oracle below.
 
 The balanced sweep contracts only linearly and, at m = 2048, plateaus
 near the round-off floor (1.5e-10 with exact banded inverses), so
@@ -72,11 +77,15 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import fields
 from .fields import FieldPair, pair_from_arrays
-from .grid import RadialGrid, UniformGrid, radial_ghosts
+from .grid import RadialGrid, UniformGrid, _scipy_extension, radial_ghosts
+
+# LAPACK's banded LU and its back-substitution (solver notes above)
+_lapack = _scipy_extension("scipy.linalg._flapack")
+if _lapack is None:
+    from scipy.linalg import lapack as _lapack
 
 #: amplitude a of the Gaussian initial guess of every stationary solve
 INITIAL_AMPLITUDE = 3.0
@@ -219,12 +228,12 @@ def _banded_solver(band: np.ndarray, l: int):
     """
     ab = np.zeros((3 * l + 1, band.shape[1]), order="F")
     ab[l:] = band
-    lu, piv, info = lapack.dgbtrf(ab, l, l, overwrite_ab=True)
+    lu, piv, info = _lapack.dgbtrf(ab, l, l, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return lapack.dgbtrs(lu, l, l, rhs, piv)[0]
+        return _lapack.dgbtrs(lu, l, l, rhs, piv)[0]
 
     return solve
 

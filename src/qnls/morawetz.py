@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import fields as fields_mod
 from .evolution import SplitStepper, SubstepFailure, _whole_steps
@@ -88,6 +87,10 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
             j = min(i + 256, n_live)
             out[:, i:j] = fs @ (bump_gamma(np.abs(s[None, :] - q[i:j, None]), eps) ** 2).T
         return out
+
+    # imported here: scipy.special loads scipy's array-API layer, which
+    # nothing but the d >= 2 tables needs
+    from scipy.special import roots_jacobi
 
     a = (d - 3) / 2.0
     u, wu = roots_jacobi(n_ang, a, a)

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qnls
 from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import petviashvili_solve, solve_periodic_profile
@@ -45,6 +50,15 @@ def soliton_1d():
 def soliton_2d():
     grid = UniformGrid(2, 64, 16.0)
     return solve_periodic_profile(grid, kappa=0.5, tol=1e-12)
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this qnls; return its stdout."""
+    src = str(Path(qnls.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def random_envelope_pair(grid, rng, kappa=0.5, nmodes=6, amp=1.0, sigma=None, kmax=5):

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
 from math import inf, nan
 from pathlib import Path
@@ -27,7 +24,7 @@ from qnls.cli import (
     write_snapshot,
 )
 
-from conftest import random_envelope_pair
+from conftest import random_envelope_pair, run_python
 
 
 def test_parse_minimal_evolve_fills_defaults():
@@ -610,19 +607,50 @@ def test_substep_failure_from_the_cli_is_quiet(tmp_path, capfd):
     assert caught == []
 
 
+# scipy subpackages whose package imports cost start-up time: scipy.fft and
+# scipy.special load scipy's array-API layer, scipy.linalg its Python
+# wrappers, scipy.interpolate loads scipy.optimize; qnls loads pocketfft and
+# LAPACK from their compiled modules instead, and the rest only where used
+_HEAVY_SCIPY = ("scipy.fft", "scipy.linalg", "scipy.special", "scipy._lib._array_api",
+                "scipy.interpolate", "scipy.optimize")
+
+
 def test_importing_the_cli_leaves_out_the_spline_stack():
     # only the weight-table build needs scipy.interpolate, and it imports
     # scipy.optimize with it
-    import qnls
+    code = f"import sys, qnls.cli; print(sorted(m for m in {_HEAVY_SCIPY!r} if m in sys.modules))"
+    assert run_python(code).strip() == "[]"
 
-    src = str(Path(qnls.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
-        "import sys, qnls.cli; "
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
-    )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+
+def test_cli_runs_import_no_scipy_package(tmp_path):
+    # evolve and morawetz transform through pocketfft's compiled module, the
+    # ground-state solve factors through LAPACK's: none of them imports a
+    # scipy package, so the module table holds no scipy entry at any point
+    runs = {
+        "evolve": {"command": "evolve", "dimension": 2, "n": 16, "L": 10.0, "dt": 1e-3,
+                   "t_final": 0.01, "initial": "gaussian", "amplitude": 0.3},
+        "morawetz": {"command": "morawetz", "n": 64, "L": 40.0, "dt": 5e-3, "initial": "gaussian",
+                     "amplitude": 0.05, "width": 4.0, "R0": 2.0, "J": 2.0, "T0": 0.1, "eps": 0.25},
+        "ground-state": {"command": "ground-state", "m": 256, "r_max": 12.0, "tol": 1e-8},
+    }
+    paths = {}
+    for name, conf in runs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps({**conf, "output": str(tmp_path / f"{name}.out")}))
+    code = f"""
+import contextlib, io, json, sys
+import qnls.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = {{"import": scipy_modules()}}
+for name, path in {paths!r}.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qnls.cli.main([path])
+    seen[name] = (code, scipy_modules())
+print(json.dumps(seen))
+"""
+    seen = json.loads(run_python(code))
+    assert seen == {"import": [], **{name: [0, []] for name in runs}}
 
 
 # JSON values, non-finite and past-double numbers included

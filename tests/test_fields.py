@@ -141,6 +141,15 @@ def test_lp_norm_constant_and_zero():
         lp_norm(f, 0.5)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.0, -1.0, np.nan])
+@pytest.mark.parametrize("norm", [lp_norm, pair_lp_norm], ids=["lp_norm", "pair_lp_norm"])
+def test_lp_norms_refuse_exponents_below_one(norm, q):
+    g = _grid1()
+    p = pair_from_arrays(g, np.exp(-((g.axis() - np.pi) ** 2)).astype(complex), np.zeros(g.shape, complex))
+    with pytest.raises(ValueError, match=f"got {q}"):
+        norm(p.u if norm is lp_norm else p, q)
+
+
 def test_lp_norm_gaussian_quadrature_oracle():
     # oracle: (int e^{-3x^2/2} dx)^(1/3) = 1.4472025091165355^(1/3)
     #       = 1.13112283231531 (scipy.quad; the analytic value sqrt(2pi/3))

@@ -1,3 +1,8 @@
+import importlib.machinery
+import importlib.util
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,8 +12,11 @@ from qnls.grid import (
     RadialGrid,
     SPHERE_AREA_4,
     UniformGrid,
+    _scipy_extension,
     unit_ball_volume,
 )
+
+from conftest import run_python
 
 
 def test_make_uniform_grid_spacing():
@@ -251,3 +259,81 @@ def test_filled_caches_keep_equality_and_hash():
         assert filled == fresh
         assert hash(filled) == hash(fresh)
         assert {filled: 1}[fresh] == 1
+
+
+def test_bindings_import_before_scipy_and_stay_scipys_own():
+    # qnls loads pocketfft and LAPACK by file before scipy's packages exist;
+    # importing the packages afterwards re-exports those very functions
+    out = run_python("""
+import sys
+import numpy as np
+import qnls.grid as g, qnls.ground_state as gs
+assert not any(m.startswith("scipy") for m in sys.modules), sorted(sys.modules)
+import scipy.fft, scipy.linalg
+from scipy.linalg import lapack
+grid = g.UniformGrid(2, 16, 5.0)
+x, y = np.random.default_rng(3).normal(size=(2, 2, 16, 16))
+z = x + 1j * y
+print(np.array_equal(grid.fft(z), scipy.fft.fftn(z, axes=(-2, -1), norm="ortho")),
+      np.array_equal(grid.ifft(z.real), scipy.fft.ifftn(z.real, axes=(-2, -1), norm="ortho")),
+      g._c2c is scipy.fft._pocketfft.pypocketfft.c2c,
+      gs._lapack.dgbtrf is lapack.dgbtrf, gs._lapack.dgbtrs is lapack.dgbtrs,
+      scipy.linalg._flapack.dgbtrf is lapack.dgbtrf)
+""")
+    assert out.split() == ["True"] * 6
+
+
+def test_bindings_after_scipy_are_its_modules():
+    out = run_python("""
+import scipy.fft, scipy.linalg
+from scipy.fft._pocketfft import pypocketfft
+from scipy.linalg import _flapack
+import qnls.grid as g, qnls.ground_state as gs
+print(g._c2c is pypocketfft.c2c, gs._lapack is _flapack)
+""")
+    assert out.split() == ["True", "True"]
+
+
+def test_extension_loader_returns_none_when_it_cannot_load(tmp_path, monkeypatch):
+    ext = importlib.machinery.EXTENSION_SUFFIXES[0]
+    (tmp_path / "broken").mkdir()
+    (tmp_path / "broken" / f"_garbled{ext}").write_bytes(b"not a shared object")
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    for name in ("scipy.broken._garbled", "scipy.broken._missing"):
+        assert _scipy_extension(name) is None
+        assert name not in sys.modules
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)   # no scipy installed
+    assert _scipy_extension("scipy.linalg._flapack_missing") is None
+
+
+# transforms on complex and real input in d = 1 and 2, two banded solves
+# and a small ground-state profile, hashed
+_BINDING_OUTPUTS = """
+import hashlib
+import numpy as np
+import qnls.grid as g
+from qnls.ground_state import _banded_solver, petviashvili_solve
+rng = np.random.default_rng(11)
+outs = []
+for d, n in ((1, 64), (2, 16)):
+    grid = g.UniformGrid(d, n, 5.0)
+    z = rng.normal(size=(2, *grid.shape)) + 1j * rng.normal(size=(2, *grid.shape))
+    outs += [grid.fft(z), grid.ifft(z), grid.fft(z.real), grid.ifft(z.real)]
+for l in (2, 4):
+    band = rng.normal(size=(2 * l + 1, 40))
+    band[l] += 10.0
+    outs.append(_banded_solver(band, l)(rng.normal(size=40)))
+outs.append(petviashvili_solve(g.RadialGrid(256, 12.0)).phi)
+print(g._c2c is None, hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest())
+"""
+
+
+def test_public_fallbacks_keep_the_bits():
+    # with no extension suffix the loader finds no file: the transforms go
+    # through scipy.fft and the banded solves through scipy.linalg.lapack
+    direct = run_python(_BINDING_OUTPUTS).split()
+    fallback = run_python("import importlib.machinery\n"
+                          "importlib.machinery.EXTENSION_SUFFIXES = []\n" + _BINDING_OUTPUTS).split()
+    assert direct[0] == "False" and fallback[0] == "True"
+    assert fallback[1] == direct[1]

@@ -3,9 +3,9 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import lapack, solve_banded
+from scipy.linalg import solve_banded
 
-from qnls import fields
+from qnls import fields, ground_state
 from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import (
@@ -331,13 +331,13 @@ def test_banded_solver_rejects_a_singular_band():
 def test_solve_factors_each_band_once(monkeypatch):
     # L1 and L2 once per solve, then one Jacobian per Newton step
     bandwidths = []
-    dgbtrf = lapack.dgbtrf
+    dgbtrf = ground_state._lapack.dgbtrf
 
     def counting_dgbtrf(ab, kl, ku, **kwargs):
         bandwidths.append(kl)
         return dgbtrf(ab, kl, ku, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(ground_state._lapack, "dgbtrf", counting_dgbtrf)
     gs = petviashvili_solve(RadialGrid(256, 12.0))
     sweeps = 1 + next(i for i, res in enumerate(gs.residual_history) if res < NEWTON_SWITCH)
     newton_steps = gs.iterations - sweeps
