@@ -46,15 +46,21 @@ step and ``sync`` comes first, and both multiply it out of place in the
 same operand order, so observing does not change the trajectory at any
 grid size.
 
-Between rows ``evolve`` still checks the resolution bound max |u|, |v| <=
-``RESOLUTION_FACTOR / h``, but without un-fusing.  With the orthonormal
-transform and |e^{-i |k|^2 s}| = 1, every sample of the synchronised state
-has modulus at most a in u and b in v, where (a, b) = sum_k |w_k| /
-sqrt(N) per field, w the kept spectrum and N the number of grid points.
-A step whose B = max(a, b) times (1 + ``MODULUS_MARGIN``) is within the
-bound cannot trip it; any other step is un-fused and checked exactly, so
-``evolve`` makes the same decisions, and records the same rows, as a check
-after every step would.
+One private driver, ``_drive``, runs the stepper for both ``evolve`` and
+the accumulator, and one rule decides what ends a run.  It hands the
+synchronised state to its caller at the stops of ``_stop_steps`` (step 0,
+every ``cadence``-th step and the last) and at a trip.  Input that is not
+finite ends the run as ``blow-up`` before the first transform; a
+:class:`SubstepFailure` ends it as ``substep-failure``; and after every
+step it checks the resolution bound max |u|, |v| <= ``RESOLUTION_FACTOR /
+h``, which it does not apply to the input.  Between stops that check does
+not un-fuse.  With the orthonormal transform and |e^{-i |k|^2 s}| = 1,
+every sample of the synchronised state has modulus at most a in u and b
+in v, where (a, b) = sum_k |w_k| / sqrt(N) per field, w the kept spectrum
+and N the number of grid points.  A step whose B = max(a, b) times
+(1 + ``MODULUS_MARGIN``) is within the bound cannot trip it; any other
+step is un-fused and checked exactly, so the driver stops at the same
+step, and hands out the same states, as a check after every step would.
 
 The per-step path works on arrays only, and pays for as few numpy calls
 as it can.  Each stepper allocates, once, the scratch of the array-level
@@ -66,7 +72,7 @@ in-place ufuncs, with ``out`` passed positionally, in the operation order
 of the out-of-place formula, so its results are the same bits; the
 public :func:`nonlinear_step` is a thin wrapper over the same substep.
 The stepper takes one reduction per step, the l1 sums (a, b) of the
-spectrum it keeps anyway: they bound the modulus for ``evolve`` and, since
+spectrum it keeps anyway: they bound the modulus for the driver and, since
 the next step's pre-substep state is the inverse transform of the same
 spectrum times unimodular multipliers, its maximum density s <=
 (a^2 + b^2) (1 + ``MODULUS_MARGIN``)^2 for the substep's certificate, so
@@ -82,6 +88,7 @@ Blow-up and substep failure are flagged outcomes, never exceptions.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -92,7 +99,7 @@ from . import fields as fields_mod
 from .fields import FieldPair, lp_norm, pair_lp_norm
 from .grid import Field, UniformGrid
 
-RESOLUTION_FACTOR = 1.0   # evolve flags blow-up once max |u|, |v| exceeds this / h
+RESOLUTION_FACTOR = 1.0   # a run ends in blow-up once max |u|, |v| exceeds this / h
 # relative slack on the l1 modulus bound for the rounding of the transforms
 MODULUS_MARGIN = 1e-9
 
@@ -109,8 +116,6 @@ class EvolutionConfig:
     store_fields: bool = False         # keep snapshots at cadence
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
         if self.cadence < 1:
@@ -121,7 +126,9 @@ class EvolutionConfig:
 
 
 def _whole_steps(t: float, dt: float) -> int:
-    """Number of steps dt in the span t; rejects spans that are not whole."""
+    """Number of steps dt in the span t; rejects a dt that is not positive, and a span not whole."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     ratio = t / dt
     if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * abs(ratio):
         raise ValueError(f"{t} is not a whole number of steps dt = {dt}")
@@ -158,7 +165,10 @@ class TimeSeries:
 
     @property
     def blow_up_time(self) -> float | None:
-        return self.records[-1].t if self.blown_up else None
+        """t of the last row of a blown-up run; 0.0 when input that was not finite left none."""
+        if not self.blown_up:
+            return None
+        return self.records[-1].t if self.records else 0.0
 
     def times(self) -> np.ndarray:
         return np.array([rec.t for rec in self.records])
@@ -448,8 +458,8 @@ class SplitStepper:
     the first one, L(dt/2) of the initial state, and :meth:`sync` the later
     ones together with the state itself.  The forward transform of the
     post-substep state is taken once and kept: the next step, :meth:`sync`
-    or :meth:`_modulus_bound`, whichever asks first, computes it, and the
-    others reuse it; so do its l1 sums (:meth:`_l1_sums`), which
+    or the driver's modulus certificate, whichever asks first, computes it,
+    and the others reuse it; so do its l1 sums (:meth:`_l1_sums`), which
     :meth:`sync` takes before it lets the spectrum go, so that every step
     has them for its certificate.  :meth:`sync` un-fuses (see the module
     docstring).
@@ -486,18 +496,15 @@ class SplitStepper:
         |m_k| = 1 has modulus at most a in u and b in v, up to
         ``MODULUS_MARGIN``: a bound on the state :meth:`sync` returns and
         on the next step's pre-substep state alike, both ifft(m w).  One
-        reduction per spectrum serves :meth:`_modulus_bound` and the
-        substep's certificate.  A non-finite state gives non-finite sums.
+        reduction per spectrum serves the driver's modulus certificate
+        (``_drive``) and the substep's.  A non-finite state gives
+        non-finite sums.
         """
         if self._l1 is None:
             mod = np.abs(self._spectrum(), out=self._buffers.inv)
             a, b = np.add.reduce(mod.reshape(2, -1), 1).tolist()
             self._l1 = (a / self._root_n, b / self._root_n)
         return self._l1
-
-    def _modulus_bound(self) -> float:
-        """B = max(a, b) (:meth:`_l1_sums`), which bounds max |u|, |v| of the state."""
-        return max(self._l1_sums())
 
     def step(self) -> None:
         """Advance by dt; raises :class:`SubstepFailure` like the substep."""
@@ -571,65 +578,80 @@ def _record(p: FieldPair, t: float) -> DiagnosticsRecord:
     )
 
 
-def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
-    """Run Strang stepping, recording diagnostics every ``cadence`` steps.
+def _stop_steps(span: float, dt: float, cadence: int) -> list[int]:
+    """The stops of :func:`_drive` over ``span``: step 0, every ``cadence``-th step, the last."""
+    nsteps = _whole_steps(span, dt)
+    return sorted({*range(0, nsteps + 1, cadence), nsteps})
 
-    Terminates early with outcome ``"blow-up"``, recording the row that
-    trips it, when the max modulus after any step exceeds
-    ``RESOLUTION_FACTOR / h`` (certified between rows by the stepper's
-    l1 bound, see the module docstring) or a
-    row's kinetic energy exceeds ``blowup_growth`` times H(0); with outcome
-    ``"substep-failure"`` when the substep misses its tolerance; NaN
-    anywhere aborts with a diagnostic.  Early termination is a labeled
-    outcome, not an error.
+
+def _drive(
+    p0: FieldPair, dt: float, stops: list[int],
+    observe: Callable[[int, np.ndarray, bool], bool], tol: float = 1e-10,
+) -> str:
+    """Step ``p0`` to the last of ``stops`` (:func:`_stop_steps`); returns the outcome.
+
+    ``observe(step, w, tripped)`` gets the synchronised stacked state, which
+    it may keep, at each stop, where a true return ends the run as
+    ``"blow-up"``, and at a finite trip.  A trip is a step after which
+    ``not max |u|, |v| <= RESOLUTION_FACTOR / h``, certified by the l1 sums
+    and checked exactly where they miss (module docstring); it ends the run
+    as ``"blow-up"``, as input that is not finite does before the first
+    transform.  A :class:`SubstepFailure` ends it as ``"substep-failure"``.
     """
-    grid = p0.grid
-    if not isinstance(grid, UniformGrid):
-        raise TypeError("evolve requires a uniform grid")
-    nsteps = _whole_steps(cfg.t_final, cfg.dt)
-    stepper = SplitStepper(p0, cfg.dt, cfg.substep_tol)
-
-    ts = TimeSeries()
-    pair = stepper.pair()
-    rec0 = _record(pair, 0.0)
-    ts.records.append(rec0)
-    if cfg.store_fields:
-        ts.snapshots.append((0.0, pair))
-    h0 = rec0.kinetic
-    mod_bound = RESOLUTION_FACTOR / grid.h
-
-    for step in range(1, nsteps + 1):
+    if not (np.isfinite(p0.u.values).all() and np.isfinite(p0.v.values).all()):
+        return "blow-up"
+    stepper = SplitStepper(p0, dt, tol)
+    bound = RESOLUTION_FACTOR / stepper.grid.h
+    if observe(0, stepper.sync(), False):
+        return "blow-up"
+    stop_at = set(stops)
+    for step in range(1, stops[-1] + 1):
         try:
             stepper.step()
         except SubstepFailure:
-            ts.outcome = "substep-failure"
-            break
-        row = step % cfg.cadence == 0 or step == nsteps
-        # between rows the state stays fused while its spectrum certifies
-        # that the modulus check would pass; a non-finite bound fails this
-        # test and falls through to the exact check
-        if not row and stepper._modulus_bound() * (1.0 + MODULUS_MARGIN) <= mod_bound:
+            return "substep-failure"
+        # a non-finite bound fails this test and falls through to the exact check
+        certified = max(stepper._l1_sums()) * (1.0 + MODULUS_MARGIN) <= bound
+        if certified and step not in stop_at:
             continue
         w = stepper.sync()
-        t = step * cfg.dt
+        peak = 0.0 if certified else float(np.max(np.abs(w)))
+        if not peak <= bound:
+            if math.isfinite(peak):
+                observe(step, w, True)
+            return "blow-up"
+        if step in stop_at and observe(step, w, False):
+            return "blow-up"
+    return "completed"
 
-        maxmod = float(np.max(np.abs(w)))
-        if not np.isfinite(maxmod):
-            raise FloatingPointError(
-                f"non-finite field at t = {t:.6g} (step {step}); "
-                "reduce dt or check the initial data"
-            )
-        too_large = maxmod > mod_bound
-        if too_large or row:
-            rec = _record(stepper.pair(), t)
-            ts.records.append(rec)
-            if too_large or (h0 > 0 and rec.kinetic > cfg.blowup_growth * h0):
-                ts.outcome = "blow-up"
-                break
-            if cfg.store_fields:
-                # copy: the synchronised state shares its buffer with the
-                # stepper's look-ahead
-                ts.snapshots.append((t, p0.with_values(*w.copy())))
+
+def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
+    """Run Strang stepping, recording diagnostics every ``cadence`` steps.
+
+    :func:`_drive` ends the run; ``evolve`` records a row at each stop and
+    at a finite trip, and ends it as ``"blow-up"`` at a row whose kinetic
+    energy exceeds ``blowup_growth`` times H(0).  Early termination is a
+    labeled outcome, not an error.
+    """
+    if not isinstance(p0.grid, UniformGrid):
+        raise TypeError("evolve requires a uniform grid")
+    ts = TimeSeries()
+
+    def observe(step: int, w: np.ndarray, tripped: bool) -> bool:
+        t = step * cfg.dt
+        rec = _record(p0.with_values(w[0], w[1]), t)
+        ts.records.append(rec)
+        h0 = ts.records[0].kinetic
+        if tripped or (step > 0 and h0 > 0 and rec.kinetic > cfg.blowup_growth * h0):
+            return True
+        if cfg.store_fields:
+            # copy: the synchronised state shares its buffer with the
+            # stepper's look-ahead
+            ts.snapshots.append((t, p0.with_values(*w.copy())))
+        return False
+
+    stops = _stop_steps(cfg.t_final, cfg.dt, cfg.cadence)
+    ts.outcome = _drive(p0, cfg.dt, stops, observe, cfg.substep_tol)
     return ts
 
 

@@ -16,12 +16,13 @@ machine-checked from the tables themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fields as fields_mod
-from .evolution import SplitStepper, SubstepFailure, _whole_steps
+from .evolution import _drive, _stop_steps
 from .fields import FieldPair, galilean_boost
 from .grid import UniformGrid, unit_ball_volume
 
@@ -403,6 +404,15 @@ class InteractionParams:
     eps: float
     cadence: int = 25
 
+    def __post_init__(self) -> None:
+        for key in ("R0", "J", "T0"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if not 0 < self.eps <= 0.5:
+            raise ValueError(f"eps must lie in (0, 1/2], got {self.eps}")
+        if self.cadence < 1:
+            raise ValueError(f"cadence must be at least 1, got {self.cadence}")
+
     @property
     def nu(self) -> float:
         return self.R0 * np.exp(self.J) / (self.J * self.T0) + self.eps
@@ -445,6 +455,14 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     samples every ``cadence`` steps.  The suppressed positive constant of the
     estimate is not modeled; ratio stability under parameter doubling is
     what the result is for.
+
+    The time samples are the stops of the driver that ``evolve`` uses
+    (``evolution._drive``), and so is the rule that ends a run early: input
+    that is not finite is ``"blow-up"`` with no sample and E0 NaN; so is a
+    step after which max |u|, |v| exceeds ``RESOLUTION_FACTOR / h``, whose
+    state is not integrated; and a substep that misses its tolerance is
+    ``"substep-failure"``.  The samples taken before the end are kept;
+    ``times`` and ``per_time`` cover the whole schedule, zero past the end.
     """
     grid = p0.grid
     if not isinstance(grid, UniformGrid) or grid.d != 1:
@@ -461,50 +479,35 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     kernels = bump_gamma(grid.distance([0.0]) / radii[:, None], params.eps) ** 2
     window_sums = grid.convolver(kernels[:, None, :])
 
-    nsteps = _whole_steps(params.T0, dt)
-    sample_steps = list(range(0, nsteps + 1, params.cadence))
-    if sample_steps[-1] != nsteps:
-        sample_steps.append(nsteps)
-    t_samples = np.array(sample_steps, dtype=float) * dt
+    stops = _stop_steps(params.T0, dt, params.cadence)
+    t_samples = np.array(stops, dtype=float) * dt
     t_w = np.zeros_like(t_samples)
     t_w[1:] += 0.5 * np.diff(t_samples)
     t_w[:-1] += 0.5 * np.diff(t_samples)
-
-    stepper = SplitStepper(p0, dt)
     stride_w = grid.h * S_STRIDE
-    per_r = np.zeros(N_RADII)
-    per_t = np.zeros(len(sample_steps))
-    outcome = "completed"
+    shares: list[np.ndarray] = []   # one per sample, in the order of the stops
 
-    def shell_integrands(w: np.ndarray) -> np.ndarray:
-        """ln_w * (1/R) * int (l n - kappa a^2) ds, one entry per shell."""
-        l_comp, a_comp, nu = _densities(p0.with_values(w[0], w[1]))
-        sums = window_sums(np.array((l_comp[0], a_comp[0], nu))).real
-        # views, not a moveaxis: per-call overhead dominates on these arrays
-        l_w, a_w, n_w = sums[:, 0], sums[:, 1], sums[:, 2]
-        cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
-        inner = np.add.reduce(cells[:, ::S_STRIDE], 1) * stride_w
-        return ln_w * inner / radii
+    def observe(step: int, w: np.ndarray, tripped: bool) -> bool:
+        """Appends t_w * ln_w * (1/R) * int (l n - kappa a^2) ds per shell, unless tripped."""
+        if not tripped:
+            l_comp, a_comp, nu = _densities(p0.with_values(w[0], w[1]))
+            sums = window_sums(np.array((l_comp[0], a_comp[0], nu))).real
+            # views, not a moveaxis: per-call overhead dominates on these arrays
+            l_w, a_w, n_w = sums[:, 0], sums[:, 1], sums[:, 2]
+            cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
+            inner = np.add.reduce(cells[:, ::S_STRIDE], 1) * stride_w
+            shares.append(t_w[len(shares)] * (ln_w * inner / radii))
+        return False
 
-    n_samples = 0
-    for idx, sample_step in enumerate(sample_steps):
-        try:
-            while stepper.steps < sample_step:
-                stepper.step()
-        except SubstepFailure:
-            outcome = "substep-failure"
-            break
-        w = stepper.sync()
-        if not np.all(np.isfinite(w)):
-            outcome = "blow-up"
-            break
-        shares = t_w[idx] * shell_integrands(w)
-        per_r += shares
-        per_t[idx] = np.sum(shares)
-        n_samples += 1
+    outcome = _drive(p0, dt, stops, observe)
+    # summed in sample order, as a running total would be
+    per_r = sum(shares, np.zeros(N_RADII))
+    per_t = np.zeros(len(stops))
+    per_t[: len(shares)] = [np.sum(share) for share in shares]
 
     total = float(np.sum(per_r)) / (params.J * params.T0)
-    e0 = fields_mod.energy(p0)
+    # E0 is NaN without a sample, which only input that is not finite leaves
+    e0 = fields_mod.energy(p0) if shares else math.nan
     return InteractionResult(
         accumulator=total,
         nu=params.nu,
@@ -513,6 +516,6 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
         radii=radii,
         per_time=per_t / (params.J * params.T0),
         times=t_samples,
-        n_time_samples=n_samples,
+        n_time_samples=len(shares),
         outcome=outcome,
     )

@@ -335,6 +335,23 @@ def test_morawetz_command(tmp_path):
     assert rows[0] == "R,accumulator"
 
 
+def test_both_stepping_commands_end_the_torus_soliton_at_step_one(tmp_path, capsys):
+    # max |u| = 1.875 of the torus soliton passes 1/h = 0.5 after one step;
+    # the accumulator's one step ends it before its second sample
+    base = {"n": 256, "L": 512.0, "dt": 1e-3, "initial": "soliton"}
+    csv = str(tmp_path / "ev.csv")
+    assert run_command(parse_config(json.dumps(
+        {**base, "command": "evolve", "t_final": 0.01, "output": csv}))) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "blow-up"
+    rows = [ln for ln in open(csv).read().splitlines() if not ln.startswith("#")][1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 1e-3]
+    out = str(tmp_path / "mw.json")
+    assert run_command(parse_config(json.dumps(
+        {**base, "command": "morawetz", "T0": 1e-3, "output": out}))) == 0
+    doc = json.loads(open(out).read())
+    assert doc["outcome"] == "blow-up" and doc["time_samples"] == 1
+
+
 def test_disperse_command(tmp_path):
     out = str(tmp_path / "disp.json")
     cfg = parse_config(json.dumps({

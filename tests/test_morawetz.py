@@ -258,6 +258,24 @@ def test_interaction_rejects_a_partial_last_step():
         interaction_lhs(zero, 1e-3, InteractionParams(R0=1.0, J=1.0, T0=0.0105, eps=0.25))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("R0", -1.0), ("J", 0.0), ("T0", 0.0), ("T0", math.nan), ("eps", 0.0),
+    ("cadence", 0), ("cadence", -1), ("dt", -1e-2), ("dt", 0.0),
+])
+def test_interaction_rejects_a_bad_value_naming_it(key, value):
+    # each of these crashed, returned a negative accumulator or raised
+    # without naming the value
+    g = UniformGrid(1, 16, 10.0)
+    u = np.exp(-((g.axis() - 5.0) ** 2)) + 0j
+    p = pair_from_arrays(g, u, 0.5 * u)
+    kwargs = {"R0": 1.0, "J": 1.0, "T0": 0.1, "eps": 0.25, "cadence": 5}
+    with pytest.raises(ValueError, match=key):
+        if key == "dt":
+            interaction_lhs(p, value, InteractionParams(**kwargs))
+        else:
+            interaction_lhs(p, 1e-2, InteractionParams(**{**kwargs, key: value}))
+
+
 def test_interaction_substep_failure_is_a_labeled_outcome():
     # |u| dt = 25: even 1024 RK4 substeps miss the default tolerance (the
     # coarse attempts overflow on the way, hence the silenced warnings)

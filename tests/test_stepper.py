@@ -6,9 +6,11 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from qnls import evolution, grid as grid_mod
+from qnls import evolution, grid as grid_mod, morawetz
 from qnls.grid import UniformGrid
 from qnls.fields import pair_from_arrays
+from qnls.ground_state import solve_periodic_profile
+from qnls.morawetz import InteractionParams, interaction_lhs
 from qnls.evolution import (
     EvolutionConfig, SplitStepper, SubstepFailure, TimeSeries, evolve, nonlinear_step,
     strang_step,
@@ -280,8 +282,8 @@ def test_nan_state_is_a_substep_failure():
         with pytest.raises(SubstepFailure):
             SplitStepper(bad, 1e-2).step()
         ts = evolve(bad, EvolutionConfig(dt=1e-2, t_final=0.05))
-    assert ts.outcome == "substep-failure"
-    assert len(ts.records) == 1
+    assert ts.outcome == "blow-up"
+    assert len(ts.records) == 0
 
 
 @pytest.mark.parametrize(
@@ -324,7 +326,7 @@ def test_modulus_bound_covers_the_synchronised_state(d, seed, dt, kappa, aligned
         spectrum = np.abs(spectrum) * np.conj(half) * peak
     w = grid.ifft(spectrum)
     stepper = SplitStepper(pair_from_arrays(grid, w[0], w[1], kappa), dt)
-    bound = stepper._modulus_bound() * (1.0 + evolution.MODULUS_MARGIN)
+    bound = max(stepper._l1_sums()) * (1.0 + evolution.MODULUS_MARGIN)
     # the product and inverse transform that sync applies: L(dt/2) and L(dt)
     both = grid.ifft(stepper._free * stepper._spectrum())
     assert np.max(np.abs(both)) <= bound
@@ -414,6 +416,83 @@ def test_evolve_matches_a_modulus_check_after_every_step(case, request):
         assert ts.outcome == "completed" and len(ts.snapshots) > 1
     elif case != "torus_soliton":
         assert ts.outcome == "blow-up" and round(ts.records[-1].t / cfg.dt) % cfg.cadence
+
+
+def _drive_checked_every_step(p0, dt, stops, observe, tol=1e-10):
+    """The driver's rule with a sync and an exact modulus check after every step."""
+    if not np.all(np.isfinite(_stacked(p0))):
+        return "blow-up"
+    stepper = SplitStepper(p0, dt, tol)
+    bound = evolution.RESOLUTION_FACTOR / p0.grid.h
+    if observe(0, stepper.sync(), False):
+        return "blow-up"
+    for step in range(1, stops[-1] + 1):
+        try:
+            stepper.step()
+        except SubstepFailure:
+            return "substep-failure"
+        w = stepper.sync()
+        if not float(np.max(np.abs(w))) <= bound:
+            if np.all(np.isfinite(w)):
+                observe(step, w, True)
+            return "blow-up"
+        if step in stops and observe(step, w, False):
+            return "blow-up"
+    return "completed"
+
+
+def _interaction_checked_every_step(p0, dt, params, monkeypatch):
+    """interaction_lhs stepped by :func:`_drive_checked_every_step`."""
+    with monkeypatch.context() as patched:
+        patched.setattr(morawetz, "_drive", _drive_checked_every_step)
+        return interaction_lhs(p0, dt, params)
+
+
+def _torus_soliton_1d():
+    # max |u| = 1.875 against the bound 1/h = 0.5: the first step trips it
+    return solve_periodic_profile(UniformGrid(1, 256, 512.0), kappa=0.5, tol=1e-12)
+
+
+# samples before the trip: steps 0, 25, 50 and 75 of _trips_between_rows,
+# which trips at step 87; every 5th step to 85 of the same run, where the
+# l1 sums first miss the bound at step 84; step 0 of the torus soliton
+@pytest.mark.parametrize("case, cadence, samples", [
+    ("trips_between_rows", 25, 4), ("trips_between_rows", 5, 18), ("torus_soliton", 25, 1),
+])
+def test_the_accumulator_matches_a_modulus_check_after_every_step(case, cadence, samples,
+                                                                  monkeypatch):
+    if case == "torus_soliton":
+        p0, dt, t0 = _torus_soliton_1d(), 1e-3, 0.5
+    else:
+        p0, cfg = _trips_between_rows()
+        dt, t0 = cfg.dt, cfg.t_final
+    params = InteractionParams(R0=1.0, J=1.0, T0=t0, eps=0.25, cadence=cadence)
+    res = interaction_lhs(p0, dt, params)
+    ref = _interaction_checked_every_step(p0, dt, params, monkeypatch)
+    assert res.outcome == ref.outcome == "blow-up"
+    assert res.n_time_samples == ref.n_time_samples == samples
+    assert np.count_nonzero(res.per_time) == samples
+    assert np.array_equal(res.per_time, ref.per_time)
+    assert np.array_equal(res.per_radius, ref.per_radius)
+    assert res.accumulator == ref.accumulator
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "inf-imag"])
+def test_non_finite_input_is_a_blow_up_with_nothing_recorded(bad):
+    # ends before the first transform: no RuntimeWarning, which pytest
+    # turns into an error, from the stepper or from E0
+    p = _gaussian_pair(UniformGrid(1, 64, 10.0), 0.5)
+    u = p.u.values.copy()
+    u[3] = bad
+    p = p.with_values(u, p.v.values)
+    ts = evolve(p, EvolutionConfig(dt=1e-3, t_final=0.05, cadence=10, store_fields=True))
+    assert ts.outcome == "blow-up" and ts.records == [] and ts.snapshots == []
+    assert ts.blow_up_time == 0.0
+    res = interaction_lhs(p, 1e-3, InteractionParams(R0=1.0, J=1.0, T0=0.05, eps=0.25))
+    assert res.outcome == "blow-up" and res.n_time_samples == 0
+    assert res.accumulator == 0.0 and not np.any(res.per_time)
+    assert math.isnan(res.e0)
 
 
 def test_evolve_unfuses_only_at_rows(monkeypatch):

@@ -4,9 +4,10 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below runs every command, in d = 1, 2 and 3, with snapshots
-written and read back (``initial: "file"``), a ``blow-up``, a
-``substep-failure``, a usage error and a numeric error.  Each run is
+The manifest below has 18 runs.  They run every command, in d = 1, 2 and
+3, with snapshots written and read back (``initial: "file"``); every
+outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
+``substep-failure`` of each); a usage error and a numeric error.  Each run is
 ``python -m qnls.cli CONFIG`` in its own process, from the ``src/`` next
 to this script, inside one temporary directory with relative paths, so
 artifacts never embed a location.  Runs go in manifest order, because the
@@ -14,9 +15,9 @@ artifacts never embed a location.  Runs go in manifest order, because the
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each run, and ``files/<name>`` of every file left in the directory, to the
-sha256 of its bytes.  Outputs are byte-identical per platform only
-(numpy's SIMD kernels may round differently on other CPUs), so compare
-digests taken on one machine.  With ``--against`` the script prints the
+sha256 of its bytes: 102 entries for this manifest.  Outputs are
+byte-identical per platform only (numpy's SIMD kernels may round
+differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
 entries that differ or that only one digest has, and exits 1 if there are
 any.
 """
@@ -79,6 +80,10 @@ MANIFEST: list[tuple[str, dict]] = [
     ("morawetz-file", {
         "command": "morawetz", "n": 64, "L": 20.0, "dt": 1e-3, "T0": 0.1, "R0": 1.0, "J": 2.0,
         "initial": "file", "input_path": "e1.csv.000002.snap", "output": "mwf",
+    }),
+    ("morawetz-substep-failure", {
+        "command": "morawetz", "n": 64, "L": 20.0, "dt": 1.0, "T0": 1.0,
+        "amplitude": 1000.0, "width": 0.7071067811865476, "output": "mwfail",
     }),
     ("classify-1d", {"command": "classify", "dimension": 1, "n": 64, "L": 20.0, "m": 256,
                      "r_max": 20.0, "amplitude": 0.5, "output": "cl1"}),
