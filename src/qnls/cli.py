@@ -136,6 +136,11 @@ def parse_config(text: str) -> RunConfig:
         for check in (kind, limit):
             if check is not None and not check[0](options[key]):
                 raise ConfigError(f"config key {key!r} must be {check[1]}, got {options[key]!r}")
+    if raw["command"] == "morawetz" and "cadence" in raw:
+        raise ConfigError(
+            "config key 'cadence' is read by evolve only; morawetz samples every "
+            f"{InteractionParams.cadence}th step"
+        )
     if options["n"] ** options["dimension"] > 2**22:
         raise ConfigError(
             f"config key 'n' must keep n ** dimension <= 2**22, got "
@@ -200,6 +205,10 @@ def read_snapshot(path: str) -> tuple[FieldPair, float]:
         if not 1 <= dim <= 3:
             raise ValueError(f"uniform snapshot of dimension {dim}, expected 1, 2 or 3")
         counts = unpack("<" + "I" * dim)
+        if len(set(counts)) != 1:
+            raise ValueError(
+                f"uniform snapshot with axis counts {counts}, expected one n on every axis"
+            )
         (length,) = unpack("<d")
         grid: UniformGrid | RadialGrid = UniformGrid(dim, counts[0], length)
     elif kind == _GRID_RADIAL:

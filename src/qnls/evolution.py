@@ -239,31 +239,28 @@ class _SubstepBuffers:
 _TWO = np.array(2.0)
 
 
+def _stage(u: np.ndarray, v: np.ndarray, ku: np.ndarray, kv: np.ndarray) -> None:
+    """RK4 stage (ku, kv) = (v conj(u), u^2): the right-hand side without its factor i."""
+    np.conjugate(u, ku)
+    np.multiply(v, ku, ku)
+    np.multiply(u, u, kv)
+
+
 def _rk4(w0: np.ndarray, b: _SubstepBuffers, h: float, out: np.ndarray) -> np.ndarray:
     """One RK4 step of u_t = i v conj(u), v_t = i u^2 over h from ``w0`` into ``out``.
 
-    The stages run in ``b`` with in-place ufuncs in the operation order of
-    the out-of-place formula, so the result has its bits; ``out`` may be
-    ``w0``.  Each stage k = (v conj(u), u^2) at the stage argument is the
-    right-hand side without its factor i.
+    The stages (:func:`_stage`) run in ``b`` with in-place ufuncs in the
+    operation order of the out-of-place formula, so the result has its
+    bits; ``out`` may be ``w0``.
     """
     half, full, sixth = b.factors(h)
-    u0, v0 = w0
-    np.conjugate(u0, b.k1u)
-    np.multiply(v0, b.k1u, b.k1u)
-    np.multiply(u0, u0, b.k1v)
+    _stage(w0[0], w0[1], b.k1u, b.k1v)
     np.add(w0, np.multiply(half, b.k1, b.arg), b.arg)
-    np.conjugate(b.argu, b.k2u)
-    np.multiply(b.argv, b.k2u, b.k2u)
-    np.multiply(b.argu, b.argu, b.k2v)
+    _stage(b.argu, b.argv, b.k2u, b.k2v)
     np.add(w0, np.multiply(half, b.k2, b.arg), b.arg)
-    np.conjugate(b.argu, b.k3u)
-    np.multiply(b.argv, b.k3u, b.k3u)
-    np.multiply(b.argu, b.argu, b.k3v)
+    _stage(b.argu, b.argv, b.k3u, b.k3v)
     np.add(w0, np.multiply(full, b.k3, b.arg), b.arg)
-    np.conjugate(b.argu, b.k4u)
-    np.multiply(b.argv, b.k4u, b.k4u)
-    np.multiply(b.argu, b.argu, b.k4v)
+    _stage(b.argu, b.argv, b.k4u, b.k4v)
     # out = w0 + (i h / 6) (k1 + 2 (k2 + k3) + k4)
     np.multiply(_TWO, np.add(b.k2, b.k3, b.k2), b.k2)
     np.add(np.add(b.k1, b.k2, b.k1), b.k4, b.k1)
@@ -563,9 +560,6 @@ def reference_rk4_step(p: FieldPair, dt: float) -> FieldPair:
 
 
 def _record(p: FieldPair, t: float) -> DiagnosticsRecord:
-    maxmod = max(
-        float(np.max(np.abs(p.u.values))), float(np.max(np.abs(p.v.values)))
-    )
     return DiagnosticsRecord(
         t=t,
         mass=fields_mod.mass(p),
@@ -574,7 +568,7 @@ def _record(p: FieldPair, t: float) -> DiagnosticsRecord:
         momentum=fields_mod.momentum(p),
         l3_u=lp_norm(p.u, 3.0),
         l3_pair=pair_lp_norm(p, 3.0),
-        max_modulus=maxmod,
+        max_modulus=pair_lp_norm(p, np.inf),
     )
 
 
@@ -680,14 +674,8 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
 
     # wrap-around check on the loop's last (widest) profile
     dens = np.abs(ft) ** 2
-    edge = np.zeros(grid.shape, dtype=bool)
-    ax = grid.axis()
     margin = grid.L / 16.0
-    near = (ax < margin) | (ax > grid.L - margin)
-    for axis_idx in range(grid.d):
-        shape = [1] * grid.d
-        shape[axis_idx] = grid.n
-        edge |= near.reshape(shape)
+    edge = np.any([(x < margin) | (x > grid.L - margin) for x in grid.coords()], axis=0)
     frac = float(np.sum(dens[edge]) / np.sum(dens))
     if frac > 1e-6:
         raise RuntimeError(

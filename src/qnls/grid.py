@@ -212,28 +212,21 @@ class UniformGrid:
         Leading axes are a batch: a stacked pair of shape (2, *shape) goes
         through in one call.  Complex128 and float64 input go to
         pocketfft's ``c2c`` directly, other dtypes through ``scipy.fft``
-        (module docstring); in d = 1 the one-axis ``fft`` gives the same
-        bits as ``fftn`` over the last axis with less call overhead.
+        (module docstring).
         """
-        dtype = values.dtype
-        if (dtype is _COMPLEX or dtype is _REAL) and _c2c is not None:
-            return _c2c(values, self._axes, True, _ORTHO, None, 1)
-        import scipy.fft
-
-        if self.d == 1:
-            return scipy.fft.fft(values, axis=-1, norm="ortho")
-        return scipy.fft.fftn(values, axes=self._axes, norm="ortho")
+        return self._transform(values, True)
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`fft`, batched and dispatched the same way."""
+        return self._transform(values, False)
+
+    def _transform(self, values: np.ndarray, forward: bool) -> np.ndarray:
         dtype = values.dtype
         if (dtype is _COMPLEX or dtype is _REAL) and _c2c is not None:
-            return _c2c(values, self._axes, False, _ORTHO, None, 1)
+            return _c2c(values, self._axes, forward, _ORTHO, None, 1)
         import scipy.fft
 
-        if self.d == 1:
-            return scipy.fft.ifft(values, axis=-1, norm="ortho")
-        return scipy.fft.ifftn(values, axes=self._axes, norm="ortho")
+        return (scipy.fft.fftn if forward else scipy.fft.ifftn)(values, axes=self._axes, norm="ortho")
 
     def convolve(self, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Periodic convolution int k(x - y) f(y) dy as a Riemann sum.
@@ -321,13 +314,16 @@ class RadialGrid:
         Ghost values come from even reflection across r=0 (exact for the
         half-offset nodes) and odd reflection at the Dirichlet cutoff.
         """
-        g = radial_ghosts(np.asarray(values))
-        fp = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * self.dr)
-        return [fp]
+        return [_centred_d1(radial_ghosts(np.asarray(values)), self.dr)]
 
     def dirichlet(self, values: np.ndarray) -> float:
         """int |grad f|^2 with the fourth-order :meth:`gradient`."""
         return float(self.integrate(np.abs(self.gradient(values)[0]) ** 2))
+
+
+def _centred_d1(g: np.ndarray, dx: float) -> np.ndarray:
+    """Fourth-order centred first derivative at the nodes g[2:-2] of samples spaced dx."""
+    return (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * dx)
 
 
 def radial_ghosts(f: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ import numpy as np
 
 from . import fields
 from .fields import FieldPair, pair_from_arrays
-from .grid import RadialGrid, UniformGrid, _scipy_extension, radial_ghosts
+from .grid import RadialGrid, UniformGrid, _centred_d1, _scipy_extension, radial_ghosts
 
 # LAPACK's banded LU and its back-substitution (solver notes above)
 _lapack = _scipy_extension("scipy.linalg._flapack")
@@ -166,13 +166,11 @@ class GroundState:
 def _lap4_apply(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
     """Fourth-order radial Laplacian d^2/dr^2 + (4/r) d/dr (solver-internal)."""
     dr = grid.dr
-    r = grid.nodes()
     g = radial_ghosts(f)
     d2 = (-g[4:] + 16.0 * g[3:-1] - 30.0 * g[2:-2] + 16.0 * g[1:-3] - g[:-4]) / (
         12.0 * dr**2
     )
-    d1 = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * dr)
-    return d2 + (4.0 / r) * d1
+    return d2 + (4.0 / grid.nodes()) * _centred_d1(g, dr)
 
 
 def _lap4_band(grid: RadialGrid) -> np.ndarray:

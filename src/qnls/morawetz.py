@@ -24,7 +24,7 @@ import numpy as np
 from . import fields as fields_mod
 from .evolution import _drive, _stop_steps
 from .fields import FieldPair, galilean_boost
-from .grid import UniformGrid, unit_ball_volume
+from .grid import UniformGrid, _centred_d1, unit_ball_volume
 
 Q_MAX = 2.5      # the weight tables cover q = r/R in [0, Q_MAX]
 N_RADII = 12     # the interaction average's log-spaced radii in [R0, R0 e^J]
@@ -209,7 +209,7 @@ def weight_identity_check(w: MorawetzWeights) -> dict:
 
     # Lap a from the a-table alone: a'' + (d-1)/q * a', 4th-order stencils
     a = w.a
-    da = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * dq)
+    da = _centred_d1(a, dq)
     d2a = (-a[:-4] + 16.0 * a[1:-3] - 30.0 * a[2:-2] + 16.0 * a[3:-1] - a[4:]) / (
         12.0 * dq**2
     )
@@ -246,9 +246,21 @@ class BoostChoice:
         return self.denominator <= 0
 
 
+def _cutoff(grid: UniformGrid, s, R, eps: float) -> np.ndarray:
+    """Gamma(|x - s| / R) on the torus (min-image metric), for a radius R or a column of radii.
+
+    Raises ``ValueError`` unless every radius is finite and positive.
+    """
+    if not isinstance(grid, UniformGrid):
+        raise TypeError("window cutoffs are defined on uniform grids")
+    if not np.all(np.isfinite(R) & (np.asarray(R) > 0)):
+        raise ValueError(f"window radius must be a finite positive number, got {R}")
+    return bump_gamma(grid.distance(s) / R, eps)
+
+
 def _window(grid: UniformGrid, s, R: float, eps: float) -> np.ndarray:
-    """Gamma^2(|x - s| / R) on the torus (min-image metric)."""
-    return bump_gamma(grid.distance(s) / R, eps) ** 2
+    """Gamma^2(|x - s| / R), the square of :func:`_cutoff`."""
+    return _cutoff(grid, s, R, eps) ** 2
 
 
 def _densities(p: FieldPair):
@@ -305,8 +317,6 @@ def boost_xi(p: FieldPair, s, R: float, w: MorawetzWeights) -> BoostChoice:
     condition is the normative contract; the boosted weighted momentum is
     zero by the exact algebra  A^xi = A - xi * nu  pointwise.
     """
-    if not isinstance(p.grid, UniformGrid):
-        raise TypeError("boost_xi requires a uniform grid")
     return _window_boost(p, _window(p.grid, s, R, w.eps))
 
 
@@ -476,7 +486,7 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
 
     # window kernels per shell, sampled on the min-image distance from the
     # origin and transformed once for every sample
-    kernels = bump_gamma(grid.distance([0.0]) / radii[:, None], params.eps) ** 2
+    kernels = _window(grid, [0.0], radii[:, None], params.eps)
     window_sums = grid.convolver(kernels[:, None, :])
 
     stops = _stop_steps(params.T0, dt, params.cadence)

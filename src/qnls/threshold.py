@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as fields_mod
-from .fields import Field, FieldPair, galilean_boost
+from .fields import FieldPair, galilean_boost, pair_from_arrays
 from .grid import RadialGrid, UniformGrid
 from .ground_state import GroundState
-from .morawetz import _window_boost, bump_gamma
+from .morawetz import _cutoff, _window_boost
 
 #: relative guard band for the at-threshold classification
 GUARD_BAND = 1e-9
@@ -179,7 +179,7 @@ def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> Ball
     grid = p.grid
     if not isinstance(grid, UniformGrid) or grid.d > 2:
         raise TypeError("ball coercivity is evaluated on uniform grids in d <= 2")
-    chi = bump_gamma(grid.distance(s) / radius, BALL_EPS)
+    chi = _cutoff(grid, s, radius, BALL_EPS)
     boosted = galilean_boost(p, _window_boost(p, chi**2).xi)
 
     # localization identity on the boosted u component
@@ -259,11 +259,7 @@ def rescale_to_E0(p: FieldPair) -> tuple[FieldPair, float]:
         new_grid = RadialGrid(g.m, g.r_max / lam)
     else:
         new_grid = UniformGrid(g.d, g.n, g.L / lam)
-    scaled = FieldPair(
-        Field(new_grid, lam**2 * p.u.values),
-        Field(new_grid, lam**2 * p.v.values),
-        p.kappa,
-    )
+    scaled = pair_from_arrays(new_grid, lam**2 * p.u.values, lam**2 * p.v.values, p.kappa)
     e_new = fields_mod.energy(scaled)
     m_new = fields_mod.mass(scaled)
     if abs(m_new - e_new) > 1e-10 * max(abs(e_new), 1e-300):

@@ -177,6 +177,31 @@ def test_short_snapshot_header_is_truncated(tmp_path, capsys, size):
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("second, rows", [(32, 64), (7, 64), (32, 32)])
+def test_snapshot_axis_counts_must_agree(tmp_path, capsys, second, rows):
+    # a 2-D header whose second axis count differs from the first, over the
+    # full 64 x 64 payload or a 64 x 32 one
+    g = UniformGrid(2, 64, 5.0)
+    z = np.zeros(g.shape, complex)
+    path = tmp_path / "counts.snap"
+    write_snapshot(pair_from_arrays(g, z, z), 0.0, str(path))
+    data = bytearray(path.read_bytes())
+    data[20:24] = second.to_bytes(4, "little")   # after magic, version, kind, dimension, n
+    header = len(data) - 2 * g.size * 16
+    path.write_bytes(bytes(data[:header + 2 * 64 * rows * 16]))
+    with pytest.raises(ValueError, match=rf"axis counts \(64, {second}\)"):
+        read_snapshot(str(path))
+    conf = tmp_path / "file.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "dimension": 2, "n": 64, "L": 5.0, "dt": 1e-3, "t_final": 0.002,
+        "initial": "file", "input_path": str(path), "output": str(tmp_path / "run.csv"),
+    }))
+    assert main([str(conf)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ValueError" and f"axis counts (64, {second})" in err["message"]
+    assert not (tmp_path / "run.csv").exists()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("version", 2, "unsupported snapshot version 2"),
     ("kind", 7, "unknown grid kind 7"),
@@ -453,6 +478,16 @@ def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"'{key}'" in err
+
+
+def test_morawetz_cadence_is_a_usage_error(tmp_path, capsys):
+    # the accumulator samples every 25th step whatever the config says
+    conf = tmp_path / "mw.json"
+    conf.write_text(json.dumps({"command": "morawetz", "cadence": 10}))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'cadence'" in err and "every 25th step" in err
 
 
 @pytest.mark.parametrize("key", ["output", "input_path"])

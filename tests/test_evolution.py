@@ -304,6 +304,20 @@ def test_decay_fit_detects_wraparound():
         dispersive_decay_fit(f, (5.0, 50.0), r=np.inf)
 
 
+def test_decay_fit_detects_wraparound_along_the_last_axis():
+    # in 2-D the mass sits near the edge of the last axis only, which a mask
+    # built from the first axis misses; its centred twin passes the same fit
+    g = UniformGrid(2, 64, 40.0)
+    x0, x1 = g.coords()
+
+    def gaussian(c1):
+        return Field(g, np.exp(-((x0 - 20.0) ** 2 + (x1 - c1) ** 2) / 2.0).astype(complex))
+
+    assert dispersive_decay_fit(gaussian(20.0), (0.5, 2.0), r=np.inf) < 0.0
+    with pytest.raises(RuntimeError, match="wrap-around"):
+        dispersive_decay_fit(gaussian(1.0), (0.5, 2.0), r=np.inf)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(dt=-1e-3, t_final=1.0)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from qnls import fields
-from qnls.grid import UniformGrid, unit_ball_volume
+from qnls.grid import RadialGrid, UniformGrid, unit_ball_volume
 from qnls.fields import galilean_boost, pair_from_arrays
 from qnls.morawetz import (
     Q_MAX,
@@ -16,12 +16,13 @@ from qnls.morawetz import (
     bump_gamma,
     cauchy_schwarz_margin,
     galilean_invariance_check,
+    galilean_pairing,
     interaction_lhs,
     morawetz_action,
     weight_identity_check,
     weighted_momentum,
 )
-from qnls.threshold import rescale_to_E0
+from qnls.threshold import coercivity_on_balls, rescale_to_E0
 
 from conftest import random_envelope_pair
 
@@ -147,6 +148,39 @@ def test_boost_postcondition_random_windows():
         post = weighted_momentum(galilean_boost(p, ch.xi), s, radius, w)
         scale = fields.mass(p) * (1.0 + float(np.abs(ch.xi[0])))
         assert np.max(np.abs(post)) < 1e-10 * scale
+
+
+# every public function that builds a window Gamma(|x - s| / R), at s = 10
+_WINDOW_CALLS = {
+    "boost_xi": lambda p, R, w, gs: boost_xi(p, [10.0], R, w),
+    "weighted_momentum": lambda p, R, w, gs: weighted_momentum(p, [10.0], R, w),
+    "galilean_pairing": lambda p, R, w, gs: galilean_pairing(p, [10.0], R, w),
+    "galilean_invariance_check": lambda p, R, w, gs: galilean_invariance_check(p, [0.3], [10.0], R, w),
+    "coercivity_on_balls": lambda p, R, w, gs: coercivity_on_balls(p, [10.0], R, gs),
+}
+
+
+@pytest.mark.parametrize("call", list(_WINDOW_CALLS))
+@pytest.mark.parametrize("radius", [0.0, -5.0, math.nan])
+def test_windows_reject_a_radius_that_is_not_positive(call, radius, gs_mid):
+    # a negative radius turned the window into the whole box, NaN into
+    # nothing, and 0 into a division by zero
+    g = UniformGrid(1, 256, 40.0)
+    x = g.axis()
+    u = 0.5 * np.exp(-((x - 20.0) ** 2) / 4.0) * np.exp(0.7j * x)
+    p = pair_from_arrays(g, u, 0.2 * u**2, 0.5)
+    with pytest.raises(ValueError, match="radius"):
+        _WINDOW_CALLS[call](p, radius, build_weights(1, 5.0, 0.05), gs_mid)
+
+
+def test_windows_are_refused_off_the_torus():
+    g = RadialGrid(64, 10.0)
+    r = g.nodes()
+    p = pair_from_arrays(g, np.exp(-(r**2)) + 0j, 0.5 * np.exp(-(r**2)) + 0j, 0.5)
+    w = build_weights(1, 5.0, 0.05)
+    for call in ("boost_xi", "weighted_momentum", "galilean_pairing", "galilean_invariance_check"):
+        with pytest.raises(TypeError, match="uniform grids"):
+            _WINDOW_CALLS[call](p, 5.0, w, None)
 
 
 def test_action_vanishes_for_real_and_zero_pairs():

@@ -4,10 +4,10 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below has 18 runs.  They run every command, in d = 1, 2 and
+The manifest below has 19 runs.  They run every command, in d = 1, 2 and
 3, with snapshots written and read back (``initial: "file"``); every
 outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
-``substep-failure`` of each); a usage error and a numeric error.  Each run is
+``substep-failure`` of each); two usage errors and a numeric error.  Each run is
 ``python -m qnls.cli CONFIG`` in its own process, from the ``src/`` next
 to this script, inside one temporary directory with relative paths, so
 artifacts never embed a location.  Runs go in manifest order, because the
@@ -15,7 +15,7 @@ artifacts never embed a location.  Runs go in manifest order, because the
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each run, and ``files/<name>`` of every file left in the directory, to the
-sha256 of its bytes: 102 entries for this manifest.  Outputs are
+sha256 of its bytes: 106 entries for this manifest.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
 entries that differ or that only one digest has, and exits 1 if there are
@@ -95,6 +95,8 @@ MANIFEST: list[tuple[str, dict]] = [
                         "decay_exponent": 4, "t_fit_start": 4.0, "t_fit_end": 12.0,
                         "output": "d2"}),
     ("usage-error", {"command": "evolve", "kapa": 1.0}),
+    # morawetz samples every 25th step whatever the config says, so setting cadence is an error
+    ("usage-error-morawetz-cadence", {"command": "morawetz", "cadence": 10}),
     ("numeric-error", {"command": "ground-state", "m": 128, "r_max": 10.0, "tol": 1e-15,
                        "max_iter": 2}),
 ]
