@@ -63,6 +63,41 @@ def _sphere_area(n: int) -> float:
     return 2.0 * pi ** ((n + 1) / 2.0) / gamma((n + 1) / 2.0)
 
 
+def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1 - u^2)^a on [-1, 1], a > -1: ascending nodes, weights.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Jacobi polynomials with alpha = beta = a (zero diagonal),
+    the weights mu0 v_0^2 with v_0 the first eigenvector components and
+    mu0 = int (1 - u^2)^a du.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * (k + a)
+    num = 4.0 * k * (k + a) ** 2 * (k + 2.0 * a)
+    den = s**2 * (s + 1.0) * (s - 1.0)
+    if a == -0.5 and n > 1:   # Chebyshev: the formula's k = 1 entry is 0/0, its limit 1/2
+        num[0], den[0] = 0.5, 1.0
+    off = np.sqrt(num / den)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (2.0 * a + 1.0) * math.gamma(a + 1.0) ** 2 / math.gamma(2.0 * a + 2.0)
+    return nodes, mu0 * vecs[0] ** 2
+
+
+def _cumulative(f: np.ndarray, h: float) -> np.ndarray:
+    """Running integral from the first node of f sampled with spacing h, fourth order.
+
+    Each interval integrates the cubic through its four nearest samples:
+    h/24 (-f_{i-1} + 13 f_i + 13 f_{i+1} - f_{i+2}) inside, and the
+    one-sided h/24 (9 f_0 + 19 f_1 - 5 f_2 + f_3) on the first and, mirrored,
+    the last interval.  Needs at least four samples.
+    """
+    parts = np.empty(f.size - 1)
+    parts[0] = 9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3]
+    parts[1:-1] = -f[:-3] + 13.0 * f[1:-2] + 13.0 * f[2:-1] - f[3:]
+    parts[-1] = 9.0 * f[-1] + 19.0 * f[-2] - 5.0 * f[-3] + f[-4]
+    return np.concatenate(([0.0], np.cumsum(parts) * (h / 24.0)))
+
+
 def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int) -> np.ndarray:
     """Correlations int Gamma^k(|z|) Gamma^2(|z - q e|) dz in R^d, k = 2 and 3.
 
@@ -71,10 +106,11 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
     q >= 2 are exactly 0 (no overlap of the supports) and are skipped.
     d = 1 integrates directly on midpoint nodes.  d >= 2 reduces to a
     (rho, angle) quadrature with Gauss-Jacobi nodes u for the sin^(d-2)
-    weight; the angular sum inner(q, rho) serves both k.  For q, rho > 0
-    the distance falls as u rises, so g = 0 on a prefix of the ascending
-    nodes and g = 1 on a suffix: the suffix sums come from a tail sum of
-    the weights, and the bump is evaluated only on the band between.
+    weight, from :func:`_gauss_jacobi`; the angular sum inner(q, rho)
+    serves both k.  For q, rho > 0 the distance falls as u rises, so g = 0
+    on a prefix of the ascending nodes and g = 1 on a suffix: the suffix
+    sums come from a tail sum of the weights, and the bump is evaluated
+    only on the band between.
     """
     out = np.zeros((2, q.size))
     n_live = int(np.searchsorted(q, 2.0))
@@ -89,12 +125,7 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
             out[:, i:j] = fs @ (bump_gamma(np.abs(s[None, :] - q[i:j, None]), eps) ** 2).T
         return out
 
-    # imported here: scipy.special loads scipy's array-API layer, which
-    # nothing but the d >= 2 tables needs
-    from scipy.special import roots_jacobi
-
-    a = (d - 3) / 2.0
-    u, wu = roots_jacobi(n_ang, a, a)
+    u, wu = _gauss_jacobi(n_ang, (d - 3) / 2.0)
     tail = np.append(np.cumsum(wu[::-1])[::-1], 0.0)     # tail[k] = sum of wu[k:]
     rho = (np.arange(n_rho) + 0.5) / n_rho
     g_rho = bump_gamma(rho, eps)
@@ -153,9 +184,10 @@ def build_weights(d: int, R: float, eps: float) -> MorawetzWeights:
     """Build the weight tables for dimension d, window radius R, smoothing eps.
 
     phi is the normalized radial self-correlation of Gamma^2, phi1 the
-    correlation of Gamma^3 with Gamma^2; psi and a follow by cumulative
-    quadrature, the phi' table by centered differences.  The scaled
-    tables are cached per (d, eps) since they do not depend on R.
+    correlation of Gamma^3 with Gamma^2; psi and a follow by the
+    fourth-order cumulative rule of :func:`_cumulative`, the phi' table by
+    centered differences.  The scaled tables are cached per (d, eps) since
+    they do not depend on R.
     """
     if d not in (1, 2, 5):
         raise ValueError(f"weights are built for d in {{1, 2, 5}}, got {d}")
@@ -169,21 +201,18 @@ def build_weights(d: int, R: float, eps: float) -> MorawetzWeights:
 
 
 def _build_scaled_tables(d, eps) -> dict:
-    # imported here: scipy.interpolate loads scipy.optimize, sparse and
-    # spatial, which nothing else in the package needs
-    from scipy.interpolate import CubicSpline
-
     q = np.linspace(0.0, Q_MAX, TABLE_SIZE)
+    dq = q[1] - q[0]
     phi, phi1 = _bump_correlations(d, eps, q, N_RHO, N_ANG) / unit_ball_volume(d)
 
     # psi(q) = (1/q) int_0^q phi;  a(q) = int_0^q psi q' dq'.  Cumulative
-    # integrals via spline antiderivatives: smooth in q, so the table
+    # integrals by the fourth-order rule of _cumulative, so the table
     # identity Lap a = phi + (d-1) psi survives later differentiation.
-    cum_phi = CubicSpline(q, phi).antiderivative()(q)
+    cum_phi = _cumulative(phi, dq)
     psi = np.empty_like(phi)
     psi[0] = phi[0]
     psi[1:] = cum_phi[1:] / q[1:]
-    a = CubicSpline(q, psi * q).antiderivative()(q)
+    a = _cumulative(psi * q, dq)
 
     return dict(
         q=q,
@@ -191,7 +220,7 @@ def _build_scaled_tables(d, eps) -> dict:
         phi1=phi1,
         psi=psi,
         a=a,
-        dphi=np.gradient(phi, q[1] - q[0]),
+        dphi=np.gradient(phi, dq),
         i2=float(cum_phi[-1]),
     )
 
@@ -249,10 +278,14 @@ class BoostChoice:
 def _cutoff(grid: UniformGrid, s, R, eps: float) -> np.ndarray:
     """Gamma(|x - s| / R) on the torus (min-image metric), for a radius R or a column of radii.
 
-    Raises ``ValueError`` unless every radius is finite and positive.
+    Raises ``ValueError`` unless the centre s has exactly ``grid.d`` finite
+    components and every radius is finite and positive.
     """
     if not isinstance(grid, UniformGrid):
         raise TypeError("window cutoffs are defined on uniform grids")
+    centre = np.atleast_1d(np.asarray(s, dtype=float))
+    if centre.shape != (grid.d,) or not np.all(np.isfinite(centre)):
+        raise ValueError(f"window centre must have {grid.d} finite components, got {s}")
     if not np.all(np.isfinite(R) & (np.asarray(R) > 0)):
         raise ValueError(f"window radius must be a finite positive number, got {R}")
     return bump_gamma(grid.distance(s) / R, eps)

@@ -662,14 +662,14 @@ def test_substep_failure_from_the_cli_is_quiet(tmp_path, capfd):
 # scipy subpackages whose package imports cost start-up time: scipy.fft and
 # scipy.special load scipy's array-API layer, scipy.linalg its Python
 # wrappers, scipy.interpolate loads scipy.optimize; qnls loads pocketfft and
-# LAPACK from their compiled modules instead, and the rest only where used
+# LAPACK from their compiled modules instead, and imports none of the rest
 _HEAVY_SCIPY = ("scipy.fft", "scipy.linalg", "scipy.special", "scipy._lib._array_api",
                 "scipy.interpolate", "scipy.optimize")
 
 
 def test_importing_the_cli_leaves_out_the_spline_stack():
-    # only the weight-table build needs scipy.interpolate, and it imports
-    # scipy.optimize with it
+    # nothing in qnls imports scipy.interpolate or scipy.optimize: the
+    # weight tables integrate by morawetz._cumulative
     code = f"import sys, qnls.cli; print(sorted(m for m in {_HEAVY_SCIPY!r} if m in sys.modules))"
     assert run_python(code).strip() == "[]"
 

@@ -9,8 +9,12 @@ from qnls.grid import RadialGrid, UniformGrid, unit_ball_volume
 from qnls.fields import galilean_boost, pair_from_arrays
 from qnls.morawetz import (
     Q_MAX,
+    TABLE_SIZE,
     InteractionParams,
     _bump_correlations,
+    _cumulative,
+    _cutoff,
+    _gauss_jacobi,
     boost_xi,
     build_weights,
     bump_gamma,
@@ -24,7 +28,7 @@ from qnls.morawetz import (
 )
 from qnls.threshold import coercivity_on_balls, rescale_to_E0
 
-from conftest import random_envelope_pair
+from conftest import random_envelope_pair, run_python
 
 
 def test_bump_endpoints_and_monotonicity():
@@ -85,6 +89,59 @@ def test_band_quadrature_matches_dense_quadrature(d, eps):
     assert np.any(outside)
     assert np.all(phi[outside] == 0.0)
     assert np.all(phi1[outside] == 0.0)
+
+
+def test_gauss_jacobi_rule_integrates_every_degree_up_to_2n_minus_1():
+    # d = 5: weight (1 - u^2)^1, 96 nodes, exact for u^k with k <= 191;
+    # the moment of u^2m is the Beta function B(m + 1/2, 2), of odd k zero
+    u, wu = _gauss_jacobi(96, 1.0)
+    assert np.all(np.diff(u) > 0)
+    for k in range(192):
+        got = float(np.sum(wu * u**k))
+        if k % 2:
+            assert abs(got) <= 1e-15
+        else:
+            m = k // 2
+            beta = math.exp(math.lgamma(m + 0.5) + math.lgamma(2.0) - math.lgamma(m + 2.5))
+            assert got == pytest.approx(beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 96])
+def test_gauss_jacobi_rule_is_gauss_chebyshev_in_two_dimensions(n):
+    # d = 2: weight (1 - u^2)^(-1/2), whose recurrence starts with beta_1^2 = 1/2
+    u, wu = _gauss_jacobi(n, -0.5)
+    j = np.arange(n, 0, -1)
+    assert np.max(np.abs(u - np.cos((2 * j - 1) * np.pi / (2 * n)))) <= 1e-15
+    assert np.max(np.abs(wu - np.pi / n)) <= 1e-14
+
+
+def test_cumulative_rule_is_exact_on_cubics():
+    q = np.linspace(0.0, Q_MAX, TABLE_SIZE)
+    f = 1.0 - 2.0 * q + 3.0 * q**2 - 0.5 * q**3
+    exact = q - q**2 + q**3 - q**4 / 8.0
+    assert np.max(np.abs(_cumulative(f, q[1] - q[0]) - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_cumulative_rule_is_fourth_order():
+    errors = []
+    for n in (161, 321, 641):
+        x = np.linspace(0.0, Q_MAX, n)
+        errors.append(np.max(np.abs(_cumulative(np.sin(3.0 * x), x[1] - x[0]) - (1.0 - np.cos(3.0 * x)) / 3.0)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_table_builds_import_no_scipy():
+    # the nodes come from numpy's eigh and the integrals from _cumulative,
+    # so a fresh process builds every table without a scipy module
+    code = """
+import sys
+from qnls.morawetz import build_weights
+for d in (1, 2, 5):
+    build_weights(d, 8.0, 0.05)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    assert run_python(code).strip() == "[]"
 
 
 def test_weight_constants_stable_under_eps_halving():
@@ -181,6 +238,39 @@ def test_windows_are_refused_off_the_torus():
     for call in ("boost_xi", "weighted_momentum", "galilean_pairing", "galilean_invariance_check"):
         with pytest.raises(TypeError, match="uniform grids"):
             _WINDOW_CALLS[call](p, 5.0, w, None)
+
+
+# every public function that builds a window, on a 2-D box at centre s
+_WINDOW_CALLS_2D = {
+    "boost_xi": lambda p, s, w, gs: boost_xi(p, s, 5.0, w),
+    "weighted_momentum": lambda p, s, w, gs: weighted_momentum(p, s, 5.0, w),
+    "galilean_pairing": lambda p, s, w, gs: galilean_pairing(p, s, 5.0, w),
+    "galilean_invariance_check": lambda p, s, w, gs: galilean_invariance_check(p, [0.3, 0.0], s, 5.0, w),
+    "coercivity_on_balls": lambda p, s, w, gs: coercivity_on_balls(p, s, 5.0, gs),
+}
+
+
+@pytest.mark.parametrize("call", list(_WINDOW_CALLS_2D))
+@pytest.mark.parametrize("centre", [[10.0, 10.0, 99.0], [math.nan, 10.0], [10.0], [10.0, math.inf]])
+def test_windows_reject_a_centre_that_is_not_a_point_of_the_box(call, centre, gs_mid):
+    # a third component was dropped, NaN gave an empty window reported as
+    # a degenerate boost, and one component raised a bare IndexError
+    g = UniformGrid(2, 32, 20.0)
+    x, y = g.coords()
+    u = 0.5 * np.exp(-((x - 10.0) ** 2 + (y - 10.0) ** 2) / 4.0) * np.exp(0.7j * x)
+    p = pair_from_arrays(g, u, 0.2 * u**2, 0.5)
+    with pytest.raises(ValueError, match="centre"):
+        _WINDOW_CALLS_2D[call](p, centre, build_weights(2, 5.0, 0.05), gs_mid)
+
+
+def test_windows_accept_a_centre_with_one_component_per_axis():
+    g2 = UniformGrid(2, 32, 20.0)
+    assert _cutoff(g2, [10.0, 10.0], 5.0, 0.05).shape == g2.shape
+    g1 = UniformGrid(1, 256, 40.0)
+    assert np.array_equal(_cutoff(g1, [20.0], 5.0, 0.05), _cutoff(g1, 20.0, 5.0, 0.05))
+    # the interaction accumulator's kernels: the origin, a column of radii
+    radii = np.array([[2.0], [4.0]])
+    assert _cutoff(g1, [0.0], radii, 0.05).shape == (2, 256)
 
 
 def test_action_vanishes_for_real_and_zero_pairs():
