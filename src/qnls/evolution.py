@@ -126,9 +126,9 @@ class EvolutionConfig:
 
 
 def _whole_steps(t: float, dt: float) -> int:
-    """Number of steps dt in the span t; rejects a dt that is not positive, and a span not whole."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    """Number of steps dt in the span t; rejects a dt not finite and > 0, and a span not whole."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be a finite positive number, got {dt}")
     ratio = t / dt
     if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * abs(ratio):
         raise ValueError(f"{t} is not a whole number of steps dt = {dt}")
@@ -541,13 +541,10 @@ def strang_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
 def reference_rk4_step(p: FieldPair, dt: float) -> FieldPair:
     """Method-of-lines RK4 on the full right-hand side (splitting-free oracle)."""
     grid = p.grid
-    k2 = grid.k2()
     kappa = p.kappa
 
     def rhs(u, v):
-        lap_u = grid.ifft(-k2 * grid.fft(u))
-        lap_v = grid.ifft(-k2 * grid.fft(v))
-        return 1j * (lap_u + v * np.conj(u)), 1j * (kappa * lap_v + u * u)
+        return 1j * (grid.laplacian(u) + v * np.conj(u)), 1j * (kappa * grid.laplacian(v) + u * u)
 
     u, v = p.u.values, p.v.values
     k1u, k1v = rhs(u, v)

@@ -249,6 +249,10 @@ class UniformGrid:
         vhat = self.fft(values)
         return [self.ifft(1j * km * vhat) for km in self.derivative_wavenumbers()]
 
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Spectral Laplacian ifft(-|k|^2 fft(f)), complex; batched like :meth:`fft`."""
+        return self.ifft(-self._k2 * self.fft(values))
+
     def dirichlet(self, values: np.ndarray) -> float:
         """Dirichlet integral int |grad f|^2 = h^d sum |k|^2 |f_hat|^2 by Parseval.
 
@@ -324,6 +328,13 @@ class RadialGrid:
 def _centred_d1(g: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order centred first derivative at the nodes g[2:-2] of samples spaced dx."""
     return (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * dx)
+
+
+def _centred_d2(g: np.ndarray, dx: float) -> np.ndarray:
+    """Fourth-order centred second derivative at the nodes g[2:-2] of samples spaced dx."""
+    return (-g[4:] + 16.0 * g[3:-1] - 30.0 * g[2:-2] + 16.0 * g[1:-3] - g[:-4]) / (
+        12.0 * dx**2
+    )
 
 
 def radial_ghosts(f: np.ndarray) -> np.ndarray:

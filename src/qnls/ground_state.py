@@ -80,7 +80,7 @@ import numpy as np
 
 from . import fields
 from .fields import FieldPair, pair_from_arrays
-from .grid import RadialGrid, UniformGrid, _centred_d1, _scipy_extension, radial_ghosts
+from .grid import RadialGrid, UniformGrid, _centred_d1, _centred_d2, _scipy_extension, radial_ghosts
 
 # LAPACK's banded LU and its back-substitution (solver notes above)
 _lapack = _scipy_extension("scipy.linalg._flapack")
@@ -165,12 +165,8 @@ class GroundState:
 
 def _lap4_apply(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
     """Fourth-order radial Laplacian d^2/dr^2 + (4/r) d/dr (solver-internal)."""
-    dr = grid.dr
     g = radial_ghosts(f)
-    d2 = (-g[4:] + 16.0 * g[3:-1] - 30.0 * g[2:-2] + 16.0 * g[1:-3] - g[:-4]) / (
-        12.0 * dr**2
-    )
-    return d2 + (4.0 / grid.nodes()) * _centred_d1(g, dr)
+    return _centred_d2(g, grid.dr) + (4.0 / grid.nodes()) * _centred_d1(g, grid.dr)
 
 
 def _lap4_band(grid: RadialGrid) -> np.ndarray:
@@ -500,7 +496,7 @@ def solve_periodic_profile(
     rho2 = sum((c - center) ** 2 for c in grid.coords())
     guess = INITIAL_AMPLITUDE * np.exp(-rho2 / 2.0)
     phi, vphi, _, _, _ = _balanced_iteration(
-        grid, multiplier(-k2), multiplier(1.0 / (1.0 + k2)),
+        grid, lambda f: np.real(grid.laplacian(f)), multiplier(1.0 / (1.0 + k2)),
         multiplier(1.0 / (2.0 + kappa * k2)), kappa, guess, guess.copy(), tol, max_iter,
     )
     return pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)

@@ -24,14 +24,14 @@ import numpy as np
 from . import fields as fields_mod
 from .evolution import _drive, _stop_steps
 from .fields import FieldPair, galilean_boost
-from .grid import UniformGrid, _centred_d1, unit_ball_volume
+from .grid import UniformGrid, _centred_d1, _centred_d2, unit_ball_volume
 
 Q_MAX = 2.5      # the weight tables cover q = r/R in [0, Q_MAX]
 N_RADII = 12     # the interaction average's log-spaced radii in [R0, R0 e^J]
 S_STRIDE = 4     # its window centres: every S_STRIDE-th grid point
 TABLE_SIZE = 4096   # nodes of each weight table on [0, Q_MAX]
 N_RHO = 512         # radial quadrature nodes of the bump correlations
-N_ANG = 96          # their Gauss-Jacobi angular nodes
+N_ANG = 96          # their Gauss-Jacobi angular nodes, d >= 2 (d = 1: the two of S^0)
 
 
 def bump_gamma(r, eps: float):
@@ -49,10 +49,11 @@ def bump_gamma(r, eps: float):
     out[r <= 1.0 - eps] = 1.0
     trans = (r > 1.0 - eps) & (r < 1.0)
     if np.any(trans):
+        # in place, the same operations: a weight table's band passes up to 1.4e5 nodes
         t = (r[trans] - (1.0 - eps)) / eps
-        g1 = np.exp(-1.0 / t)
         g2 = np.exp(-1.0 / (1.0 - t))
-        out[trans] = g2 / (g1 + g2)   # equals 1 - smoothstep(t)
+        g1 = np.exp(np.divide(-1.0, t, out=t), out=t)
+        out[trans] = np.divide(g2, np.add(g1, g2, out=g1), out=g2)   # equals 1 - smoothstep(t)
     return float(out[0]) if scalar else out
 
 
@@ -104,32 +105,25 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
     Returns shape (2, q.size), evaluated at the ascending scaled radii ``q``
     with one shared evaluation of g = Gamma^2(|z - q e|).  Rows with
     q >= 2 are exactly 0 (no overlap of the supports) and are skipped.
-    d = 1 integrates directly on midpoint nodes.  d >= 2 reduces to a
-    (rho, angle) quadrature with Gauss-Jacobi nodes u for the sin^(d-2)
-    weight, from :func:`_gauss_jacobi`; the angular sum inner(q, rho)
-    serves both k.  For q, rho > 0 the distance falls as u rises, so g = 0
-    on a prefix of the ascending nodes and g = 1 on a suffix: the suffix
-    sums come from a tail sum of the weights, and the bump is evaluated
-    only on the band between.
+    Every d is one (rho, u) quadrature: midpoint radii rho, directions
+    u = cos(angle to e) on S^(d-1).  For d >= 2 the u are Gauss-Jacobi
+    nodes for the sin^(d-2) weight from :func:`_gauss_jacobi`, times the
+    area of S^(d-2); d = 1 has S^0, u = -1, 1 of weight 1 and area 1.
+    The angular sum inner(q, rho) serves both k.  For q, rho > 0 the
+    distance falls as u rises, so g = 0 on a prefix of the ascending nodes
+    and g = 1 on a suffix: the suffix sums come from a tail sum of the
+    weights, and the bump is evaluated only on the band between.
     """
-    out = np.zeros((2, q.size))
-    n_live = int(np.searchsorted(q, 2.0))
-    if d == 1:
-        s = np.linspace(-1.0, 1.0, 2 * n_rho, endpoint=False)
-        s = s + (s[1] - s[0]) / 2.0
-        ds = s[1] - s[0]
-        gs = bump_gamma(np.abs(s), eps)
-        fs = np.array((gs**2, gs**3)) * ds
-        for i in range(0, n_live, 256):
-            j = min(i + 256, n_live)
-            out[:, i:j] = fs @ (bump_gamma(np.abs(s[None, :] - q[i:j, None]), eps) ** 2).T
-        return out
-
-    u, wu = _gauss_jacobi(n_ang, (d - 3) / 2.0)
+    if d == 1:   # S^0: the two directions u = -1, 1, counted once each
+        u, wu, area = np.array((-1.0, 1.0)), np.ones(2), 1.0
+    else:
+        (u, wu), area = _gauss_jacobi(n_ang, (d - 3) / 2.0), _sphere_area(d - 2)
     tail = np.append(np.cumsum(wu[::-1])[::-1], 0.0)     # tail[k] = sum of wu[k:]
     rho = (np.arange(n_rho) + 0.5) / n_rho
     g_rho = bump_gamma(rho, eps)
-    base = _sphere_area(d - 2) * np.array((g_rho**2, g_rho**3)) * rho ** (d - 1) / n_rho
+    base = area * np.array((g_rho**2, g_rho**3)) * rho ** (d - 1) / n_rho
+    out = np.zeros((2, q.size))
+    n_live = int(np.searchsorted(q, 2.0))
     n_zero = int(np.searchsorted(q, 0.0, side="right"))
     out[:, :n_zero] = (base @ (g_rho**2 * tail[0]))[:, None]   # q = 0: dist = rho
     for i in range(n_zero, n_live, 32):
@@ -137,13 +131,14 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
         qc = q[i:j, None]
         c2 = (qc**2 + rho**2).ravel()
         two_qr = (2.0 * qc * rho).ravel()
-        # g = 0 on nodes [0, lo) (dist >= 1), g = 1 on [hi, n_ang) (dist <= 1 - eps)
+        # g = 0 on nodes [0, lo) (dist >= 1), g = 1 on [hi, u.size) (dist <= 1 - eps)
         lo = np.searchsorted(u, (c2 - 1.0) / two_qr, side="right")
         hi = np.searchsorted(u, (c2 - (1.0 - eps) ** 2) / two_qr, side="left")
         lens = hi - lo
         pair = np.repeat(np.arange(lens.size), lens)
         node = np.arange(pair.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
-        dist = np.sqrt(np.maximum(c2[pair] - two_qr[pair] * u[node], 0.0))
+        dist = c2[pair] - two_qr[pair] * u[node]
+        dist = np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
         band = np.bincount(pair, weights=bump_gamma(dist, eps) ** 2 * wu[node], minlength=lens.size)
         inner = (tail[hi] + band).reshape(j - i, n_rho)
         out[:, i:j] = base @ inner.T
@@ -191,8 +186,7 @@ def build_weights(d: int, R: float, eps: float) -> MorawetzWeights:
     """
     if d not in (1, 2, 5):
         raise ValueError(f"weights are built for d in {{1, 2, 5}}, got {d}")
-    if not R > 0:
-        raise ValueError("window radius must be positive")
+    _check_radius(R)
     key = (d, float(eps))
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = _build_scaled_tables(*key)
@@ -238,11 +232,7 @@ def weight_identity_check(w: MorawetzWeights) -> dict:
 
     # Lap a from the a-table alone: a'' + (d-1)/q * a', 4th-order stencils
     a = w.a
-    da = _centred_d1(a, dq)
-    d2a = (-a[:-4] + 16.0 * a[1:-3] - 30.0 * a[2:-2] + 16.0 * a[3:-1] - a[4:]) / (
-        12.0 * dq**2
-    )
-    lap_a = d2a + (w.d - 1) * da / q[interior]
+    lap_a = _centred_d2(a, dq) + (w.d - 1) * _centred_d1(a, dq) / q[interior]
     target = w.phi[interior] + (w.d - 1) * w.psi[interior]
     lap_a_err = float(np.max(np.abs(lap_a - target)))
 
@@ -275,6 +265,12 @@ class BoostChoice:
         return self.denominator <= 0
 
 
+def _check_radius(R) -> None:
+    """Raises ``ValueError`` unless the window radius, or each of a column of radii, is finite, > 0."""
+    if not np.all(np.isfinite(R) & (np.asarray(R) > 0)):
+        raise ValueError(f"window radius must be a finite positive number, got {R}")
+
+
 def _cutoff(grid: UniformGrid, s, R, eps: float) -> np.ndarray:
     """Gamma(|x - s| / R) on the torus (min-image metric), for a radius R or a column of radii.
 
@@ -286,8 +282,7 @@ def _cutoff(grid: UniformGrid, s, R, eps: float) -> np.ndarray:
     centre = np.atleast_1d(np.asarray(s, dtype=float))
     if centre.shape != (grid.d,) or not np.all(np.isfinite(centre)):
         raise ValueError(f"window centre must have {grid.d} finite components, got {s}")
-    if not np.all(np.isfinite(R) & (np.asarray(R) > 0)):
-        raise ValueError(f"window radius must be a finite positive number, got {R}")
+    _check_radius(R)
     return bump_gamma(grid.distance(s) / R, eps)
 
 

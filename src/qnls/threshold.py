@@ -187,7 +187,7 @@ def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> Ball
     du = grid.gradient(ub)
     lhs = float(grid.integrate(chi**2 * sum(np.abs(c) ** 2 for c in du)))
     dchiu = grid.gradient(chi * ub)
-    lap_chi = grid.ifft(-grid.k2() * grid.fft(chi)).real
+    lap_chi = grid.laplacian(chi).real
     rhs = float(
         grid.integrate(sum(np.abs(c) ** 2 for c in dchiu))
     ) + float(grid.integrate(chi * lap_chi * np.abs(ub) ** 2))

@@ -321,6 +321,9 @@ def test_decay_fit_detects_wraparound_along_the_last_axis():
 def test_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(dt=-1e-3, t_final=1.0)
+    # an infinite dt made t / dt = 0 steps and a run "completed" at t = nan
+    with pytest.raises(ValueError, match="dt"):
+        EvolutionConfig(dt=np.inf, t_final=1.0)
     with pytest.raises(ValueError):
         EvolutionConfig(dt=1e-3, t_final=1.0, cadence=0)
     with pytest.raises(ValueError):

@@ -128,6 +128,18 @@ def test_gradient_plane_wave_exact():
     assert np.max(np.abs(df - 1j * k * f)) < 1e-12
 
 
+def test_laplacian_plane_wave_exact_and_batched():
+    g = UniformGrid(2, 32, 9.0)
+    x, y = g.coords()
+    k = 2 * np.pi / g.L
+    f = np.exp(1j * k * (3 * x - 2 * y))
+    lap = g.laplacian(f)
+    assert np.max(np.abs(lap + 13 * k**2 * f)) < 1e-11
+    pair = g.laplacian(np.array((f, np.sin(x) + 0j)))
+    assert np.array_equal(pair[0], lap)
+    assert np.array_equal(pair[1], g.laplacian(np.sin(x) + 0j))
+
+
 def test_gradient_constant_zero():
     g = UniformGrid(2, 16, 4.0)
     (dx, dy) = g.gradient(np.full(g.shape, 2.5 + 0j))

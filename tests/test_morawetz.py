@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from qnls import fields
 from qnls.grid import RadialGrid, UniformGrid, unit_ball_volume
 from qnls.fields import galilean_boost, pair_from_arrays
 from qnls.morawetz import (
+    N_ANG,
+    N_RHO,
     Q_MAX,
     TABLE_SIZE,
     InteractionParams,
@@ -89,6 +92,20 @@ def test_band_quadrature_matches_dense_quadrature(d, eps):
     assert np.any(outside)
     assert np.all(phi[outside] == 0.0)
     assert np.all(phi1[outside] == 0.0)
+
+
+def test_one_dimensional_correlations_never_form_the_q_by_s_matrix():
+    # d = 1 runs the band loop on the two directions of S^0, so no temporary
+    # spans the table's q grid times the 2 N_RHO nodes (4.6 MiB traced when
+    # 256-row chunks of it were formed)
+    q = np.linspace(0.0, Q_MAX, TABLE_SIZE)
+    tracemalloc.start()
+    try:
+        _bump_correlations(1, 0.05, q, N_RHO, N_ANG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_gauss_jacobi_rule_integrates_every_degree_up_to_2n_minus_1():
@@ -228,6 +245,14 @@ def test_windows_reject_a_radius_that_is_not_positive(call, radius, gs_mid):
     p = pair_from_arrays(g, u, 0.2 * u**2, 0.5)
     with pytest.raises(ValueError, match="radius"):
         _WINDOW_CALLS[call](p, radius, build_weights(1, 5.0, 0.05), gs_mid)
+
+
+@pytest.mark.parametrize("radius", [math.inf, 0.0, -1.0, math.nan])
+def test_weights_reject_a_radius_that_is_not_finite_and_positive(radius):
+    # an infinite radius was accepted, and morawetz_action then returned
+    # -1.4e-16 without an error
+    with pytest.raises(ValueError, match="window radius must be a finite positive number"):
+        build_weights(1, radius, 0.05)
 
 
 def test_windows_are_refused_off_the_torus():
@@ -384,7 +409,7 @@ def test_interaction_rejects_a_partial_last_step():
 
 @pytest.mark.parametrize("key, value", [
     ("R0", -1.0), ("J", 0.0), ("T0", 0.0), ("T0", math.nan), ("eps", 0.0),
-    ("cadence", 0), ("cadence", -1), ("dt", -1e-2), ("dt", 0.0),
+    ("cadence", 0), ("cadence", -1), ("dt", -1e-2), ("dt", 0.0), ("dt", math.inf),
 ])
 def test_interaction_rejects_a_bad_value_naming_it(key, value):
     # each of these crashed, returned a negative accumulator or raised

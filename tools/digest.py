@@ -4,18 +4,22 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below has 19 runs.  They run every command, in d = 1, 2 and
+The manifest below has 19 CLI runs.  They run every command, in d = 1, 2 and
 3, with snapshots written and read back (``initial: "file"``); every
 outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
 ``substep-failure`` of each); two usage errors and a numeric error.  Each run is
 ``python -m qnls.cli CONFIG`` in its own process, from the ``src/`` next
 to this script, inside one temporary directory with relative paths, so
 artifacts never embed a location.  Runs go in manifest order, because the
-``file`` runs read snapshots that earlier runs wrote.
+``file`` runs read snapshots that earlier runs wrote.  A 20th run builds
+the Morawetz weight tables, which no command writes, in one more process:
+``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
+eps = 0.05.
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
-each run, and ``files/<name>`` of every file left in the directory, to the
-sha256 of its bytes: 106 entries for this manifest.  Outputs are
+each CLI run, ``files/<name>`` of every file left in the directory, and
+``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 121
+entries for this manifest.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
 entries that differ or that only one digest has, and exits 1 if there are
@@ -101,6 +105,16 @@ MANIFEST: list[tuple[str, dict]] = [
                        "max_iter": 2}),
 ]
 
+# prints {"tables/d<d>/<name>": sha256 of the float64 bytes} as JSON
+TABLES = """
+import hashlib, json
+from qnls.morawetz import build_weights
+print(json.dumps({
+    f"tables/d{d}/{name}": hashlib.sha256(getattr(build_weights(d, 1.0, 0.05), name).tobytes()).hexdigest()
+    for d in (1, 2, 5) for name in ("phi", "phi1", "psi", "a", "dphi")
+}))
+"""
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -124,6 +138,10 @@ def digest() -> dict[str, str]:
         for fname in sorted(os.listdir(work)):
             with open(os.path.join(work, fname), "rb") as fh:
                 out[f"files/{fname}"] = _sha(fh.read())
+    tables = subprocess.run(
+        [sys.executable, "-c", TABLES], env=env, capture_output=True, check=True, text=True,
+    )
+    out.update(json.loads(tables.stdout))
     return out
 
 
