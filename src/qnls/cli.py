@@ -335,8 +335,7 @@ def run_command(cfg: RunConfig) -> int:
         grid = UniformGrid(cfg.dimension, cfg.n, cfg.L)
         pair = _initial_pair(cfg, grid)
         run_cfg = EvolutionConfig(
-            dt=cfg.dt, t_final=cfg.t_final, cadence=cfg.cadence,
-            store_fields=bool(cfg.snapshot_every),
+            dt=cfg.dt, t_final=cfg.t_final, cadence=cfg.cadence, snapshot_every=cfg.snapshot_every,
         )
         ts = evolve(pair, run_cfg)
         header = ["t", "mass", "kinetic", "potential", "energy"]
@@ -349,10 +348,8 @@ def run_command(cfg: RunConfig) -> int:
             row += [rec.l3_u, rec.l3_pair, rec.max_modulus]
             rows.append(row)
         _write_csv(out, cfg, header, rows)
-        if cfg.snapshot_every:
-            for idx, (t, snap_pair) in enumerate(ts.snapshots):
-                if idx % cfg.snapshot_every == 0:
-                    write_snapshot(snap_pair, t, f"{out}.{idx:06d}.snap")
+        for j, (t, snap_pair) in enumerate(ts.snapshots):
+            write_snapshot(snap_pair, t, f"{out}.{j * cfg.snapshot_every:06d}.snap")
         print(json.dumps({"outcome": ts.outcome, "classification": blow_up_detect(ts)}))
         return 0
 

@@ -88,6 +88,7 @@ Blow-up and substep failure are flagged outcomes, never exceptions.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -113,16 +114,27 @@ class EvolutionConfig:
     cadence: int = 10                  # steps between diagnostics rows
     substep_tol: float = 1e-10         # pointwise invariant drift per step
     blowup_growth: float = 100.0       # flag when H exceeds this multiple of H(0)
-    store_fields: bool = False         # keep snapshots at cadence
+    snapshot_every: int = 0            # keep every k-th row's state, from row 0; 0 keeps none
 
     def __post_init__(self) -> None:
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
-        if self.cadence < 1:
-            raise ValueError("cadence must be at least 1")
+        _check_count("cadence", self.cadence, 1)
+        _check_count("snapshot_every", self.snapshot_every, 0)
         if not self.substep_tol >= 0:
             raise ValueError(f"substep_tol must be nonnegative, got {self.substep_tol}")
+        # NaN would never flag a row, and a value <= 0 would flag the first after t = 0
+        if not self.blowup_growth > 0:
+            raise ValueError(f"blowup_growth must be a positive number, got {self.blowup_growth}")
         _whole_steps(self.t_final, self.dt)
+
+
+def _check_count(key: str, value, least: int) -> None:
+    """Reject a ``value`` below ``least`` or not an integer; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{key} must be at least {least}, got {value}")
 
 
 def _whole_steps(t: float, dt: float) -> int:
@@ -153,7 +165,10 @@ class DiagnosticsRecord:
 
 @dataclass
 class TimeSeries:
-    """Diagnostics rows at cadence, plus optional field snapshots."""
+    """Diagnostics rows at cadence, plus the (t, state) of rows 0, k, 2k, ... (k = snapshot_every).
+
+    A row that ends the run as ``"blow-up"`` holds no state.
+    """
 
     records: list[DiagnosticsRecord] = field(default_factory=list)
     snapshots: list[tuple[float, FieldPair]] = field(default_factory=list)
@@ -635,7 +650,7 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
         h0 = ts.records[0].kinetic
         if tripped or (step > 0 and h0 > 0 and rec.kinetic > cfg.blowup_growth * h0):
             return True
-        if cfg.store_fields:
+        if cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
             # copy: the synchronised state shares its buffer with the
             # stepper's look-ahead
             ts.snapshots.append((t, p0.with_values(*w.copy())))

@@ -8,6 +8,7 @@ the mass-resonance value at which the boost commutes with the flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class FieldPair:
     def __post_init__(self) -> None:
         if self.u.grid != self.v.grid:
             raise ValueError("u and v must live on the same grid")
-        if not self.kappa > 0:
-            raise ValueError(f"coupling must be positive, got {self.kappa}")
+        if not (self.kappa > 0 and math.isfinite(self.kappa)):
+            raise ValueError(f"coupling must be a finite positive number, got {self.kappa}")
 
     @property
     def grid(self) -> UniformGrid | RadialGrid:

@@ -39,7 +39,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from math import gamma as _gamma_fn, pi
+from math import gamma as _gamma_fn, isfinite, pi
 
 import numpy as np
 
@@ -130,8 +130,8 @@ class UniformGrid:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 8 or not _is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not self.L > 0:
-            raise ValueError(f"box length must be positive, got {self.L}")
+        if not (self.L > 0 and isfinite(self.L)):
+            raise ValueError(f"box length must be a finite positive number, got {self.L}")
 
     @property
     def h(self) -> float:
@@ -282,8 +282,8 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if self.m < 4:
             raise ValueError(f"need at least 4 radial nodes, got {self.m}")
-        if not self.r_max > 0:
-            raise ValueError(f"cutoff must be positive, got {self.r_max}")
+        if not (self.r_max > 0 and isfinite(self.r_max)):
+            raise ValueError(f"cutoff must be a finite positive number, got {self.r_max}")
 
     @property
     def dr(self) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as fields_mod
-from .evolution import _drive, _stop_steps
+from .evolution import _check_count, _drive, _stop_steps
 from .fields import FieldPair, galilean_boost
 from .grid import UniformGrid, _centred_d1, _centred_d2, unit_ball_volume
 
@@ -448,8 +448,7 @@ class InteractionParams:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if not 0 < self.eps <= 0.5:
             raise ValueError(f"eps must lie in (0, 1/2], got {self.eps}")
-        if self.cadence < 1:
-            raise ValueError(f"cadence must be at least 1, got {self.cadence}")
+        _check_count("cadence", self.cadence, 1)
 
     @property
     def nu(self) -> float:

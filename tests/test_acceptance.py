@@ -103,7 +103,7 @@ def test_criterion_04_conservation_drift(soliton_2d):
     """M drift < 1e-10, E and P drift < 1e-8 over 10^4 Strang steps (d=2)"""
     ts = evolve(
         soliton_2d,
-        EvolutionConfig(dt=1e-3, t_final=10.0, cadence=200, store_fields=True),
+        EvolutionConfig(dt=1e-3, t_final=10.0, cadence=200, snapshot_every=1),
     )
     m = ts.column("mass")
     e = ts.column("energy")
@@ -124,7 +124,7 @@ def test_criterion_05_soliton_phase_law(soliton_2d):
     grid = soliton_2d.grid
     phi = np.real(soliton_2d.u.values)
     vphi = np.real(soliton_2d.v.values)
-    ts = evolve(soliton_2d, EvolutionConfig(dt=1e-3, t_final=5.0, cadence=50, store_fields=True))
+    ts = evolve(soliton_2d, EvolutionConfig(dt=1e-3, t_final=5.0, cadence=50, snapshot_every=1))
     t, pu, pv = [], [], []
     for tt, pr in ts.snapshots:
         t.append(tt)
@@ -146,7 +146,7 @@ def _boosted_velocity(kappa: float, xi: float) -> tuple[float, float]:
     u0 = np.exp(1j * xi * x) * np.real(sol.u.values)
     v0 = np.exp(2j * xi * x) * np.real(sol.v.values)
     p0 = pair_from_arrays(grid, u0, v0, kappa)
-    ts = evolve(p0, EvolutionConfig(dt=1e-3, t_final=2.0, cadence=100, store_fields=True))
+    ts = evolve(p0, EvolutionConfig(dt=1e-3, t_final=2.0, cadence=100, snapshot_every=1))
     t, cc = [], []
     for tt, pr in ts.snapshots:
         rho = np.abs(pr.u.values) ** 2 + np.abs(pr.v.values) ** 2
@@ -305,7 +305,7 @@ def test_criterion_13_trapping(gs_fine):
             v0 = -0.3 * amp * u0**2 / np.max(np.abs(u0))
         p0 = pair_from_arrays(grid, u0, v0, 0.5)
         assert classify_data(p0, gs_fine).classification == "below"
-        ts = evolve(p0, EvolutionConfig(dt=2e-3, t_final=4.0, cadence=50, store_fields=True))
+        ts = evolve(p0, EvolutionConfig(dt=2e-3, t_final=4.0, cadence=50, snapshot_every=1))
         assert ts.outcome == "completed"
         for _, pr in ts.snapshots:
             rep = classify_data(pr, gs_fine)

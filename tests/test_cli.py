@@ -202,6 +202,30 @@ def test_snapshot_axis_counts_must_agree(tmp_path, capsys, second, rows):
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("field, offset", [("L", 20), ("kappa", 28)])
+def test_snapshot_header_with_an_infinite_size_is_a_numeric_failure(tmp_path, capsys, field,
+                                                                    offset):
+    # a 1-D header: magic, version, kind, dimension and n, then L, kappa and t as doubles
+    g = UniformGrid(1, 16, 5.0)
+    z = np.zeros(g.shape, complex)
+    path = tmp_path / "inf.snap"
+    write_snapshot(pair_from_arrays(g, z, z), 0.0, str(path))
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 8] = np.array(inf, "<f8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="must be a finite positive number, got inf"):
+        read_snapshot(str(path))
+    conf = tmp_path / "file.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 16, "L": 5.0, "dt": 1e-3, "t_final": 0.002,
+        "initial": "file", "input_path": str(path), "output": str(tmp_path / "run.csv"),
+    }))
+    assert main([str(conf)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ValueError" and "got inf" in err["message"]
+    assert not (tmp_path / "run.csv").exists()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("version", 2, "unsupported snapshot version 2"),
     ("kind", 7, "unknown grid kind 7"),
@@ -232,7 +256,16 @@ def test_snapshot_header_rejections(tmp_path, capsys, field, value, message):
     assert not (tmp_path / "run.csv").exists()
 
 
-def test_evolve_writes_every_third_snapshot(tmp_path):
+def test_evolve_writes_every_third_snapshot(tmp_path, monkeypatch):
+    # the run holds only the states it writes: 4 of its 11 rows
+    held = []
+
+    def recording_evolve(p0, cfg):
+        ts = evolve(p0, cfg)
+        held.append(len(ts.snapshots))
+        return ts
+
+    monkeypatch.setattr("qnls.cli.evolve", recording_evolve)
     out = tmp_path / "run.csv"
     cfg = parse_config(json.dumps({
         "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1e-3,
@@ -240,8 +273,9 @@ def test_evolve_writes_every_third_snapshot(tmp_path):
         "snapshot_every": 3, "output": str(out),
     }))
     assert run_command(cfg) == 0
+    assert held == [4]
     pair = _initial_pair(cfg, UniformGrid(1, 64, 20.0))
-    ts = evolve(pair, EvolutionConfig(dt=1e-3, t_final=0.02, cadence=2, store_fields=True))
+    ts = evolve(pair, EvolutionConfig(dt=1e-3, t_final=0.02, cadence=2, snapshot_every=1))
     assert len(ts.snapshots) == 11
     names = [f"run.csv.{idx:06d}.snap" for idx in range(0, 11, 3)]
     assert sorted(f.name for f in tmp_path.iterdir()) == ["run.csv", *names]

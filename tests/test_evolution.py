@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,7 +211,7 @@ def test_soliton_phase_rates(soliton_2d):
     grid = soliton_2d.grid
     phi = np.real(soliton_2d.u.values)
     vphi = np.real(soliton_2d.v.values)
-    cfg = EvolutionConfig(dt=1e-3, t_final=1.0, cadence=50, store_fields=True)
+    cfg = EvolutionConfig(dt=1e-3, t_final=1.0, cadence=50, snapshot_every=1)
     ts = evolve(soliton_2d, cfg)
     t, pu, pv = [], [], []
     for tt, pr in ts.snapshots:
@@ -277,7 +279,7 @@ def test_boosted_soliton_shape_invariant(soliton_1d):
     v0 = np.exp(2j * xi * x) * np.real(soliton_1d.v.values)
     p = pair_from_arrays(g, u0, v0, 0.5)
     t_final = 2.0
-    ts = evolve(p, EvolutionConfig(dt=1e-3, t_final=t_final, cadence=1000, store_fields=True))
+    ts = evolve(p, EvolutionConfig(dt=1e-3, t_final=t_final, cadence=1000, snapshot_every=1))
     _, last = ts.snapshots[-1]
     shift = 2.0 * xi * t_final
     k = g.wavenumbers()
@@ -334,3 +336,47 @@ def test_config_validation():
         with pytest.raises(ValueError, match="substep_tol"):
             EvolutionConfig(dt=1e-3, t_final=1.0, substep_tol=tol)
     assert EvolutionConfig(dt=1e-3, t_final=1.0, substep_tol=0.0).substep_tol == 0.0
+    # a count that is not an integer reached range() as an unlabelled TypeError
+    for key, value in (("cadence", 1.5), ("snapshot_every", 2.0), ("snapshot_every", -1),
+                       ("cadence", True)):
+        with pytest.raises(ValueError, match=key):
+            EvolutionConfig(dt=1e-2, t_final=0.03, **{key: value})
+    cfg = EvolutionConfig(dt=1e-2, t_final=0.03, cadence=np.int64(3), snapshot_every=np.int32(2))
+    assert (cfg.cadence, cfg.snapshot_every) == (3, 2)
+    # NaN never flags a row, and a value <= 0 flags the first after t = 0
+    for growth in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="blowup_growth"):
+            EvolutionConfig(dt=1e-3, t_final=1.0, blowup_growth=growth)
+
+
+def test_snapshot_every_holds_every_kth_row_from_row_zero():
+    p = random_envelope_pair(UniformGrid(1, 64, 20.0), np.random.default_rng(3), amp=0.3)
+    every = evolve(p, EvolutionConfig(dt=1e-3, t_final=0.02, cadence=2, snapshot_every=1))
+    third = evolve(p, EvolutionConfig(dt=1e-3, t_final=0.02, cadence=2, snapshot_every=3))
+    assert len(every.records) == 11 and len(every.snapshots) == 11
+    assert [t for t, _ in third.snapshots] == [rec.t for rec in third.records[::3]]
+    assert len(third.snapshots) == 4
+    for (t, q), (t_ref, q_ref) in zip(third.snapshots, every.snapshots[::3], strict=True):
+        assert t == t_ref
+        assert q.u.values.tobytes() == q_ref.u.values.tobytes()
+        assert q.v.values.tobytes() == q_ref.v.values.tobytes()
+    assert evolve(p, EvolutionConfig(dt=1e-3, t_final=0.02, cadence=2)).snapshots == []
+
+
+def test_evolve_holds_only_the_states_of_its_snapshot_rows():
+    # 41 rows on 64^2; a stride of 20 keeps rows 0, 20 and 40, each state
+    # (u, v) 2 * 64^2 complex values = 128 KiB
+    p = random_envelope_pair(UniformGrid(2, 64, 16.0), np.random.default_rng(5), amp=0.3)
+    evolve(p, EvolutionConfig(dt=1e-3, t_final=1e-3))   # builds the grid's cached tables
+    peaks = {}
+    for stride in (0, 20):
+        cfg = EvolutionConfig(dt=1e-3, t_final=0.04, cadence=1, snapshot_every=stride)
+        tracemalloc.start()
+        try:
+            ts = evolve(p, cfg)
+            _, peaks[stride] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ts.outcome == "completed" and len(ts.records) == 41
+        assert len(ts.snapshots) == (3 if stride else 0)
+    assert peaks[20] - peaks[0] <= 3 * 128 * 2**10 + 64 * 2**10

@@ -203,3 +203,5 @@ def test_pair_requires_matching_grids_and_positive_kappa():
         FieldPair(Field(g1, z1), Field(g2, z2), 0.5)
     with pytest.raises(ValueError):
         pair_from_arrays(g1, z1, z1, kappa=-1.0)
+    with pytest.raises(ValueError, match="coupling"):
+        pair_from_arrays(g1, z1, z1, kappa=np.inf)

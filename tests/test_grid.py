@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from types import SimpleNamespace
 
@@ -37,6 +38,12 @@ def test_uniform_grid_rejects_bad_input():
         UniformGrid(4, 16, 1.0)       # dimension out of range
     with pytest.raises(ValueError):
         UniformGrid(1, 16, -2.0)
+    # an infinite box gave h = inf, and a snapshot header could carry one
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="box length"):
+            UniformGrid(1, 8, bad)
+        with pytest.raises(ValueError, match="cutoff"):
+            RadialGrid(8, bad)
 
 
 def test_transform_constant_is_dc_only():

@@ -341,7 +341,7 @@ def _evolve_checked_every_step(p0, cfg):
     ts = TimeSeries()
     pair = stepper.pair()
     ts.records.append(evolution._record(pair, 0.0))
-    if cfg.store_fields:
+    if cfg.snapshot_every:
         ts.snapshots.append((0.0, pair))
     h0 = ts.records[0].kinetic
     mod_bound = evolution.RESOLUTION_FACTOR / p0.grid.h
@@ -360,7 +360,7 @@ def _evolve_checked_every_step(p0, cfg):
             if too_large or (h0 > 0 and rec.kinetic > cfg.blowup_growth * h0):
                 ts.outcome = "blow-up"
                 break
-            if cfg.store_fields:
+            if cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
                 ts.snapshots.append((t, p0.with_values(*w.copy())))
     return ts
 
@@ -393,7 +393,7 @@ def _spike():
 
 def _resolved():
     p = random_envelope_pair(UniformGrid(2, 32, 12.0), np.random.default_rng(9), amp=0.2)
-    return p, EvolutionConfig(dt=1e-2, t_final=0.6, cadence=7, store_fields=True)
+    return p, EvolutionConfig(dt=1e-2, t_final=0.6, cadence=7, snapshot_every=1)
 
 
 def _trips_between_rows():
@@ -416,6 +416,17 @@ def test_evolve_matches_a_modulus_check_after_every_step(case, request):
         assert ts.outcome == "completed" and len(ts.snapshots) > 1
     elif case != "torus_soliton":
         assert ts.outcome == "blow-up" and round(ts.records[-1].t / cfg.dt) % cfg.cadence
+
+
+def test_a_row_that_trips_holds_no_snapshot_even_at_a_multiple_of_the_stride():
+    # rows at steps 0, 25, 50 and 75, then the trip at step 87 as row 4
+    p0, cfg = _trips_between_rows()
+    cfg = dataclasses.replace(cfg, snapshot_every=2)
+    ts = evolve(p0, cfg)
+    _assert_same_series(ts, _evolve_checked_every_step(p0, cfg))
+    assert ts.outcome == "blow-up"
+    assert [round(rec.t / cfg.dt) for rec in ts.records] == [0, 25, 50, 75, 87]
+    assert [round(t / cfg.dt) for t, _ in ts.snapshots] == [0, 50]
 
 
 def _drive_checked_every_step(p0, dt, stops, observe, tol=1e-10):
@@ -486,7 +497,7 @@ def test_non_finite_input_is_a_blow_up_with_nothing_recorded(bad):
     u = p.u.values.copy()
     u[3] = bad
     p = p.with_values(u, p.v.values)
-    ts = evolve(p, EvolutionConfig(dt=1e-3, t_final=0.05, cadence=10, store_fields=True))
+    ts = evolve(p, EvolutionConfig(dt=1e-3, t_final=0.05, cadence=10, snapshot_every=1))
     assert ts.outcome == "blow-up" and ts.records == [] and ts.snapshots == []
     assert ts.blow_up_time == 0.0
     res = interaction_lhs(p, 1e-3, InteractionParams(R0=1.0, J=1.0, T0=0.05, eps=0.25))
@@ -623,7 +634,7 @@ def test_runs_keep_their_bits_without_the_l1_bound(monkeypatch, soliton_2d):
     # the l1 sums certify every substep of the stepper and of the soliton
     # run; the other run trips the modulus bound between rows
     p = random_envelope_pair(UniformGrid(1, 128, 20.0), np.random.default_rng(16), amp=0.5)
-    runs = [(soliton_2d, EvolutionConfig(dt=1e-3, t_final=0.05, cadence=7, store_fields=True)),
+    runs = [(soliton_2d, EvolutionConfig(dt=1e-3, t_final=0.05, cadence=7, snapshot_every=1)),
             _trips_between_rows()]
 
     def observe():

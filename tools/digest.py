@@ -4,21 +4,21 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below has 19 CLI runs.  They run every command, in d = 1, 2 and
+The manifest below has 20 CLI runs.  They run every command, in d = 1, 2 and
 3, with snapshots written and read back (``initial: "file"``); every
 outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
 ``substep-failure`` of each); two usage errors and a numeric error.  Each run is
 ``python -m qnls.cli CONFIG`` in its own process, from the ``src/`` next
 to this script, inside one temporary directory with relative paths, so
 artifacts never embed a location.  Runs go in manifest order, because the
-``file`` runs read snapshots that earlier runs wrote.  A 20th run builds
+``file`` runs read snapshots that earlier runs wrote.  A 21st run builds
 the Morawetz weight tables, which no command writes, in one more process:
 ``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
 eps = 0.05.
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each CLI run, ``files/<name>`` of every file left in the directory, and
-``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 121
+``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 127
 entries for this manifest.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
@@ -68,6 +68,11 @@ MANIFEST: list[tuple[str, dict]] = [
     ("evolve-blow-up", {
         "command": "evolve", "dimension": 1, "n": 256, "L": 512.0, "dt": 1e-3, "t_final": 0.01,
         "initial": "soliton", "output": "blow.csv",
+    }),
+    # the same run with a snapshot at every row: the row that trips writes none
+    ("evolve-blow-up-snapshots", {
+        "command": "evolve", "dimension": 1, "n": 256, "L": 512.0, "dt": 1e-3, "t_final": 0.01,
+        "cadence": 1, "initial": "soliton", "snapshot_every": 1, "output": "blows.csv",
     }),
     ("evolve-substep-failure", {
         "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1.0, "t_final": 1.0,
