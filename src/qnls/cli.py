@@ -93,10 +93,27 @@ _KEYS: dict[str, tuple] = {
     "t_fit_end": (25.0, _POSITIVE, None),
 }
 
+# the keys each command reads, and so accepts, fills and echoes
+_INITIAL_KEYS = ("kappa", "n", "L", "initial", "amplitude", "width", "center", "phase_velocity",
+                 "xi", "input_path")
+_SOLVER_KEYS = ("kappa", "m", "r_max", "tol", "max_iter")
+_READS: dict[str, frozenset] = {
+    command: frozenset(("seed", "output", *keys)) for command, keys in {
+        "ground-state": _SOLVER_KEYS,
+        "evolve": (*_INITIAL_KEYS, "dimension", "dt", "t_final", "cadence", "snapshot_every"),
+        "morawetz": (*_INITIAL_KEYS, "dt", "R0", "J", "T0", "eps"),
+        "classify": (*_INITIAL_KEYS, *_SOLVER_KEYS, "dimension"),
+        "disperse": (*_INITIAL_KEYS, "dimension", "decay_exponent", "t_fit_start", "t_fit_end"),
+    }.items()
+}
+
+# why a command does not read a key, where "<command> does not read it" would not say
+_UNREAD = {("morawetz", "cadence"): f"morawetz samples every {InteractionParams.cadence}th step"}
+
 # the span each command steps through with dt
 _SPAN_KEYS = {"evolve": "t_final", "morawetz": "T0"}
 
-_COMMANDS = ("ground-state", "evolve", "morawetz", "classify", "disperse")
+_COMMANDS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -115,7 +132,13 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat JSON config, filling documented defaults."""
+    """Parse and validate a flat JSON config, filling documented defaults.
+
+    Every key given is checked against its value rules first; then a key
+    that the command does not read is refused, naming the commands that do.
+    The returned config holds the command's own keys (``_READS``) only, so
+    that is also what every artifact echoes.
+    """
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:   # ints past 4300 digits raise ValueError
@@ -127,37 +150,38 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "command" not in raw:
         raise ConfigError("missing required key: command")
-    if raw["command"] not in _COMMANDS:
-        raise ConfigError(
-            f"unknown command {raw['command']!r}; expected one of {', '.join(_COMMANDS)}"
-        )
-    options = {key: raw.get(key, spec[0]) for key, spec in _KEYS.items()}
+    command = raw["command"]
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}")
     for key, (_, kind, limit) in _KEYS.items():
         for check in (kind, limit):
-            if check is not None and not check[0](options[key]):
-                raise ConfigError(f"config key {key!r} must be {check[1]}, got {options[key]!r}")
-    if raw["command"] == "morawetz" and "cadence" in raw:
-        raise ConfigError(
-            "config key 'cadence' is read by evolve only; morawetz samples every "
-            f"{InteractionParams.cadence}th step"
-        )
-    if options["n"] ** options["dimension"] > 2**22:
+            if key in raw and check is not None and not check[0](raw[key]):
+                raise ConfigError(f"config key {key!r} must be {check[1]}, got {raw[key]!r}")
+    reads = _READS[command]
+    for key in _KEYS:
+        if key in raw and key not in reads:
+            readers = ", ".join(c for c in _COMMANDS if key in _READS[c])
+            why = _UNREAD.get((command, key), f"{command} does not read it")
+            raise ConfigError(f"config key {key!r} is read by {readers} only; {why}")
+    options = {key: raw.get(key, spec[0]) for key, spec in _KEYS.items() if key in reads}
+    dimension = options.get("dimension", 1)   # morawetz runs in one dimension
+    if "n" in options and options["n"] ** dimension > 2**22:
         raise ConfigError(
             f"config key 'n' must keep n ** dimension <= 2**22, got "
-            f"{options['n']!r} ** {options['dimension']!r}"
+            f"{options['n']!r} ** {dimension!r}"
         )
-    if options["t_fit_start"] >= options["t_fit_end"]:
+    if command == "disperse" and options["t_fit_start"] >= options["t_fit_end"]:
         raise ConfigError(
             f"config key 't_fit_start' must be below 't_fit_end', got "
             f"{options['t_fit_start']!r} >= {options['t_fit_end']!r}"
         )
-    span = _SPAN_KEYS.get(raw["command"])
+    span = _SPAN_KEYS.get(command)
     if span is not None:
         try:
             _whole_steps(options[span], options["dt"])
         except ValueError as exc:
             raise ConfigError(f"config key {span!r}: {exc}") from exc
-    return RunConfig(command=raw["command"], options=options)
+    return RunConfig(command=command, options=options)
 
 
 def write_snapshot(p: FieldPair, t: float, path: str) -> None:
@@ -269,6 +293,10 @@ def _initial_pair(cfg: RunConfig, grid: UniformGrid) -> FieldPair:
         snap = pair.grid
         if not isinstance(snap, UniformGrid):
             raise ConfigError("input_path holds a radial profile, not a state on a periodic box")
+        if "dimension" not in cfg.options and snap.d != grid.d:
+            raise ConfigError(
+                f"input_path holds a {snap.d}-D state; {cfg.command} runs on a {grid.d}-D grid"
+            )
         want = {"dimension": grid.d, "n": grid.n, "L": grid.L, "kappa": cfg.kappa}
         got = {"dimension": snap.d, "n": snap.n, "L": snap.L, "kappa": pair.kappa}
         differ = [

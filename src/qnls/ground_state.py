@@ -290,8 +290,8 @@ def _balanced_iteration(grid, lap, inv1, inv2, kappa, phi, vphi, tol, max_iter):
     residuals drop below ``tol`` in max-norm.  Returns
     (phi, vphi, residual, iterations, residual history).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     residual = np.inf
     history: list[float] = []
     for it in range(1, max_iter + 1):
@@ -339,8 +339,8 @@ def petviashvili_solve(
     ``NEWTON_SWITCH`` (or ``tol``, if looser) and then takes Newton steps
     until the residual is below ``tol``; see the module docstring.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     r = grid.nodes()
     guess = INITIAL_AMPLITUDE * np.exp(-(r**2))
     l4 = _lap4_band(grid)
@@ -423,6 +423,8 @@ def oracle_coarse_solve(
     """
     if m > 512:
         raise ValueError("the oracle is a coarse solver; use m <= 512")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     grid = RadialGrid(m, r_max)
     r = grid.nodes()
     lap = _dense_radial_laplacian(grid)

@@ -444,8 +444,9 @@ class InteractionParams:
 
     def __post_init__(self) -> None:
         for key in ("R0", "J", "T0"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite positive number, got {value}")
         if not 0 < self.eps <= 0.5:
             raise ValueError(f"eps must lie in (0, 1/2], got {self.eps}")
         _check_count("cadence", self.cadence, 1)

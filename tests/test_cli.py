@@ -14,6 +14,7 @@ from qnls.ground_state import petviashvili_solve, solve_periodic_profile
 from qnls.cli import (
     _COMMANDS,
     _KEYS,
+    _READS,
     ConfigError,
     RunConfig,
     _initial_pair,
@@ -524,6 +525,80 @@ def test_morawetz_cadence_is_a_usage_error(tmp_path, capsys):
     assert "'cadence'" in err and "every 25th step" in err
 
 
+_MORAWETZ = {"command": "morawetz", "n": 128, "L": 64.0, "dt": 2e-3, "T0": 0.5,
+             "amplitude": 0.3, "width": 3.0, "phase_velocity": 0.2}
+
+
+@pytest.mark.parametrize("conf, readers", [
+    # morawetz writes no snapshot, so snapshot_every would do nothing there
+    ({**_MORAWETZ, "snapshot_every": 3}, "evolve"),
+    ({**_MORAWETZ, "dimension": 1}, "evolve, classify, disperse"),
+    ({"command": "ground-state", "m": 256, "n": 64}, "evolve, morawetz, classify, disperse"),
+    ({"command": "classify", "n": 64, "cadence": 10}, "evolve"),
+    ({"command": "disperse", "n": 64, "dt": 1e-3}, "evolve, morawetz"),
+    ({"command": "evolve", "n": 64, "t_final": 0.01, "decay_exponent": 4}, "disperse"),
+], ids=["morawetz-snapshot_every", "morawetz-dimension", "ground-state-n", "classify-cadence",
+        "disperse-dt", "evolve-decay_exponent"])
+def test_a_key_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, conf, readers):
+    key = list(conf)[-1]   # each case ends with the key the command does not read
+    path = tmp_path / "unread.json"
+    path.write_text(json.dumps({**conf, "output": str(tmp_path / "out")}))
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"'{key}' is read by {readers} only" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["unread.json"]
+
+
+def test_each_command_accepts_and_echoes_only_the_keys_it_reads():
+    sizes = {}
+    for command in _COMMANDS:
+        cfg = parse_config(json.dumps({"command": command, "seed": 3, "output": "out"}))
+        assert cfg.seed == 3 and cfg.output == "out"
+        sizes[command] = len(cfg.echo()) - 1
+    assert sizes == {"ground-state": 7, "evolve": 17, "morawetz": 17, "classify": 17, "disperse": 16}
+    cfg = parse_config(json.dumps({"command": "ground-state"}))
+    assert set(cfg.echo()) == {"command", "seed", "output", "kappa", "m", "r_max", "tol", "max_iter"}
+    with pytest.raises(AttributeError):
+        cfg.n
+    with pytest.raises(AttributeError):
+        parse_config(json.dumps({"command": "morawetz"})).dimension
+
+
+@pytest.mark.parametrize("command", ["evolve", "morawetz", "classify", "disperse"])
+def test_every_initial_kind_builds_from_each_commands_config(tmp_path, command):
+    # a key missing from the command's row would surface here as an AttributeError
+    grid = UniformGrid(1, 16, 10.0)
+    x = grid.axis()
+    snap = str(tmp_path / "state.snap")
+    write_snapshot(pair_from_arrays(grid, np.exp(-(x - 5.0) ** 2) + 0j, np.zeros(16, complex)),
+                   0.0, snap)
+    for kind in ("gaussian", "soliton", "boosted-soliton", "file"):
+        cfg = parse_config(json.dumps({
+            "command": command, "n": 16, "L": 10.0, "initial": kind, "input_path": snap,
+        }))
+        pair = _initial_pair(cfg, grid)
+        assert pair.grid == grid and pair.kappa == cfg.kappa
+        assert np.all(np.isfinite(pair.u.values)) and np.max(np.abs(pair.u.values)) > 0
+
+
+def test_morawetz_names_its_one_dimensional_grid_for_a_snapshot_of_another(tmp_path, capsys):
+    grid = UniformGrid(2, 16, 10.0)
+    snap = str(tmp_path / "plane.snap")
+    write_snapshot(pair_from_arrays(grid, np.ones(grid.shape, complex), np.zeros(grid.shape, complex)),
+                   0.0, snap)
+    conf = tmp_path / "mw.json"
+    conf.write_text(json.dumps({
+        "command": "morawetz", "n": 16, "L": 10.0, "dt": 1e-3, "T0": 0.1, "initial": "file",
+        "input_path": snap, "output": str(tmp_path / "mw"),
+    }))
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "2-D state" in err and "1-D grid" in err and "'dimension'" not in err
+    assert not (tmp_path / "mw").exists()
+
+
 @pytest.mark.parametrize("key", ["output", "input_path"])
 def test_path_keys_must_be_strings(tmp_path, capsys, key):
     conf = tmp_path / "bad.json"
@@ -654,6 +729,20 @@ def test_readme_lists_every_config_key():
     for key, (default, _, _) in _KEYS.items():
         assert f"`{key}`" in rows, key
         assert f"`{json.dumps(default)}`" in rows[f"`{key}`"], key
+
+
+def test_readme_names_the_commands_that_read_each_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for line in readme.splitlines():
+        if line.startswith("| `") and not line.startswith("| `command`"):
+            key, _, cell = (c.strip() for c in line.split("|")[1:4])
+            readers = [c for c in _COMMANDS if key.strip("`") in _READS[c]]
+            if cell == "all":
+                assert readers == list(_COMMANDS), key
+            elif cell == "all but `ground-state`":
+                assert readers == list(_COMMANDS[1:]), key
+            else:
+                assert cell == ", ".join(f"`{c}`" for c in readers), key
 
 
 def test_readme_cli_examples_run(tmp_path, capsys):

@@ -133,13 +133,18 @@ def test_ground_state_minimizes_j(gs_mid):
 
 def test_solver_error_paths():
     grid = RadialGrid(128, 12.0)
-    with pytest.raises(ValueError):
-        petviashvili_solve(grid, tol=-1.0)
+    # a NaN tolerance is refused before the first sweep, not after max_iter of them
+    for tol in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            petviashvili_solve(grid, tol=tol)
     with pytest.raises(ConvergenceError):
         petviashvili_solve(grid, tol=1e-14, max_iter=3)
     torus = UniformGrid(1, 64, 20.0)
-    with pytest.raises(ValueError):
-        solve_periodic_profile(torus, tol=-1.0)
+    for tol in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_periodic_profile(torus, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            oracle_coarse_solve(m=64, r_max=12.0, tol=tol)
     with pytest.raises(ConvergenceError):
         solve_periodic_profile(torus, tol=1e-14, max_iter=3)
 

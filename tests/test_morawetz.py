@@ -409,6 +409,7 @@ def test_interaction_rejects_a_partial_last_step():
 
 @pytest.mark.parametrize("key, value", [
     ("R0", -1.0), ("J", 0.0), ("T0", 0.0), ("T0", math.nan), ("eps", 0.0),
+    ("R0", math.inf), ("J", math.inf), ("T0", math.inf),
     ("cadence", 0), ("cadence", -1), ("cadence", 2.5), ("dt", -1e-2), ("dt", 0.0), ("dt", math.inf),
 ])
 def test_interaction_rejects_a_bad_value_naming_it(key, value):

@@ -4,21 +4,21 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below has 20 CLI runs.  They run every command, in d = 1, 2 and
+The manifest below has 21 CLI runs.  They run every command, in d = 1, 2 and
 3, with snapshots written and read back (``initial: "file"``); every
 outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
-``substep-failure`` of each); two usage errors and a numeric error.  Each run is
+``substep-failure`` of each); three usage errors and a numeric error.  Each run is
 ``python -m qnls.cli CONFIG`` in its own process, from the ``src/`` next
 to this script, inside one temporary directory with relative paths, so
 artifacts never embed a location.  Runs go in manifest order, because the
-``file`` runs read snapshots that earlier runs wrote.  A 21st run builds
+``file`` runs read snapshots that earlier runs wrote.  A 22nd run builds
 the Morawetz weight tables, which no command writes, in one more process:
 ``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
 eps = 0.05.
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each CLI run, ``files/<name>`` of every file left in the directory, and
-``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 127
+``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 131
 entries for this manifest.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
@@ -106,6 +106,12 @@ MANIFEST: list[tuple[str, dict]] = [
     ("usage-error", {"command": "evolve", "kapa": 1.0}),
     # morawetz samples every 25th step whatever the config says, so setting cadence is an error
     ("usage-error-morawetz-cadence", {"command": "morawetz", "cadence": 10}),
+    # morawetz writes no snapshot, so it refuses snapshot_every as a key it does not read
+    ("usage-error-unread-key", {
+        "command": "morawetz", "n": 128, "L": 64.0, "dt": 2e-3, "T0": 0.5,
+        "amplitude": 0.3, "width": 3.0, "phase_velocity": 0.2, "snapshot_every": 3,
+        "output": "mwu",
+    }),
     ("numeric-error", {"command": "ground-state", "m": 128, "r_max": 10.0, "tol": 1e-15,
                        "max_iter": 2}),
 ]
