@@ -13,7 +13,7 @@ composed with a pointwise quadratic substep ODE
 integrated by classical RK4.  The substep flow conserves the density
 |u|^2 + |v|^2 and the Manley-Rowe invariant Re(conj(v) u^2) pointwise,
 which gives a per-step accuracy monitor; substeps are refined until both
-monitored drifts are below tolerance.
+monitored drifts are below ``SUBSTEP_TOL``.
 
 Where the monitor cannot fail, a proven bound skips it.  Scaling (u, v) by
 1/sqrt(s), s the step's maximum density, maps the step to one on a state
@@ -23,10 +23,10 @@ coefficients are majorized by those of the scalar RK4 step of y' = y^2
 from y = 1.  RK4 has order 4 and the flow conserves both invariants, so
 their relative drifts have no terms below tau^5 and are at most
 P(tau) = sum_{k >= 5} [tau^k] max(2 W^2, W^3) tau^k.  A step with
-tau <= tau*(tol), the root of P(tau*) = tol/2 - 100 eps, passes the
-monitor at one substep; it is returned unchecked, and it is the same
-array the monitor would accept, so certified steps keep their bits.  At
-tol = 1e-10, tau* = 4.73e-3 (see ``_substep``).
+tau <= tau* = 4.73e-3, the root of P(tau*) = SUBSTEP_TOL/2 - 100 eps
+(``_TAU_STAR``, computed once at import), passes the monitor at one
+substep; it is returned unchecked, and it is the same array the monitor
+would accept, so certified steps keep their bits (see ``_substep``).
 
 One stepper, :class:`SplitStepper`, runs the flow for every caller
 (:func:`strang_step`, :func:`evolve` and the interaction accumulator in
@@ -91,7 +91,6 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -103,6 +102,7 @@ from .grid import Field, UniformGrid
 RESOLUTION_FACTOR = 1.0   # a run ends in blow-up once max |u|, |v| exceeds this / h
 # relative slack on the l1 modulus bound for the rounding of the transforms
 MODULUS_MARGIN = 1e-9
+SUBSTEP_TOL = 1e-10       # pointwise invariant drift per step
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,6 @@ class EvolutionConfig:
     dt: float
     t_final: float
     cadence: int = 10                  # steps between diagnostics rows
-    substep_tol: float = 1e-10         # pointwise invariant drift per step
     blowup_growth: float = 100.0       # flag when H exceeds this multiple of H(0)
     snapshot_every: int = 0            # keep every k-th row's state, from row 0; 0 keeps none
 
@@ -121,8 +120,6 @@ class EvolutionConfig:
             raise ValueError("t_final must be nonnegative")
         _check_count("cadence", self.cadence, 1)
         _check_count("snapshot_every", self.snapshot_every, 0)
-        if not self.substep_tol >= 0:
-            raise ValueError(f"substep_tol must be nonnegative, got {self.substep_tol}")
         # NaN would never flag a row, and a value <= 0 would flag the first after t = 0
         if not self.blowup_growth > 0:
             raise ValueError(f"blowup_growth must be a positive number, got {self.blowup_growth}")
@@ -329,17 +326,13 @@ def _drift_majorant() -> Polynomial:
 _DRIFT_MAJORANT = _drift_majorant()
 
 
-@lru_cache(maxsize=8)
 def _certified_tau(tol: float) -> float:
     """tau*(tol): the largest tau found with P(tau) <= tol/2 - 100 eps.
 
     Bisection on [0, 1] keeps P(lower end) within the target, and P grows
-    with tau.  Without a positive target (tol <= 0 or NaN) it is -inf, so
-    no step is certified.
+    with tau.
     """
     target = 0.5 * tol - 100.0 * np.finfo(float).eps
-    if not target > 0:
-        return -math.inf
     lo, hi = 0.0, 1.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
@@ -347,14 +340,16 @@ def _certified_tau(tol: float) -> float:
     return lo
 
 
+_TAU_STAR = _certified_tau(SUBSTEP_TOL)
+
+
 def _substep(
-    w0: np.ndarray, dt: float, tol: float, buffers: _SubstepBuffers,
-    l1: tuple[float, float] | None,
+    w0: np.ndarray, dt: float, buffers: _SubstepBuffers, l1: tuple[float, float] | None,
 ) -> np.ndarray:
     """RK4 of u_t = i v conj(u), v_t = i u^2 over dt on the stacked pair ``w0``.
 
     Substeps are refined until both exactly-conserved pointwise invariants
-    drift less than ``tol`` over the step: the density |u|^2 + |v|^2
+    drift less than ``SUBSTEP_TOL`` over the step: the density |u|^2 + |v|^2
     relative to its maximum s, and the Manley-Rowe invariant
     Re(conj(v) u^2) relative to s^(3/2), which bounds it.  The density
     alone misses error along its own level sets.  Raises
@@ -362,7 +357,7 @@ def _substep(
     ``buffers`` (a :class:`_SubstepBuffers`); ``w0`` is only read, and the
     result is a new array.
 
-    A step with tau = |dt| sqrt(s) <= tau*(tol) (``_certified_tau``) is
+    A step with tau = |dt| sqrt(s) <= tau* (``_TAU_STAR``) is
     returned after one RK4 substep without the drift check, because the
     check must pass.  In exact arithmetic the step on (u, v) is sqrt(s)
     times the step over tau on (u, v) / sqrt(s), whose components are at
@@ -385,18 +380,17 @@ def _substep(
     ``l1=None``, falls back to the exact rule on s.
 
     Rounding is what the two margins pay for.  Absolute errors: at
-    tau <= 5e-3 (tol <= 1e-10) the stages enter the step scaled by tau, so
+    tau <= tau* < 5e-3 the stages enter the step scaled by tau, so
     the computed step is within a few eps of the exact one on the unit
     scale, and forming and subtracting the invariants adds a few eps more:
     about 15 eps for either drift by a count over the operations (at most
     5 eps measured at tau = 1e-6 on random states), which 100 eps covers
-    with room; at a larger tol the held-back half of tol dwarfs it.
-    Relative errors: s, sqrt(s), tau, the coefficients of P and its value
-    at tau* are each off by a few eps, which moves the bound by a factor
-    1 + O(50 eps); the factor 1/2 on tol covers that.  So a certified step
-    is the array the monitor accepts at nsub = 1, and trajectories keep
-    their bits.  tol <= 0, and s NaN or inf, fail the comparison and run
-    the monitor.
+    with room.  Relative errors: s, sqrt(s), tau, the coefficients of P
+    and its value at tau* are each off by a few eps, which moves the bound
+    by a factor 1 + O(50 eps); the factor 1/2 on ``SUBSTEP_TOL`` covers
+    that.  So a certified step is the array the monitor accepts at
+    nsub = 1, and trajectories keep their bits.  s NaN or inf fails the
+    comparison and runs the monitor.
 
     A certified step cannot raise a floating-point warning, so it runs
     outside ``np.errstate``: its state is finite with sqrt(s) <= tau* / |dt|
@@ -406,16 +400,15 @@ def _substep(
     to the refinement limit, and the outcome is then the labelled
     :class:`SubstepFailure`, not a warning.
     """
-    tau_star = _certified_tau(tol)
     w = np.empty_like(w0)
-    if l1 is not None and abs(dt) * math.hypot(*l1) * (1.0 + MODULUS_MARGIN) <= tau_star:
+    if l1 is not None and abs(dt) * math.hypot(*l1) * (1.0 + MODULUS_MARGIN) <= _TAU_STAR:
         return _rk4(w0, buffers, dt, w)
     with np.errstate(over="ignore", invalid="ignore"):
         inv, inv0 = buffers.inv, buffers.inv0
         scale = max(float(_density(w0, inv0).max()), 1e-300)
-        if abs(dt) * math.sqrt(scale) <= tau_star:
+        if abs(dt) * math.sqrt(scale) <= _TAU_STAR:
             return _rk4(w0, buffers, dt, w)
-        # Re(conj(v) u^2) / sqrt(s) drifts by less than tol s iff it meets
+        # Re(conj(v) u^2) / sqrt(s) drifts by less than SUBSTEP_TOL s iff it meets
         # its bound, so one maximum over both stacked invariants decides
         mr_factor = 1.0 / np.sqrt(scale)
         _manley_rowe(w0, buffers.k1, mr_factor, inv0[1])
@@ -429,7 +422,7 @@ def _substep(
             _manley_rowe(w, buffers.k1, mr_factor, inv[1])
             drift = np.subtract(inv, inv0, out=inv)
             drift = float(np.abs(drift, out=drift).max()) / scale
-            if drift < tol:
+            if drift < SUBSTEP_TOL:
                 return w
             nsub *= 2
             if nsub > 1024:
@@ -438,23 +431,24 @@ def _substep(
                 )
 
 
-def _check_tol(tol: float) -> None:
-    if not tol >= 0:
-        raise ValueError(f"substep tolerance must be nonnegative, got {tol}")
+def _check_dt(dt: float) -> None:
+    """Reject a ``dt`` that is not finite; a negative one steps backwards."""
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be a finite number, got {dt}")
 
 
-def nonlinear_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
+def nonlinear_step(p: FieldPair, dt: float) -> FieldPair:
     """Pointwise substep ODE u_t = i v conj(u), v_t = i u^2 over dt.
 
     RK4 on the stacked pair with substep refinement until both
     exactly-conserved pointwise invariants, |u|^2 + |v|^2 and
-    Re(conj(v) u^2), drift less than ``tol`` (relative to their scales)
-    over the step; raises :class:`SubstepFailure` past 1024 substeps, and
-    ``ValueError`` for a NaN or negative ``tol``.
+    Re(conj(v) u^2), drift less than ``SUBSTEP_TOL`` (relative to their
+    scales) over the step; raises :class:`SubstepFailure` past 1024
+    substeps, and ``ValueError`` for a ``dt`` that is not finite.
     """
-    _check_tol(tol)
+    _check_dt(dt)
     w0 = _stacked(p)
-    w = _substep(w0, dt, tol, _SubstepBuffers(w0.shape), None)
+    w = _substep(w0, dt, _SubstepBuffers(w0.shape), None)
     return p.with_values(w[0], w[1])
 
 
@@ -477,14 +471,13 @@ class SplitStepper:
     docstring).
     """
 
-    def __init__(self, p0: FieldPair, dt: float, tol: float = 1e-10) -> None:
+    def __init__(self, p0: FieldPair, dt: float) -> None:
         grid = p0.grid
         if not isinstance(grid, UniformGrid):
             raise TypeError("time stepping is defined on uniform grids")
-        _check_tol(tol)
+        _check_dt(dt)
         self.grid = grid
         self.dt = dt
-        self.tol = tol
         self.steps = 0
         self._p0 = p0
         # L(dt/2) and L(dt), stacked so that sync applies both in one product
@@ -526,7 +519,7 @@ class SplitStepper:
             # rounds as sync's does, and observing stays bit-neutral
             self._ahead = self.grid.ifft(self._free[1] * self._spectrum())
         # the look-ahead is ifft(m w) of the spectrum whose sums _l1 holds
-        self._state = _substep(self._ahead, self.dt, self.tol, self._buffers, self._l1_sums())
+        self._state = _substep(self._ahead, self.dt, self._buffers, self._l1_sums())
         self._ahead = self._hat = self._l1 = None
         self.steps += 1
 
@@ -546,9 +539,9 @@ class SplitStepper:
         return self._p0.with_values(w[0], w[1])
 
 
-def strang_step(p: FieldPair, dt: float, tol: float = 1e-10) -> FieldPair:
+def strang_step(p: FieldPair, dt: float) -> FieldPair:
     """Second-order composition linear(dt/2) o nonlinear(dt) o linear(dt/2)."""
-    stepper = SplitStepper(p, dt, tol)
+    stepper = SplitStepper(p, dt)
     stepper.step()
     return stepper.pair()
 
@@ -591,8 +584,7 @@ def _stop_steps(span: float, dt: float, cadence: int) -> list[int]:
 
 
 def _drive(
-    p0: FieldPair, dt: float, stops: list[int],
-    observe: Callable[[int, np.ndarray, bool], bool], tol: float = 1e-10,
+    p0: FieldPair, dt: float, stops: list[int], observe: Callable[[int, np.ndarray, bool], bool],
 ) -> str:
     """Step ``p0`` to the last of ``stops`` (:func:`_stop_steps`); returns the outcome.
 
@@ -606,7 +598,7 @@ def _drive(
     """
     if not (np.isfinite(p0.u.values).all() and np.isfinite(p0.v.values).all()):
         return "blow-up"
-    stepper = SplitStepper(p0, dt, tol)
+    stepper = SplitStepper(p0, dt)
     bound = RESOLUTION_FACTOR / stepper.grid.h
     if observe(0, stepper.sync(), False):
         return "blow-up"
@@ -657,7 +649,7 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
         return False
 
     stops = _stop_steps(cfg.t_final, cfg.dt, cfg.cadence)
-    ts.outcome = _drive(p0, cfg.dt, stops, observe, cfg.substep_tol)
+    ts.outcome = _drive(p0, cfg.dt, stops, observe)
     return ts
 
 

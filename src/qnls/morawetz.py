@@ -360,10 +360,13 @@ def morawetz_action(p: FieldPair, w: MorawetzWeights) -> float:
     The current in the integrand is -A and the y-weight is nu, both from
     :func:`_densities`.  The y-integral is a convolution with grad a(z) =
     psi(|z|/R) z, sampled on the min-image displacement from the origin.
+    Raises ``ValueError`` for weights built for another dimension.
     """
     grid = p.grid
     if not isinstance(grid, UniformGrid) or grid.d > 2:
         raise TypeError("the Morawetz action is evaluated in d = 1 or 2")
+    if w.d != grid.d:
+        raise ValueError(f"weights are built for d = {w.d}, the grid has d = {grid.d}")
     _, a_comp, nu = _densities(p)
     origin = np.zeros(grid.d)
     kernel = w.psi_of(grid.distance(origin) / w.R) * np.array(grid.displacement(origin))

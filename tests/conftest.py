@@ -81,6 +81,14 @@ def random_envelope_pair(grid, rng, kappa=0.5, nmodes=6, amp=1.0, sigma=None, km
     return pair_from_arrays(grid, one(), one(), kappa)
 
 
+def out_of_reach_pair():
+    """A Gaussian u of amplitude 1000 and v = 0 on a 1-D 64-point box of
+    length 20: at dt = 1 the substep exhausts its refinement limit."""
+    grid = UniformGrid(1, 64, 20.0)
+    u = 1000.0 * np.exp(-((grid.axis() - 10.0) ** 2)) + 0j
+    return pair_from_arrays(grid, u, np.zeros(grid.shape, complex), 0.5)
+
+
 def random_radial_pair(grid, rng, kappa=0.5, amp_scale=1.0):
     """Random smooth decaying radial pair on a RadialGrid."""
     r = grid.nodes()

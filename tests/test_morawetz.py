@@ -308,6 +308,18 @@ def test_action_vanishes_for_real_and_zero_pairs():
     assert morawetz_action(zero, w) == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 5])
+def test_action_rejects_weights_built_for_another_dimension(d):
+    # a 2-D pair with d = 1 or 5 tables gave a number and no error
+    g = UniformGrid(2, 32, 16.0)
+    x, y = g.coords()
+    u = 0.5 * np.exp(-((x - 8.0) ** 2 + (y - 8.0) ** 2) / 4.0) * np.exp(0.7j * x)
+    p = pair_from_arrays(g, u, 0.2 * u**2, 0.5)
+    with pytest.raises(ValueError, match=f"built for d = {d}, the grid has d = 2"):
+        morawetz_action(p, build_weights(d, 5.0, 0.05))
+    assert math.isfinite(morawetz_action(p, build_weights(2, 5.0, 0.05)))
+
+
 def test_action_matches_direct_double_sum():
     # M = 2 sum_x sum_y Im(2 conj(u) u' + conj(v) v')(x) psi(|z|/R) z nu(y) h^2,
     # z = x - y wrapped into [-L/2, L/2) by integer index arithmetic

@@ -16,7 +16,7 @@ from qnls.evolution import (
     strang_step,
 )
 
-from conftest import random_envelope_pair
+from conftest import out_of_reach_pair, random_envelope_pair
 
 GRIDS = [UniformGrid(1, 128, 20.0), UniformGrid(2, 32, 12.0), UniformGrid(3, 16, 10.0)]
 
@@ -208,8 +208,14 @@ def test_a_certified_substep_is_the_reference_rk4_step(seed, log_amp, frac):
     dt = frac * evolution._certified_tau(tol) / np.sqrt(s)
     ref, nsub = _reference_substep(w0, dt, tol)
     assert nsub == 1
-    w = evolution._substep(w0, dt, tol, evolution._SubstepBuffers(w0.shape), None)
+    w = evolution._substep(w0, dt, evolution._SubstepBuffers(w0.shape), None)
     assert np.array_equal(w, ref)
+
+
+def test_tau_star_is_the_certified_tau_of_the_substep_tolerance():
+    # the value the README and the evolution module docstring quote
+    assert evolution._TAU_STAR == evolution._certified_tau(evolution.SUBSTEP_TOL)
+    assert round(evolution._TAU_STAR, 5) == 4.73e-3
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -254,21 +260,19 @@ def test_the_monitor_runs_just_above_tau_star_only(frac, monitored, monkeypatch)
     w0, s = _random_state(np.random.default_rng(11), 64, 2.0)
     dt = frac * evolution._certified_tau(tol) / np.sqrt(s)
     calls = _counted(monkeypatch, "_manley_rowe")
-    w = evolution._substep(w0, dt, tol, evolution._SubstepBuffers(w0.shape), None)
+    w = evolution._substep(w0, dt, evolution._SubstepBuffers(w0.shape), None)
     assert (calls[0] > 0) == monitored
     assert np.array_equal(w, _reference_substep(w0, dt, tol)[0])
 
 
-@pytest.mark.parametrize("case", ["tol zero", "tol negative", "tol nan", "s nan", "s inf"])
+@pytest.mark.parametrize("case", ["s nan", "s inf"])
 def test_the_certificate_never_clears_what_it_cannot_bound(case, monkeypatch):
-    # a tiny state at a tiny step: any positive tolerance would certify it
+    # a tiny state at a tiny step: the certificate would clear it if it were finite
     w0, _ = _random_state(np.random.default_rng(12), 16, 1e-3)
-    tol = {"tol zero": 0.0, "tol negative": -1e-10, "tol nan": np.nan}.get(case, 1e-10)
-    if case.startswith("s "):
-        w0[0, 5] = {"s nan": np.nan, "s inf": np.inf}[case]
+    w0[0, 5] = {"s nan": np.nan, "s inf": np.inf}[case]
     calls = _counted(monkeypatch, "_manley_rowe")
     with np.errstate(invalid="ignore"), pytest.raises(SubstepFailure):
-        evolution._substep(w0, 1e-3, tol, evolution._SubstepBuffers(w0.shape), None)
+        evolution._substep(w0, 1e-3, evolution._SubstepBuffers(w0.shape), None)
     assert calls[0] > 0
 
 
@@ -337,7 +341,7 @@ def test_modulus_bound_covers_the_synchronised_state(d, seed, dt, kappa, aligned
 def _evolve_checked_every_step(p0, cfg):
     """evolve with the exact modulus check after every step."""
     nsteps = round(cfg.t_final / cfg.dt)
-    stepper = SplitStepper(p0, cfg.dt, cfg.substep_tol)
+    stepper = SplitStepper(p0, cfg.dt)
     ts = TimeSeries()
     pair = stepper.pair()
     ts.records.append(evolution._record(pair, 0.0))
@@ -429,11 +433,11 @@ def test_a_row_that_trips_holds_no_snapshot_even_at_a_multiple_of_the_stride():
     assert [round(t / cfg.dt) for t, _ in ts.snapshots] == [0, 50]
 
 
-def _drive_checked_every_step(p0, dt, stops, observe, tol=1e-10):
+def _drive_checked_every_step(p0, dt, stops, observe):
     """The driver's rule with a sync and an exact modulus check after every step."""
     if not np.all(np.isfinite(_stacked(p0))):
         return "blow-up"
-    stepper = SplitStepper(p0, dt, tol)
+    stepper = SplitStepper(p0, dt)
     bound = evolution.RESOLUTION_FACTOR / p0.grid.h
     if observe(0, stepper.sync(), False):
         return "blow-up"
@@ -530,18 +534,20 @@ def test_evolve_unfuses_only_at_rows(monkeypatch):
     assert calls["fft"] + calls["ifft"] == 2 * (400 + 1) + 9 * per_row
 
 
-@pytest.mark.parametrize("tol, error", [(np.nan, ValueError), (-1e-10, ValueError),
-                                        (0.0, SubstepFailure)], ids=["nan", "negative", "zero"])
+@pytest.mark.parametrize("dt, error", [(np.nan, ValueError), (np.inf, ValueError),
+                                       (-np.inf, ValueError), (1.0, SubstepFailure)],
+                         ids=["nan", "inf", "minus-inf", "out-of-reach"])
 @pytest.mark.parametrize("entry", ["nonlinear_step", "SplitStepper", "strang_step"])
-def test_public_stepping_entries_reject_a_bad_tol(entry, tol, error):
-    # a NaN or negative tolerance cannot be met: the substep would only
-    # climb its 1024-substep ladder on the way to a SubstepFailure; zero
-    # keeps that labelled failure
+def test_public_stepping_entries_reject_a_dt_that_is_not_finite(entry, dt, error):
+    # a dt that is not finite climbed the 1024-substep ladder to a
+    # SubstepFailure that blamed the drift (at +-inf after a RuntimeWarning
+    # from the free multiplier); data far past the substep's reach at a
+    # finite dt keeps that labelled failure
     run = {"nonlinear_step": nonlinear_step, "strang_step": strang_step,
            "SplitStepper": lambda *args: SplitStepper(*args).step()}[entry]
-    p = random_envelope_pair(UniformGrid(1, 32, 10.0), np.random.default_rng(13), amp=0.5)
-    with pytest.raises(error, match=f"got {tol}" if error is ValueError else None):
-        run(p, 1e-2, tol)
+    with pytest.raises(error, match=f"dt must be a finite number, got {dt}" if error is ValueError
+                       else "refinement limit"):
+        run(out_of_reach_pair(), dt)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -605,8 +611,7 @@ def test_a_step_the_l1_bound_misses_falls_back_to_the_exact_rule(monkeypatch):
     w0, s = _random_state(np.random.default_rng(15), 64, 2.0)
     dt = 0.9 * evolution._certified_tau(tol) / np.sqrt(s)
     density, monitor = _counted(monkeypatch, "_density"), _counted(monkeypatch, "_manley_rowe")
-    w = evolution._substep(w0, dt, tol, evolution._SubstepBuffers(w0.shape),
-                           (np.sqrt(s), np.sqrt(s)))
+    w = evolution._substep(w0, dt, evolution._SubstepBuffers(w0.shape), (np.sqrt(s), np.sqrt(s)))
     assert density[0] == 1 and monitor[0] == 0
     assert np.array_equal(w, _reference_substep(w0, dt, tol)[0])
 
@@ -622,7 +627,7 @@ def test_the_l1_certificate_clears_nothing_the_exact_rule_refuses(frac, monitore
     dt = frac * evolution._certified_tau(tol) / (np.sqrt(2.0) * amp)
     half = evolution._free_multiplier(grid, kappa, 0.5 * dt)
     w = grid.ifft(np.conj(half) * grid.fft(spike))
-    stepper = SplitStepper(pair_from_arrays(grid, w[0], w[1], kappa), dt, tol)
+    stepper = SplitStepper(pair_from_arrays(grid, w[0], w[1], kappa), dt)
     ahead = stepper._ahead.copy()
     density, monitor = _counted(monkeypatch, "_density"), _counted(monkeypatch, "_manley_rowe")
     stepper.step()
