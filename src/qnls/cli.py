@@ -3,8 +3,8 @@
 One flat JSON config drives one run; subcommands: ground-state, evolve,
 morawetz, classify, disperse.  Every artifact embeds the echoed config,
 CSV rows carry a versioned schema comment, snapshots are a little-endian
-binary format with magic "NLSS", and fixed seed + config give
-byte-identical outputs on one platform.
+binary format with magic "NLSS", and a fixed config gives byte-identical
+outputs on one platform.
 
 Exit codes: 0 success (including a flagged blow-up outcome), 1 usage
 error, 2 numeric failure.
@@ -62,8 +62,6 @@ _KEYS: dict[str, tuple] = {
     "cadence": (10, _INTEGER, _at_least(1)),
     "dt": (1e-3, _POSITIVE, None),
     "t_final": (1.0, _POSITIVE, None),
-    # echo-only: nothing reads it, every initial condition is deterministic
-    "seed": (0, _INTEGER, None),
     "n": (256, _INTEGER, (lambda n: n >= 8 and not n & (n - 1), "a power of two >= 8")),
     "L": (40.0, _POSITIVE, None),
     # m and n ** dimension are capped so that a typo such as 2**40 is a usage
@@ -98,7 +96,7 @@ _INITIAL_KEYS = ("kappa", "n", "L", "initial", "amplitude", "width", "center", "
                  "xi", "input_path")
 _SOLVER_KEYS = ("kappa", "m", "r_max", "tol", "max_iter")
 _READS: dict[str, frozenset] = {
-    command: frozenset(("seed", "output", *keys)) for command, keys in {
+    command: frozenset(("output", *keys)) for command, keys in {
         "ground-state": _SOLVER_KEYS,
         "evolve": (*_INITIAL_KEYS, "dimension", "dt", "t_final", "cadence", "snapshot_every"),
         "morawetz": (*_INITIAL_KEYS, "dt", "R0", "J", "T0", "eps"),
@@ -323,8 +321,8 @@ def _initial_pair(cfg: RunConfig, grid: UniformGrid) -> FieldPair:
 def run_command(cfg: RunConfig) -> int:
     """Dispatch one validated config; returns the process exit code.
 
-    The seed is part of the config echo in every artifact; the built-in
-    initial conditions are deterministic, so reruns are byte-identical.
+    Every artifact echoes the config; the built-in initial conditions are
+    deterministic, so reruns are byte-identical.
     """
     out = cfg.output
     # checked before any work: the CSV is evolve's only product
@@ -437,10 +435,13 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: qnls CONFIG.json", file=sys.stderr)
         return 1
     try:
-        with open(argv[0]) as fh:
+        with open(argv[0], encoding="utf-8") as fh:   # JSON is UTF-8
             cfg = parse_config(fh.read())
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: config is not UTF-8: {exc}", file=sys.stderr)
         return 1
     try:
         return run_command(cfg)

@@ -100,6 +100,7 @@ from .fields import FieldPair, lp_norm, pair_lp_norm
 from .grid import Field, UniformGrid
 
 RESOLUTION_FACTOR = 1.0   # a run ends in blow-up once max |u|, |v| exceeds this / h
+BLOWUP_GROWTH = 100.0     # evolve ends in blow-up at a row whose H exceeds this multiple of H(0)
 # relative slack on the l1 modulus bound for the rounding of the transforms
 MODULUS_MARGIN = 1e-9
 SUBSTEP_TOL = 1e-10       # pointwise invariant drift per step
@@ -112,7 +113,6 @@ class EvolutionConfig:
     dt: float
     t_final: float
     cadence: int = 10                  # steps between diagnostics rows
-    blowup_growth: float = 100.0       # flag when H exceeds this multiple of H(0)
     snapshot_every: int = 0            # keep every k-th row's state, from row 0; 0 keeps none
 
     def __post_init__(self) -> None:
@@ -120,9 +120,6 @@ class EvolutionConfig:
             raise ValueError("t_final must be nonnegative")
         _check_count("cadence", self.cadence, 1)
         _check_count("snapshot_every", self.snapshot_every, 0)
-        # NaN would never flag a row, and a value <= 0 would flag the first after t = 0
-        if not self.blowup_growth > 0:
-            raise ValueError(f"blowup_growth must be a positive number, got {self.blowup_growth}")
         _whole_steps(self.t_final, self.dt)
 
 
@@ -628,7 +625,7 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
 
     :func:`_drive` ends the run; ``evolve`` records a row at each stop and
     at a finite trip, and ends it as ``"blow-up"`` at a row whose kinetic
-    energy exceeds ``blowup_growth`` times H(0).  Early termination is a
+    energy exceeds ``BLOWUP_GROWTH`` times H(0).  Early termination is a
     labeled outcome, not an error.
     """
     if not isinstance(p0.grid, UniformGrid):
@@ -640,7 +637,7 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
         rec = _record(p0.with_values(w[0], w[1]), t)
         ts.records.append(rec)
         h0 = ts.records[0].kinetic
-        if tripped or (step > 0 and h0 > 0 and rec.kinetic > cfg.blowup_growth * h0):
+        if tripped or (step > 0 and h0 > 0 and rec.kinetic > BLOWUP_GROWTH * h0):
             return True
         if cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
             # copy: the synchronised state shares its buffer with the

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import fields as fields_mod
-from .evolution import _check_count, _drive, _stop_steps
+from .evolution import _drive, _stop_steps
 from .fields import FieldPair, galilean_boost
 from .grid import UniformGrid, _centred_d1, _centred_d2, unit_ball_volume
 
@@ -443,7 +444,7 @@ class InteractionParams:
     J: float
     T0: float
     eps: float
-    cadence: int = 25
+    cadence: ClassVar[int] = 25   # steps between time samples
 
     def __post_init__(self) -> None:
         for key in ("R0", "J", "T0"):
@@ -452,7 +453,6 @@ class InteractionParams:
                 raise ValueError(f"{key} must be a finite positive number, got {value}")
         if not 0 < self.eps <= 0.5:
             raise ValueError(f"eps must lie in (0, 1/2], got {self.eps}")
-        _check_count("cadence", self.cadence, 1)
 
     @property
     def nu(self) -> float:
@@ -493,9 +493,9 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     integrand is nonnegative by construction; degenerate windows contribute
     zero without special-casing.  The s integral runs over every
     ``S_STRIDE``-th grid point, R over ``N_RADII`` log-spaced radii, t over
-    samples every ``cadence`` steps.  The suppressed positive constant of the
-    estimate is not modeled; ratio stability under parameter doubling is
-    what the result is for.
+    samples every ``InteractionParams.cadence`` (25) steps.  The suppressed
+    positive constant of the estimate is not modeled; ratio stability under
+    parameter doubling is what the result is for.
 
     The time samples are the stops of the driver that ``evolve`` uses
     (``evolution._drive``), and so is the rule that ends a run early: input

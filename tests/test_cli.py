@@ -321,7 +321,7 @@ def test_ground_state_command_reports_ratios(tmp_path):
 def test_evolve_command_deterministic_csv(tmp_path):
     conf = {
         "command": "evolve", "dimension": 1, "n": 64, "L": 20.0,
-        "dt": 1e-3, "t_final": 0.05, "cadence": 10, "seed": 7,
+        "dt": 1e-3, "t_final": 0.05, "cadence": 10,
         "initial": "gaussian", "amplitude": 0.5, "width": 2.0,
     }
     out1 = str(tmp_path / "run1.csv")
@@ -441,6 +441,17 @@ def test_main_usage_and_numeric_failure(tmp_path, capsys):
     assert "ConvergenceError" in out
 
 
+def test_a_config_that_is_not_utf8_is_a_one_line_usage_error(tmp_path, capsys):
+    # JSON is UTF-8; these UTF-16 bytes must not escape main as a decode error
+    conf = tmp_path / "utf16.json"
+    conf.write_bytes(b"\xff\xfe{}")
+    assert main([str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: config is not UTF-8: ")
+    assert "Traceback" not in err
+
+
 def test_non_integer_size_is_a_usage_error(tmp_path, capsys):
     conf = tmp_path / "float_n.json"
     conf.write_text(json.dumps({"command": "evolve", "n": 64.0, "output": "x.csv"}))
@@ -553,12 +564,15 @@ def test_a_key_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, conf
 def test_each_command_accepts_and_echoes_only_the_keys_it_reads():
     sizes = {}
     for command in _COMMANDS:
-        cfg = parse_config(json.dumps({"command": command, "seed": 3, "output": "out"}))
-        assert cfg.seed == 3 and cfg.output == "out"
+        cfg = parse_config(json.dumps({"command": command, "output": "out"}))
+        assert cfg.output == "out"
         sizes[command] = len(cfg.echo()) - 1
-    assert sizes == {"ground-state": 7, "evolve": 17, "morawetz": 17, "classify": 17, "disperse": 16}
+        # nothing reads a seed: every initial condition is deterministic
+        with pytest.raises(ConfigError, match="^unknown config keys: seed$"):
+            parse_config(json.dumps({"command": command, "seed": 0}))
+    assert sizes == {"ground-state": 6, "evolve": 16, "morawetz": 16, "classify": 16, "disperse": 15}
     cfg = parse_config(json.dumps({"command": "ground-state"}))
-    assert set(cfg.echo()) == {"command", "seed", "output", "kappa", "m", "r_max", "tol", "max_iter"}
+    assert set(cfg.echo()) == {"command", "output", "kappa", "m", "r_max", "tol", "max_iter"}
     with pytest.raises(AttributeError):
         cfg.n
     with pytest.raises(AttributeError):

@@ -407,9 +407,11 @@ def test_cauchy_schwarz_near_equality_plane_waves():
 def test_interaction_zero_data():
     g = UniformGrid(1, 256, 100.0)
     zero = pair_from_arrays(g, np.zeros(g.shape, complex), np.zeros(g.shape, complex))
-    res = interaction_lhs(zero, 1e-2, InteractionParams(R0=2.0, J=4.0, T0=1.0, eps=0.25, cadence=10))
+    res = interaction_lhs(zero, 1e-2, InteractionParams(R0=2.0, J=4.0, T0=1.0, eps=0.25))
     assert res.accumulator == 0.0
     assert res.outcome == "completed"
+    # a sample at every InteractionParams.cadence = 25th of the 100 steps
+    assert np.array_equal(np.round(res.times / 1e-2), [0, 25, 50, 75, 100])
 
 
 def test_interaction_rejects_a_partial_last_step():
@@ -422,7 +424,7 @@ def test_interaction_rejects_a_partial_last_step():
 @pytest.mark.parametrize("key, value", [
     ("R0", -1.0), ("J", 0.0), ("T0", 0.0), ("T0", math.nan), ("eps", 0.0),
     ("R0", math.inf), ("J", math.inf), ("T0", math.inf),
-    ("cadence", 0), ("cadence", -1), ("cadence", 2.5), ("dt", -1e-2), ("dt", 0.0), ("dt", math.inf),
+    ("dt", -1e-2), ("dt", 0.0), ("dt", math.inf),
 ])
 def test_interaction_rejects_a_bad_value_naming_it(key, value):
     # each of these crashed, returned a negative accumulator or raised
@@ -430,7 +432,7 @@ def test_interaction_rejects_a_bad_value_naming_it(key, value):
     g = UniformGrid(1, 16, 10.0)
     u = np.exp(-((g.axis() - 5.0) ** 2)) + 0j
     p = pair_from_arrays(g, u, 0.5 * u)
-    kwargs = {"R0": 1.0, "J": 1.0, "T0": 0.1, "eps": 0.25, "cadence": 5}
+    kwargs = {"R0": 1.0, "J": 1.0, "T0": 0.1, "eps": 0.25}
     with pytest.raises(ValueError, match=key):
         if key == "dt":
             interaction_lhs(p, value, InteractionParams(**kwargs))
@@ -464,7 +466,7 @@ def test_interaction_breakdowns_sum_to_total():
     x = g.axis()
     u = 0.05 * np.exp(-((x - 50.0) ** 2) / 8.0) * np.exp(0.4j * x)
     p = pair_from_arrays(g, u, 0.5 * u)
-    res = interaction_lhs(p, 1e-2, InteractionParams(R0=2.0, J=4.0, T0=2.0, eps=0.25, cadence=5))
+    res = interaction_lhs(p, 1e-2, InteractionParams(R0=2.0, J=4.0, T0=2.0, eps=0.25))
     assert np.sum(res.per_radius) == pytest.approx(res.accumulator, rel=1e-12)
     assert np.sum(res.per_time) == pytest.approx(res.accumulator, rel=1e-12)
 
@@ -474,7 +476,7 @@ def test_interaction_nonnegative_and_scales_like_e0_squared():
     g = UniformGrid(1, 256, 100.0)
     x = g.axis()
     base_u = np.exp(-((x - 50.0) ** 2) / 8.0) * np.exp(0.4j * x)
-    params = InteractionParams(R0=2.0, J=4.0, T0=2.0, eps=0.25, cadence=5)
+    params = InteractionParams(R0=2.0, J=4.0, T0=2.0, eps=0.25)
     results = []
     for lam in (0.02, 0.01):
         p = pair_from_arrays(g, lam * base_u, 0.5 * lam * base_u)

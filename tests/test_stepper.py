@@ -361,7 +361,7 @@ def _evolve_checked_every_step(p0, cfg):
         if too_large or step % cfg.cadence == 0 or step == nsteps:
             rec = evolution._record(stepper.pair(), t)
             ts.records.append(rec)
-            if too_large or (h0 > 0 and rec.kinetic > cfg.blowup_growth * h0):
+            if too_large or (h0 > 0 and rec.kinetic > evolution.BLOWUP_GROWTH * h0):
                 ts.outcome = "blow-up"
                 break
             if cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
@@ -391,7 +391,7 @@ def _gaussian_pair(grid, amp):
 def _spike():
     # tests/test_evolution.py::test_blow_up_flagged_on_focusing_spike, which
     # trips the modulus bound at step 754, between two rows
-    cfg = EvolutionConfig(dt=2e-4, t_final=2.0, cadence=20, blowup_growth=3.0)
+    cfg = EvolutionConfig(dt=2e-4, t_final=2.0, cadence=20)
     return _gaussian_pair(UniformGrid(2, 128, 10.0), 10.0), cfg
 
 
@@ -405,7 +405,24 @@ def _trips_between_rows():
     return _gaussian_pair(UniformGrid(1, 64, 10.0), 6.0), EvolutionConfig(dt=1e-3, t_final=0.5, cadence=25)
 
 
-@pytest.mark.parametrize("case", ["spike", "resolved", "trips_between_rows", "torus_soliton"])
+def _every_5th_step():
+    # the same run with rows every 5th step: the l1 sums first miss the
+    # bound at step 84, and the next step, 85, is a row
+    p0, cfg = _trips_between_rows()
+    return p0, dataclasses.replace(cfg, cadence=5)
+
+
+def _kinetic_growth():
+    # the modulational instability of a flat pair: H passes BLOWUP_GROWTH H(0)
+    # at t = 7.2 while max |u|, |v| stays near 1, below 1/h = 3.2
+    grid = UniformGrid(1, 64, 20.0)
+    u = 1.0 + 1e-3 * np.cos(2 * np.pi * grid.axis() / grid.L) + 0j
+    p0 = pair_from_arrays(grid, u, np.ones(grid.shape, complex))
+    return p0, EvolutionConfig(dt=1e-3, t_final=20.0, cadence=100)
+
+
+@pytest.mark.parametrize("case", ["spike", "resolved", "trips_between_rows", "every_5th_step",
+                                  "kinetic_growth", "torus_soliton"])
 def test_evolve_matches_a_modulus_check_after_every_step(case, request):
     if case == "torus_soliton":
         # max |u| = 3.14 against the bound 1/h = 4.0, certified at every step
@@ -413,13 +430,21 @@ def test_evolve_matches_a_modulus_check_after_every_step(case, request):
         cfg = EvolutionConfig(dt=1e-3, t_final=0.2, cadence=50)
     else:
         p0, cfg = {"spike": _spike, "resolved": _resolved,
-                   "trips_between_rows": _trips_between_rows}[case]()
+                   "trips_between_rows": _trips_between_rows, "every_5th_step": _every_5th_step,
+                   "kinetic_growth": _kinetic_growth}[case]()
     ts, ref = evolve(p0, cfg), _evolve_checked_every_step(p0, cfg)
     _assert_same_series(ts, ref)
     if case == "resolved":
         assert ts.outcome == "completed" and len(ts.snapshots) > 1
+    elif case == "kinetic_growth":
+        kinetic = ts.column("kinetic")
+        grown = kinetic > evolution.BLOWUP_GROWTH * kinetic[0]
+        assert ts.outcome == "blow-up" and grown[-1] and not np.any(grown[:-1])
+        assert np.all(ts.column("max_modulus") < 1.0 / p0.grid.h)
     elif case != "torus_soliton":
         assert ts.outcome == "blow-up" and round(ts.records[-1].t / cfg.dt) % cfg.cadence
+    if case == "every_5th_step":
+        assert [round(rec.t / cfg.dt) for rec in ts.records] == [*range(0, 90, 5), 87]
 
 
 def test_a_row_that_trips_holds_no_snapshot_even_at_a_multiple_of_the_stride():
@@ -469,19 +494,15 @@ def _torus_soliton_1d():
 
 
 # samples before the trip: steps 0, 25, 50 and 75 of _trips_between_rows,
-# which trips at step 87; every 5th step to 85 of the same run, where the
-# l1 sums first miss the bound at step 84; step 0 of the torus soliton
-@pytest.mark.parametrize("case, cadence, samples", [
-    ("trips_between_rows", 25, 4), ("trips_between_rows", 5, 18), ("torus_soliton", 25, 1),
-])
-def test_the_accumulator_matches_a_modulus_check_after_every_step(case, cadence, samples,
-                                                                  monkeypatch):
+# which trips at step 87; step 0 of the torus soliton
+@pytest.mark.parametrize("case, samples", [("trips_between_rows", 4), ("torus_soliton", 1)])
+def test_the_accumulator_matches_a_modulus_check_after_every_step(case, samples, monkeypatch):
     if case == "torus_soliton":
         p0, dt, t0 = _torus_soliton_1d(), 1e-3, 0.5
     else:
         p0, cfg = _trips_between_rows()
         dt, t0 = cfg.dt, cfg.t_final
-    params = InteractionParams(R0=1.0, J=1.0, T0=t0, eps=0.25, cadence=cadence)
+    params = InteractionParams(R0=1.0, J=1.0, T0=t0, eps=0.25)
     res = interaction_lhs(p0, dt, params)
     ref = _interaction_checked_every_step(p0, dt, params, monkeypatch)
     assert res.outcome == ref.outcome == "blow-up"

@@ -4,21 +4,22 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below has 21 CLI runs.  They run every command, in d = 1, 2 and
+The manifest below has 22 CLI runs.  They run every command, in d = 1, 2 and
 3, with snapshots written and read back (``initial: "file"``); every
 outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
-``substep-failure`` of each); three usage errors and a numeric error.  Each run is
+``substep-failure`` of each, and ``evolve``'s blow-up by both the modulus
+bound and kinetic growth); three usage errors and a numeric error.  Each run is
 ``python -m qnls.cli CONFIG`` in its own process, from the ``src/`` next
 to this script, inside one temporary directory with relative paths, so
 artifacts never embed a location.  Runs go in manifest order, because the
-``file`` runs read snapshots that earlier runs wrote.  A 22nd run builds
+``file`` runs read snapshots that earlier runs wrote.  A 23rd run builds
 the Morawetz weight tables, which no command writes, in one more process:
 ``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
 eps = 0.05.
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each CLI run, ``files/<name>`` of every file left in the directory, and
-``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 131
+``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 136
 entries for this manifest.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
@@ -73,6 +74,11 @@ MANIFEST: list[tuple[str, dict]] = [
     ("evolve-blow-up-snapshots", {
         "command": "evolve", "dimension": 1, "n": 256, "L": 512.0, "dt": 1e-3, "t_final": 0.01,
         "cadence": 1, "initial": "soliton", "snapshot_every": 1, "output": "blows.csv",
+    }),
+    # H passes 100 H(0) at t = 7.5 while max |u| stays below 1/h = 3.2
+    ("evolve-kinetic-growth", {
+        "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1e-3, "t_final": 20.0,
+        "cadence": 100, "amplitude": 1.0, "width": 40.0, "output": "growth.csv",
     }),
     ("evolve-substep-failure", {
         "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1.0, "t_final": 1.0,
