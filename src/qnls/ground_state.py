@@ -44,11 +44,28 @@ file cannot be loaded they come from ``scipy.linalg.lapack`` itself.
 The package's only second-order radial operator is the dense one of the
 independent oracle below.
 
-The balanced sweep contracts only linearly and, at m = 2048, plateaus
-near the round-off floor (1.5e-10 with exact banded inverses), so
-:func:`petviashvili_solve` runs it down to the residual ``NEWTON_SWITCH``
-and finishes with Newton steps on the full system (J. Yang, J. Comput.
-Phys. 228 (2009) 7007).
+The balanced sweep contracts only linearly, by about 0.85 per sweep at
+m = 2048, so :func:`petviashvili_solve` runs it only until the iterate is
+inside Newton's basin, down to the residual ``NEWTON_SWITCH`` = 30, and
+finishes with Newton steps on the full system (J. Yang, J. Comput.
+Phys. 228 (2009) 7007).  Newton from the Gaussian guess itself converges
+to phi = vphi = 0.  The basin was mapped by running k sweeps and then
+Newton steps under the floor rule below (every step must lower the
+residual); the first k from which Newton reaches Q, with the residual
+after k sweeps at m = 2048, r_max = 30:
+
+    kappa       0.25   0.5   1    2     4
+    k           11     8     4    1     1
+    residual    113    81    78   144   258
+
+k is the same for m from 64 to 4096 and r_max from 10 to 40 (the
+residuals move by a few percent), and no larger k up to 30 failed, so the
+switch at 30 sits at least 2.5 times inside the basin.  A much higher
+switch would leave it: the first sweep residuals are not monotone (103,
+89, 102, 95, 96 at kappa = 0.5), and at kappa = 0.25 the second sweep
+already reads 97, nine sweeps before the basin.  At m = 2048,
+r_max = 30, kappa = 0.5 the solve takes 17 sweeps and 4 Newton steps,
+against 47 and 2 with a switch at 0.3.
 With (phi_j, vphi_j) interleaved per node the Jacobian
 
     [[1 - L4 - diag vphi, -diag phi], [-2 diag phi, 2 - kappa L4]]
@@ -62,10 +79,11 @@ Newton step that does not reduce it: that is the float64 floor.
 ``GroundState.residual_floor`` estimates the floor as
 eps * max_i sum_j |J_ij| |x_j|; the 4/r term at the first node makes it
 grow like 1/dr^2 (about 5e-10 at m = 2048, r_max = 30).
-The residuals reached sit below that bound, yet on grids finer than
-about m = 2048 at r_max = 30 they no longer reach 1e-10: m = 3072 and
-4096 stall at residuals of 1.8-5.6e-10, so they cannot certify
-tol = 1e-10.
+The residuals reached sit below that bound, and whether one also falls
+below tol = 1e-10 is a matter of rounding: at m = 2048, r_max = 30 the
+solve reaches it for kappa = 0.25, 0.5 and 1 (9.9e-11, 6.2e-11, 6.0e-11)
+but stalls at 1.2e-10 for kappa = 2, and at kappa = 0.5 m = 3072 and
+4096 stall at 1.7e-10 and 3.5e-10.
 
 A deliberately independent coarse solver (dense second-order matrices,
 damped held-mass Picard) cross-checks M_gs.
@@ -91,8 +109,10 @@ if _lapack is None:
 INITIAL_AMPLITUDE = 3.0
 
 #: max-norm residual at which :func:`petviashvili_solve` leaves the
-#: balanced sweep for Newton steps
-NEWTON_SWITCH = 0.3
+#: balanced sweep for Newton steps: at least 2.5 times inside the basin
+#: from which every Newton step lowers the residual (residuals 78-258 for
+#: kappa 0.25-4, solver notes above)
+NEWTON_SWITCH = 30.0
 
 
 class ConvergenceError(RuntimeError):
@@ -336,8 +356,10 @@ def petviashvili_solve(
 
     Starts from phi = vphi = INITIAL_AMPLITUDE * exp(-r^2), runs the balanced
     iteration with the solver's fourth-order radial operators down to
-    ``NEWTON_SWITCH`` (or ``tol``, if looser) and then takes Newton steps
-    until the residual is below ``tol``; see the module docstring.
+    ``NEWTON_SWITCH`` = 30 (or ``tol``, if looser), which is at least 2.5
+    times inside Newton's measured basin (residuals 78-258 for kappa from
+    0.25 to 4), and then takes Newton steps until the residual is below
+    ``tol``; see the module docstring for the basin table.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

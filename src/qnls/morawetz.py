@@ -113,7 +113,11 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
     The angular sum inner(q, rho) serves both k.  For q, rho > 0 the
     distance falls as u rises, so g = 0 on a prefix of the ascending nodes
     and g = 1 on a suffix: the suffix sums come from a tail sum of the
-    weights, and the bump is evaluated only on the band between.
+    weights, and the bump is evaluated only on the band between.  A pair
+    with rho <= q - 1 - delta has g = 0 on every node and one with
+    q + rho <= 1 - eps - delta has g = 1 on every node, so its sum is 0 or
+    the whole weight without a search; delta = 1e-9 keeps rounding out of
+    both tests, and the sums are the ones the search would give.
     """
     if d == 1:   # S^0: the two directions u = -1, 1, counted once each
         u, wu, area = np.array((-1.0, 1.0)), np.ones(2), 1.0
@@ -127,11 +131,16 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
     n_live = int(np.searchsorted(q, 2.0))
     n_zero = int(np.searchsorted(q, 0.0, side="right"))
     out[:, :n_zero] = (base @ (g_rho**2 * tail[0]))[:, None]   # q = 0: dist = rho
+    delta = 1e-9
     for i in range(n_zero, n_live, 32):
         j = min(i + 32, n_live)
         qc = q[i:j, None]
-        c2 = (qc**2 + rho**2).ravel()
-        two_qr = (2.0 * qc * rho).ravel()
+        # g = 1 on every node of a pair in one, 0 on every node of the rest but live
+        one = qc + rho <= 1.0 - eps - delta
+        live = ~one & (rho > qc - 1.0 - delta)
+        inner = np.where(one, tail[0], 0.0)
+        c2 = (qc**2 + rho**2)[live]
+        two_qr = (2.0 * qc * rho)[live]
         # g = 0 on nodes [0, lo) (dist >= 1), g = 1 on [hi, u.size) (dist <= 1 - eps)
         lo = np.searchsorted(u, (c2 - 1.0) / two_qr, side="right")
         hi = np.searchsorted(u, (c2 - (1.0 - eps) ** 2) / two_qr, side="left")
@@ -141,7 +150,7 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
         dist = c2[pair] - two_qr[pair] * u[node]
         dist = np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
         band = np.bincount(pair, weights=bump_gamma(dist, eps) ** 2 * wu[node], minlength=lens.size)
-        inner = (tail[hi] + band).reshape(j - i, n_rho)
+        inner[live] = tail[hi] + band
         out[:, i:j] = base @ inner.T
     return out
 

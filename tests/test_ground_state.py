@@ -289,6 +289,27 @@ def test_newton_finish_converges_on_a_coarse_grid():
     assert gs.iterations == len(gs.residual_history)
 
 
+def test_acceptance_solve_takes_few_iterations(gs_fine):
+    # the balanced sweep runs only until Newton's basin (NEWTON_SWITCH):
+    # 17 sweeps and 4 Newton steps, where a switch at 0.3 took 47 and 2
+    assert gs_fine.iterations <= 25
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+def test_newton_starts_inside_its_basin(kappa):
+    gs = petviashvili_solve(RadialGrid(256, 12.0), kappa=kappa, tol=1e-8)
+    assert gs.residual_norm < 1e-8
+    assert float(np.min(gs.phi)) > -1e-10
+    assert float(np.min(gs.vphi)) > -1e-10
+    assert gs.ratios[1] == pytest.approx(5.0, rel=1e-3)
+    assert gs.ratios[2] == pytest.approx(4.0, rel=1e-3)
+    # the sweep that crosses the switch is the last; the first Newton step
+    # after it must cut the residual, as it does well inside the basin
+    history = gs.residual_history
+    last_sweep = next(i for i, res in enumerate(history) if res < NEWTON_SWITCH)
+    assert history[last_sweep + 1] <= history[last_sweep] / 3.0
+
+
 def test_residual_floor_reported(gs_fine):
     assert 0.0 < gs_fine.residual_floor < 1e-8
     assert gs_fine.iterations == len(gs_fine.residual_history)
