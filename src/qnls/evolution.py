@@ -64,13 +64,14 @@ step, and hands out the same states, as a check after every step would.
 
 The per-step path works on arrays only, and pays for as few numpy calls
 as it can.  Each stepper allocates, once, the scratch of the array-level
-substep ``_substep`` (``_SubstepBuffers``): the four RK4 stages and one
-stage argument, each with its two halves (u, v) bound once, and two real
-arrays for the density monitor; the stage factors i h/2, i h and i h/6
-are 0-d arrays, built once per h.  RK4 then runs there as one pass of
-in-place ufuncs, with ``out`` passed positionally, in the operation order
-of the out-of-place formula, so its results are the same bits; the
-public :func:`nonlinear_step` is a thin wrapper over the same substep.
+substep ``_substep`` (``_SubstepBuffers``): three RK4 stages (the fourth
+reuses the third's) and one stage argument, each with its two halves
+(u, v) bound once, and two real arrays for the density monitor; the stage
+factors i h/2, i h and i h/6 are 0-d arrays, built once per h.  RK4 then
+runs there as one pass of in-place ufuncs, with ``out`` passed
+positionally, in the operation order of the out-of-place formula, so its
+results are the same bits; the public :func:`nonlinear_step` is a thin
+wrapper over the same substep.
 The stepper takes one reduction per step, the l1 sums (a, b) of the
 spectrum it keeps anyway: they bound the modulus for the driver and, since
 the next step's pre-substep state is the inverse transform of the same
@@ -212,26 +213,26 @@ def linear_step(p: FieldPair, dt: float) -> FieldPair:
 class _SubstepBuffers:
     """Scratch of :func:`_substep` on a stacked pair of one shape.
 
-    The four RK4 stages and one stage argument, each with its halves (u, v)
-    bound once as attributes; the two pointwise invariants (density, scaled
-    Manley-Rowe) at the end and at the start of a step, each pair stacked
-    like the fields; and the stage factors i h/2, i h and i h/6 as 0-d
-    arrays, built once per h (:meth:`factors`).  A 0-d array costs a ufunc
-    call about half of what a Python complex does, and every value is the
-    same, so the products keep their bits.
+    Three RK4 stages (:func:`_rk4` runs the fourth into ``k3``) and one
+    stage argument, each with its halves (u, v) bound once as attributes;
+    the two pointwise invariants (density, scaled Manley-Rowe) at the end
+    and at the start of a step, each pair stacked like the fields; and the
+    stage factors i h/2, i h and i h/6 as 0-d arrays, built once per h
+    (:meth:`factors`).  A 0-d array costs a ufunc call about half of what
+    a Python complex does, and every value is the same, so the products
+    keep their bits.
     """
 
     __slots__ = ("k1", "k1u", "k1v", "k2", "k2u", "k2v", "k3", "k3u", "k3v",
-                 "k4", "k4u", "k4v", "arg", "argu", "argv", "inv", "inv0", "_h", "_factors")
+                 "arg", "argu", "argv", "inv", "inv0", "_h", "_factors")
 
     def __init__(self, shape: tuple[int, ...]) -> None:
-        self.k1, self.k2, self.k3, self.k4, self.arg = (
-            np.empty(shape, dtype=complex) for _ in range(5)
+        self.k1, self.k2, self.k3, self.arg = (
+            np.empty(shape, dtype=complex) for _ in range(4)
         )
         self.k1u, self.k1v = self.k1
         self.k2u, self.k2v = self.k2
         self.k3u, self.k3v = self.k3
-        self.k4u, self.k4v = self.k4
         self.argu, self.argv = self.arg
         self.inv, self.inv0 = np.empty(shape), np.empty(shape)
         self._h = None
@@ -269,10 +270,10 @@ def _rk4(w0: np.ndarray, b: _SubstepBuffers, h: float, out: np.ndarray) -> np.nd
     np.add(w0, np.multiply(half, b.k2, b.arg), b.arg)
     _stage(b.argu, b.argv, b.k3u, b.k3v)
     np.add(w0, np.multiply(full, b.k3, b.arg), b.arg)
-    _stage(b.argu, b.argv, b.k4u, b.k4v)
-    # out = w0 + (i h / 6) (k1 + 2 (k2 + k3) + k4)
+    # out = w0 + (i h / 6) (k1 + 2 (k2 + k3) + k4), with k4 in k3's buffer
     np.multiply(_TWO, np.add(b.k2, b.k3, b.k2), b.k2)
-    np.add(np.add(b.k1, b.k2, b.k1), b.k4, b.k1)
+    _stage(b.argu, b.argv, b.k3u, b.k3v)
+    np.add(np.add(b.k1, b.k2, b.k1), b.k3, b.k1)
     return np.add(w0, np.multiply(sixth, b.k1, b.k1), out)
 
 

@@ -32,8 +32,10 @@ The profile at the working resolution must carry the 1:5:4 identity to
 1e-3, which a second-order discretization cannot deliver at m = 2048, so
 the solver discretizes the radial Laplacian to fourth order internally:
 a five-point stencil L4 with the even (r = 0) and odd (r_max) ghost folds
-of ``radial_ghosts``, assembled once per solve as a (5, m) band.  L1 and
-L2 are factored once per solve, one back-substitution per sweep: LAPACK
+of ``radial_ghosts``, assembled once per solve as a (5, m) band read off
+those stencils and folds, for the factorizations and the Newton Jacobian;
+residuals apply the stencil, which rounds better (see ``_lap4_apply``).
+L1 and L2 are factored once per solve, one back-substitution per sweep: LAPACK
 ``gbtrf`` once, then ``gbtrs``, the two halves of the ``gbsv`` that
 ``scipy.linalg.solve_banded`` would run on every call, so the bits are
 the same.  ``dgbtrf`` and ``dgbtrs`` come from scipy's compiled
@@ -95,6 +97,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fields
 from .fields import FieldPair, pair_from_arrays
@@ -184,7 +187,14 @@ class GroundState:
 
 
 def _lap4_apply(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
-    """Fourth-order radial Laplacian d^2/dr^2 + (4/r) d/dr (solver-internal)."""
+    """Fourth-order radial Laplacian d^2/dr^2 + (4/r) d/dr (solver-internal).
+
+    Residuals and moments use this, not :func:`_lap4_band`, whose premultiplied
+    coefficients round worse near the floor: with the band's matvec the solve
+    at m = 2048, r_max = 30, tol 1e-10 stalls at 1.31e-10 (kappa = 0.25) and
+    1.43e-10 (kappa = 1), which reach 9.9e-11 and 6.0e-11 here.  The band
+    serves only the factorizations and the Newton Jacobian.
+    """
     g = radial_ghosts(f)
     return _centred_d2(g, grid.dr) + (4.0 / grid.nodes()) * _centred_d1(g, grid.dr)
 
@@ -192,28 +202,19 @@ def _lap4_apply(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
 def _lap4_band(grid: RadialGrid) -> np.ndarray:
     """:func:`_lap4_apply` as a (5, m) band in ``solve_banded`` storage.
 
-    ``band[2 + i - j, j]`` is the coefficient of f_j in row i; the ghost
-    nodes of :func:`radial_ghosts` are folded onto the first and last rows.
+    ``band[2 + i - j, j]`` is the coefficient of f_j in row i.  The weights
+    are ``_centred_d2`` and ``_centred_d1`` read off the unit vectors, and
+    each padded node of :func:`radial_ghosts` goes, with its sign, to the
+    node it mirrors.  For m >= 4 no entry sums more than two terms, so the
+    fold order cannot change a bit.
     """
-    m, dr = grid.m, grid.dr
-    d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dr**2)
-    d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dr)
+    m = grid.m
+    d2, d1 = _centred_d2(np.eye(5), grid.dr)[0], _centred_d1(np.eye(5), grid.dr)[0]
     c = d2[:, None] + d1[:, None] * (4.0 / grid.nodes())   # c[k + 2, i]: f_{i+k} in row i
-    # even reflection at r = 0: f_{-1} = f_0, f_{-2} = f_1
-    c[2, 0] += c[1, 0]
-    c[3, 0] += c[0, 0]
-    c[1, 1] += c[0, 1]
-    # odd reflection at r_max: f_m = -f_{m-1}, f_{m+1} = -f_{m-2}
-    c[3, m - 2] -= c[4, m - 2]
-    c[2, m - 1] -= c[3, m - 1]
-    c[1, m - 1] -= c[4, m - 1]
-    band = np.zeros((5, m))
-    for k in range(-2, 3):
-        if k >= 0:
-            band[2 - k, k:] = c[k + 2, : m - k]
-        else:
-            band[2 - k, :k] = c[k + 2, -k:]
-    return band
+    i = np.arange(m)
+    j = np.abs(sliding_window_view(radial_ghosts(i), m))    # [k + 2, i]: the node f_{i+k} is read from
+    sign = sliding_window_view(radial_ghosts(np.ones(m)), m)
+    return np.bincount(((2 + i - j) * m + j).ravel(), (sign * c).ravel(), 5 * m).reshape(5, m)
 
 
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:

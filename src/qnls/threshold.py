@@ -141,8 +141,6 @@ def delta_prime_from_delta(delta: float) -> float:
 
 @dataclass(frozen=True)
 class BallCoercivityReport:
-    radius: float
-    localized_mass: float
     localized_kinetic: float      # H(chi u^xi)
     localized_potential: float    # R(chi u)
     delta_prime: float
@@ -159,11 +157,6 @@ class BallCoercivityReport:
         """gap - delta' H(chi u^xi); -inf when delta' is not finite."""
         h_loc = self.localized_kinetic
         return self.gap - (self.delta_prime * h_loc if np.isfinite(self.delta_prime) else np.inf)
-
-    @property
-    def passed(self) -> bool:
-        margin = self.margin
-        return bool(np.isfinite(margin) and margin >= -1e-12 * max(self.localized_kinetic, 1.0))
 
 
 def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> BallCoercivityReport:
@@ -206,8 +199,6 @@ def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> Ball
     excess = (h_loc - h_glob) * radius**2 / m_glob if m_glob > 0 else 0.0
 
     return BallCoercivityReport(
-        radius=radius,
-        localized_mass=m_loc,
         localized_kinetic=h_loc,
         localized_potential=r_loc,
         delta_prime=_delta_prime(y_loc),

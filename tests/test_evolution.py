@@ -16,6 +16,7 @@ from qnls.evolution import (
     nonlinear_step,
     reference_rk4_step,
     strang_step,
+    _SubstepBuffers,
 )
 
 from conftest import out_of_reach_pair, random_envelope_pair
@@ -369,3 +370,17 @@ def test_evolve_holds_only_the_states_of_its_snapshot_rows():
         assert ts.outcome == "completed" and len(ts.records) == 41
         assert len(ts.snapshots) == (3 if stride else 0)
     assert peaks[20] - peaks[0] <= 3 * 128 * 2**10 + 64 * 2**10
+
+
+def test_substep_buffers_hold_four_stacked_arrays():
+    # k1, k2, k3 (the fourth stage reuses k3) and the stage argument, each a
+    # stacked (u, v) of 2 * 64^2 complex values = 128 KiB, and the two real
+    # invariants of 64 KiB each
+    tracemalloc.start()
+    try:
+        buffers = _SubstepBuffers((2, 64, 64))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert buffers.k3.shape == (2, 64, 64)
+    assert held <= 4 * 128 * 2**10 + 2 * 64 * 2**10 + 16 * 2**10

@@ -219,8 +219,9 @@ def test_balanced_sweep_is_scale_free(operators, c):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("m, r_max", [(64, 10.0), (2048, 30.0)])
+@pytest.mark.parametrize("m, r_max", [(4, 1.0), (5, 1.0), (64, 10.0), (2048, 30.0)])
 def test_lap4_band_matches_stencil(m, r_max):
+    # at m = 4 and 5 the reflections at r = 0 and r_max fold into neighbouring rows
     grid = RadialGrid(m, r_max)
     f = np.random.default_rng(m).normal(size=m)
     direct = _lap4_apply(grid, f)
@@ -293,6 +294,14 @@ def test_acceptance_solve_takes_few_iterations(gs_fine):
     # the balanced sweep runs only until Newton's basin (NEWTON_SWITCH):
     # 17 sweeps and 4 Newton steps, where a switch at 0.3 took 47 and 2
     assert gs_fine.iterations <= 25
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0])
+def test_acceptance_grid_reaches_tol_for_other_couplings(kappa):
+    # the README's measured outcomes beside gs_fine's kappa = 0.5: 9.9e-11
+    # and 6.0e-11, below a round-off floor of about 5e-10
+    gs = petviashvili_solve(RadialGrid(2048, 30.0), kappa=kappa, tol=1e-10)
+    assert gs.residual_norm < 1e-10
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
