@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import fields as fields_mod
-from .evolution import _drive, _stop_steps
+from .evolution import _check_count, _drive, _stop_steps
 from .fields import FieldPair, galilean_boost
 from .grid import UniformGrid, _centred_d1, _centred_d2, unit_ball_volume
 
@@ -33,6 +33,7 @@ S_STRIDE = 4     # its window centres: every S_STRIDE-th grid point
 TABLE_SIZE = 4096   # nodes of each weight table on [0, Q_MAX]
 N_RHO = 512         # radial quadrature nodes of the bump correlations
 N_ANG = 96          # their Gauss-Jacobi angular nodes, d >= 2 (d = 1: the two of S^0)
+BAND_SLICE = 2**14  # most transition-band nodes _bump_correlations evaluates at once
 
 
 def bump_gamma(r, eps: float):
@@ -50,12 +51,25 @@ def bump_gamma(r, eps: float):
     out[r <= 1.0 - eps] = 1.0
     trans = (r > 1.0 - eps) & (r < 1.0)
     if np.any(trans):
-        # in place, the same operations: a weight table's band passes up to 1.4e5 nodes
-        t = (r[trans] - (1.0 - eps)) / eps
-        g2 = np.exp(-1.0 / (1.0 - t))
-        g1 = np.exp(np.divide(-1.0, t, out=t), out=t)
-        out[trans] = np.divide(g2, np.add(g1, g2, out=g1), out=g2)   # equals 1 - smoothstep(t)
+        out[trans] = _glue((r[trans] - (1.0 - eps)) / eps)
     return float(out[0]) if scalar else out
+
+
+def _glue(t: np.ndarray) -> np.ndarray:
+    """The bump across its transition, t = (r - (1 - eps)) / eps, in place on t.
+
+    Returns e^(-1/(1-t)) / (e^(-1/t) + e^(-1/(1-t))), which equals
+    1 - smoothstep(t), written into t.  t is first clamped to [0, 1], where
+    the formula is exactly 1 at 0 and exactly 0 at 1, so a value rounded
+    just past either end gets the value :func:`bump_gamma` gives there.
+    One temporary the size of t.
+    """
+    np.clip(t, 0.0, 1.0, out=t)
+    with np.errstate(divide="ignore"):   # -1/0 = -inf at the ends, and e^-inf = 0
+        g2 = np.subtract(1.0, t)
+        g2 = np.exp(np.divide(-1.0, g2, out=g2), out=g2)
+        g1 = np.exp(np.divide(-1.0, t, out=t), out=t)
+    return np.divide(g2, np.add(g1, g2, out=g1), out=t)
 
 
 def _sphere_area(n: int) -> float:
@@ -117,7 +131,11 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
     with rho <= q - 1 - delta has g = 0 on every node and one with
     q + rho <= 1 - eps - delta has g = 1 on every node, so its sum is 0 or
     the whole weight without a search; delta = 1e-9 keeps rounding out of
-    both tests, and the sums are the ones the search would give.
+    both tests, and the sums are the ones the search would give.  The band
+    is evaluated in slices of whole pairs of at most ``BAND_SLICE`` nodes,
+    32 rows of q at a time, which bounds the working set whatever d and
+    eps make the band; each pair's band is still summed by one bincount
+    and added to its tail sum, so the slicing changes no bit.
     """
     if d == 1:   # S^0: the two directions u = -1, 1, counted once each
         u, wu, area = np.array((-1.0, 1.0)), np.ones(2), 1.0
@@ -144,13 +162,29 @@ def _bump_correlations(d: int, eps: float, q: np.ndarray, n_rho: int, n_ang: int
         # g = 0 on nodes [0, lo) (dist >= 1), g = 1 on [hi, u.size) (dist <= 1 - eps)
         lo = np.searchsorted(u, (c2 - 1.0) / two_qr, side="right")
         hi = np.searchsorted(u, (c2 - (1.0 - eps) ** 2) / two_qr, side="left")
+        sums = tail[hi]
+        # the band [lo, hi) of each pair that has one, in slices of whole pairs
+        # of at most BAND_SLICE nodes (a pair has at most u.size)
         lens = hi - lo
-        pair = np.repeat(np.arange(lens.size), lens)
-        node = np.arange(pair.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
-        dist = c2[pair] - two_qr[pair] * u[node]
-        dist = np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-        band = np.bincount(pair, weights=bump_gamma(dist, eps) ** 2 * wu[node], minlength=lens.size)
-        inner[live] = tail[hi] + band
+        has = np.flatnonzero(lens)
+        lo, lens, c2, two_qr = lo[has], lens[has], c2[has], two_qr[has]
+        ends = np.cumsum(lens)
+        a = 0
+        while a < has.size:
+            start = ends[a] - lens[a]
+            b = int(np.searchsorted(ends, start + BAND_SLICE, side="right"))
+            n_s = lens[a:b]
+            pair = np.repeat(np.arange(b - a), n_s)
+            node = np.repeat(lo[a:b] - (ends[a:b] - n_s), n_s)
+            node += np.arange(start, ends[b - 1])
+            dist = np.repeat(two_qr[a:b], n_s)
+            dist = np.subtract(np.repeat(c2[a:b], n_s), np.multiply(dist, u[node], out=dist), out=dist)
+            dist = np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+            g = _glue(np.divide(np.subtract(dist, 1.0 - eps, out=dist), eps, out=dist))   # Gamma(dist)
+            g = np.multiply(np.square(g, out=g), wu[node], out=g)
+            sums[has[a:b]] += np.bincount(pair, weights=g, minlength=b - a)
+            a = b
+        inner[live] = sums
         out[:, i:j] = base @ inner.T
     return out
 
@@ -424,8 +458,9 @@ def cauchy_schwarz_margin(
     that swaps the two points); per pair it follows from the pointwise Cauchy-Schwarz bound
     and AM-GM, so the returned minimum is nonnegative up to roundoff for
     any state.  Plane-wave pairs with gradient parallel to the phase
-    saturate it.
+    saturate it.  Raises ``ValueError`` unless ``n_pairs`` is an integer >= 1.
     """
+    _check_count("n_pairs", n_pairs, 1)
     grid = p.grid
     if rng is None:
         rng = np.random.default_rng(0)

@@ -1,0 +1,73 @@
+"""The verdict rule of tools/benchpair.py, on synthetic samples; no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "benchpair", Path(__file__).resolve().parents[1] / "tools" / "benchpair.py"
+)
+benchpair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(benchpair)
+summarize = benchpair.summarize
+
+BASE = [50.0, 51.0, 52.0, 51.5, 50.5, 51.2, 52.5, 50.8, 51.7, 51.1]   # quartiles 50.85, 51.65
+
+
+def test_a_gain_needs_nine_of_ten_wins_and_a_median_shift_past_the_base_spread():
+    head = [b - 5.0 for b in BASE]
+    r = summarize(BASE, head, "lower", 0.2)
+    assert (r["head_wins"], r["verdict"]) == (10, "gain")
+    assert r["base"]["median"] == pytest.approx(51.15)
+    assert (r["base"]["q1"], r["base"]["q3"]) == pytest.approx((50.85, 51.65))
+    assert r["head"]["values"] == head
+
+    # 8 wins of 10 are not enough, however large the shift
+    eight = head[:8] + [b + 1.0 for b in BASE[8:]]
+    r = summarize(BASE, eight, "lower", 0.2)
+    assert (r["head_wins"], r["verdict"]) == (8, "within bound")
+
+    # 10 wins, but the medians differ by less than base's interquartile range
+    r = summarize(BASE, [b - 0.1 for b in BASE], "lower", 0.2)
+    assert (r["head_wins"], r["verdict"]) == (10, "within bound")
+
+
+def test_ties_count_for_neither_side():
+    head = list(BASE)
+    head[0] -= 1.0
+    r = summarize(BASE, head, "lower", 0.2)
+    assert r["head_wins"] == 1
+    assert r["verdict"] == "within bound"
+
+
+def test_higher_is_better_turns_the_comparison_around():
+    up = [b * 1.5 for b in BASE]
+    assert summarize(BASE, up, "higher", 0.25)["verdict"] == "gain"
+    assert summarize(BASE, up, "lower", 0.25)["verdict"] == "regression"
+    down = [b * 0.7 for b in BASE]
+    assert summarize(BASE, down, "higher", 0.25)["verdict"] == "regression"
+    assert summarize(BASE, down, "higher", 0.35)["verdict"] == "within bound"
+
+
+def test_a_regression_is_a_median_worse_by_more_than_the_bound():
+    assert summarize(BASE, [b * 1.3 for b in BASE], "lower", 0.25)["verdict"] == "regression"
+    assert summarize(BASE, [b * 1.2 for b in BASE], "lower", 0.25)["verdict"] == "within bound"
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    wide = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]   # IQR 4.5 around a median of 5.5
+    head = [5.5] * 10
+    r = summarize(wide, head, "lower", 0.25)
+    assert r["head_wins"] == 5
+    assert r["verdict"] == "unresolved"
+    # a median worse by more than the bound is a regression whatever the spread
+    assert summarize(wide, [9.0] * 10, "lower", 0.25)["verdict"] == "regression"
+    # a gain by the win rule still shows through a wide spread
+    assert summarize(wide, [w - 5.0 for w in wide], "lower", 0.25)["verdict"] == "gain"
+
+
+def test_one_pair_gives_each_side_its_single_value():
+    r = summarize([4.0], [3.0], "lower", 0.25)
+    assert r["base"] == {"values": [4.0], "median": 4.0, "q1": 4.0, "q3": 4.0}
+    assert (r["head_wins"], r["verdict"]) == (1, "gain")

@@ -45,6 +45,12 @@ def test_bump_endpoints_and_monotonicity():
     assert np.all(np.diff(g) <= 1e-15)
     with pytest.raises(ValueError):
         bump_gamma(0.5, 0.9)
+    # input that is not finite: NaN falls in neither the core nor the transition
+    assert bump_gamma(np.nan, 0.1) == 0.0
+    assert bump_gamma(np.inf, 0.1) == 0.0
+    assert bump_gamma(-np.inf, 0.1) == 1.0
+    assert np.array_equal(bump_gamma(np.array([np.nan, 0.95, np.inf, -np.inf]), 0.1),
+                          [0.0, bump_gamma(0.95, 0.1), 0.0, 1.0])
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -94,18 +100,21 @@ def test_band_quadrature_matches_dense_quadrature(d, eps):
     assert np.all(phi1[outside] == 0.0)
 
 
-def test_one_dimensional_correlations_never_form_the_q_by_s_matrix():
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_one_dimensional_correlations_never_form_the_q_by_s_matrix(d):
     # d = 1 runs the band loop on the two directions of S^0, so no temporary
     # spans the table's q grid times the 2 N_RHO nodes (4.6 MiB traced when
-    # 256-row chunks of it were formed)
+    # 256-row chunks of it were formed); for d = 2 and 5 a 32-row chunk holds
+    # up to 1.4e5 band nodes, 8.3-8.4 MiB traced when they were evaluated
+    # in one pass instead of in BAND_SLICE slices
     q = np.linspace(0.0, Q_MAX, TABLE_SIZE)
     tracemalloc.start()
     try:
-        _bump_correlations(1, 0.05, q, N_RHO, N_ANG)
+        _bump_correlations(d, 0.05, q, N_RHO, N_ANG)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < (2 if d == 1 else 3) * 2**20
 
 
 def test_gauss_jacobi_rule_integrates_every_degree_up_to_2n_minus_1():
@@ -391,6 +400,14 @@ def test_cauchy_schwarz_margin_zero_and_random():
     for _ in range(20):
         p = random_envelope_pair(g, rng)
         assert cauchy_schwarz_margin(p, n_pairs=2000, rng=rng) >= -1e-12
+
+
+@pytest.mark.parametrize("n_pairs", [0, -1, 2.5, True])
+def test_cauchy_schwarz_margin_refuses_a_pair_count_below_one_or_not_an_integer(n_pairs):
+    g = UniformGrid(1, 64, 40.0)
+    p = pair_from_arrays(g, np.ones(g.shape, complex), np.ones(g.shape, complex))
+    with pytest.raises(ValueError, match="n_pairs"):
+        cauchy_schwarz_margin(p, n_pairs=n_pairs)
 
 
 def test_cauchy_schwarz_near_equality_plane_waves():
