@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .evolution import EvolutionConfig, _whole_steps, blow_up_detect, dispersive_decay_fit, evolve
-from .fields import Field, FieldPair, galilean_boost, pair_from_arrays
+from .fields import FieldPair, galilean_boost, pair_from_arrays
 from .grid import RadialGrid, UniformGrid
-from .ground_state import petviashvili_solve, solve_periodic_profile
+from .ground_state import GroundState, petviashvili_solve, solve_periodic_profile
 from .morawetz import InteractionParams, interaction_lhs
 from .threshold import classify_data
 
@@ -176,9 +176,19 @@ def parse_config(text: str) -> RunConfig:
     span = _SPAN_KEYS.get(command)
     if span is not None:
         try:
-            _whole_steps(options[span], options["dt"])
+            nsteps = _whole_steps(options[span], options["dt"])
         except ValueError as exc:
             raise ConfigError(f"config key {span!r}: {exc}") from exc
+        # the stops (evolve's rows, morawetz's samples) are capped so that a dt
+        # typo is a usage error, not a list of 10^8 stops: step 0, every
+        # cadence-th step and the last
+        cadence = options.get("cadence", InteractionParams.cadence)
+        stops = -(-nsteps // cadence) + 1
+        if stops > 2**20:
+            raise ConfigError(
+                f"config key {span!r} must give at most 2**20 stops, got {stops} "
+                f"({nsteps} steps dt, a stop every {cadence})"
+            )
     return RunConfig(command=command, options=options)
 
 
@@ -279,7 +289,9 @@ def _write_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-def _initial_pair(cfg: RunConfig, grid: UniformGrid) -> FieldPair:
+def _initial_pair(cfg: RunConfig) -> FieldPair:
+    """The command's initial state on its periodic box (``morawetz`` runs in d = 1)."""
+    grid = UniformGrid(cfg.options.get("dimension", 1), cfg.n, cfg.L)
     kind = cfg.initial
     if kind == "file":
         if cfg.input_path is None:
@@ -318,6 +330,13 @@ def _initial_pair(cfg: RunConfig, grid: UniformGrid) -> FieldPair:
     return galilean_boost(pair, [cfg.xi] * grid.d)   # boosted-soliton
 
 
+def _ground_state(cfg: RunConfig) -> GroundState:
+    """The radial ground state at the config's solver keys."""
+    return petviashvili_solve(
+        RadialGrid(cfg.m, cfg.r_max), kappa=cfg.kappa, tol=cfg.tol, max_iter=cfg.max_iter
+    )
+
+
 def run_command(cfg: RunConfig) -> int:
     """Dispatch one validated config; returns the process exit code.
 
@@ -334,8 +353,7 @@ def run_command(cfg: RunConfig) -> int:
         raise ConfigError(f"config key 'output' must be in an existing directory, got {out!r}")
 
     if cfg.command == "ground-state":
-        grid = RadialGrid(cfg.m, cfg.r_max)
-        gs = petviashvili_solve(grid, kappa=cfg.kappa, tol=cfg.tol, max_iter=cfg.max_iter)
+        gs = _ground_state(cfg)
         if out is not None:
             write_snapshot(gs.pair, 0.0, out + ".snap")
         _write_json(
@@ -358,14 +376,13 @@ def run_command(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "evolve":
-        grid = UniformGrid(cfg.dimension, cfg.n, cfg.L)
-        pair = _initial_pair(cfg, grid)
+        pair = _initial_pair(cfg)
         run_cfg = EvolutionConfig(
             dt=cfg.dt, t_final=cfg.t_final, cadence=cfg.cadence, snapshot_every=cfg.snapshot_every,
         )
         ts = evolve(pair, run_cfg)
         header = ["t", "mass", "kinetic", "potential", "energy"]
-        header += [f"momentum_{j}" for j in range(grid.d)]
+        header += [f"momentum_{j}" for j in range(pair.grid.d)]
         header += ["l3_u", "l3_pair", "max_modulus"]
         rows = []
         for rec in ts.records:
@@ -380,8 +397,7 @@ def run_command(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "morawetz":
-        grid = UniformGrid(1, cfg.n, cfg.L)
-        pair = _initial_pair(cfg, grid)
+        pair = _initial_pair(cfg)
         params = InteractionParams(R0=cfg.R0, J=cfg.J, T0=cfg.T0, eps=cfg.eps)
         res = interaction_lhs(pair, cfg.dt, params)
         rows = [[float(r), float(acc)] for r, acc in zip(res.radii, res.per_radius)]
@@ -406,23 +422,15 @@ def run_command(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "classify":
-        grid = UniformGrid(cfg.dimension, cfg.n, cfg.L)
-        pair = _initial_pair(cfg, grid)
-        gs = petviashvili_solve(
-            RadialGrid(cfg.m, cfg.r_max), kappa=cfg.kappa, tol=cfg.tol, max_iter=cfg.max_iter
-        )
-        rep = classify_data(pair, gs)
+        rep = classify_data(_initial_pair(cfg), _ground_state(cfg))
         _write_json(out, cfg, asdict(rep))
         return 0
 
     if cfg.command == "disperse":
-        grid = UniformGrid(cfg.dimension, cfg.n, cfg.L)
-        pair = _initial_pair(cfg, grid)
+        u = _initial_pair(cfg).u
         r = np.inf if cfg.decay_exponent == "inf" else float(cfg.decay_exponent)
-        slope = dispersive_decay_fit(
-            Field(grid, pair.u.values), (cfg.t_fit_start, cfg.t_fit_end), r=r
-        )
-        predicted = -grid.d * (0.5 - (0.0 if r == np.inf else 1.0 / r))
+        slope = dispersive_decay_fit(u, (cfg.t_fit_start, cfg.t_fit_end), r=r)
+        predicted = -u.grid.d * (0.5 - (0.0 if r == np.inf else 1.0 / r))
         _write_json(out, cfg, {"slope": slope, "predicted": predicted})
         return 0
 

@@ -1,11 +1,12 @@
 """Ground state of the stationary system.
 
 Solves  phi - Lap phi = phi * vphi,   2 vphi - kappa Lap vphi = phi^2
-radially in R^5 by a balanced fixed-point iteration.  The result derives
-its constants from the profile when read: the ground-state mass M_gs,
-the sharp Gagliardo-Nirenberg constant C_GN = 4 * 5^(-5/4) * M_gs^(-1/2),
-and the threshold products M(Q)E(Q), M(Q)H(Q).  The exact proportions
-M : H : R = 1 : 5 : 4 are the primary correctness oracle.
+radially in R^5 by balanced fixed-point sweeps and a Newton finish.  The
+result derives its constants from the profile when read: the ground-state
+mass M_gs, the sharp Gagliardo-Nirenberg constant
+C_GN = 4 * 5^(-5/4) * M_gs^(-1/2), and the threshold products M(Q)E(Q),
+M(Q)H(Q).  The exact proportions M : H : R = 1 : 5 : 4 are the primary
+correctness oracle.
 
 Solver notes.  A sweep takes the plain update
 
@@ -46,15 +47,19 @@ file cannot be loaded they come from ``scipy.linalg.lapack`` itself.
 The package's only second-order radial operator is the dense one of the
 independent oracle below.
 
-The balanced sweep contracts only linearly, by about 0.85 per sweep at
-m = 2048, so :func:`petviashvili_solve` runs it only until the iterate is
+Both stationary solvers run one loop, ``_stationary_solve``.  The
+balanced sweep contracts only linearly, by about 0.85 per sweep at
+m = 2048, so when the caller hands the loop a Jacobian, as
+:func:`petviashvili_solve` does, the loop sweeps only until the iterate is
 inside Newton's basin, down to the residual ``NEWTON_SWITCH`` = 30, and
 finishes with Newton steps on the full system (J. Yang, J. Comput.
-Phys. 228 (2009) 7007).  Newton from the Gaussian guess itself converges
-to phi = vphi = 0.  The basin was mapped by running k sweeps and then
-Newton steps under the floor rule below (every step must lower the
-residual); the first k from which Newton reaches Q, with the residual
-after k sweeps at m = 2048, r_max = 30:
+Phys. 228 (2009) 7007); the torus Jacobian of
+:func:`solve_periodic_profile` is not banded, so that solve only sweeps.
+Newton from the Gaussian guess itself converges to phi = vphi = 0.  The
+basin was mapped by running k sweeps and then Newton steps under the
+floor rule below (every step must lower the residual); the first k from
+which Newton reaches Q, with the residual after k sweeps at m = 2048,
+r_max = 30:
 
     kappa       0.25   0.5   1    2     4
     k           11     8     4    1     1
@@ -73,11 +78,12 @@ With (phi_j, vphi_j) interleaved per node the Jacobian
     [[1 - L4 - diag vphi, -diag phi], [-2 diag phi, 2 - kappa L4]]
 
 is a (4, 4) band, so a step is one O(m) banded solve: each Newton step
-factors its Jacobian once.  ``iterations`` and ``residual_history`` count
-sweeps and Newton steps together, and ``max_iter`` bounds their sum.
-The solve returns once the max-norm residual of the fourth-order system
-falls below ``tol`` and raises :class:`ConvergenceError` at the first
-Newton step that does not reduce it: that is the float64 floor.
+factors its Jacobian once.  Sweeps and Newton steps share one history and
+one budget: ``iterations`` and ``residual_history`` count them together,
+and ``max_iter`` bounds their sum.  The solve returns once the max-norm
+residual of the fourth-order system falls below ``tol`` and raises
+:class:`ConvergenceError` at the first Newton step that does not reduce
+it: that is the float64 floor.
 ``GroundState.residual_floor`` estimates the floor as
 eps * max_i sum_j |J_ij| |x_j|; the 4/r term at the first node makes it
 grow like 1/dr^2 (about 5e-10 at m = 2048, r_max = 30).
@@ -111,10 +117,11 @@ if _lapack is None:
 #: amplitude a of the Gaussian initial guess of every stationary solve
 INITIAL_AMPLITUDE = 3.0
 
-#: max-norm residual at which :func:`petviashvili_solve` leaves the
-#: balanced sweep for Newton steps: at least 2.5 times inside the basin
-#: from which every Newton step lowers the residual (residuals 78-258 for
-#: kappa 0.25-4, solver notes above)
+#: max-norm residual below which the stationary loop of
+#: :func:`petviashvili_solve` takes Newton steps instead of balanced
+#: sweeps: at least 2.5 times inside the basin from which every Newton
+#: step lowers the residual (residuals 78-258 for kappa 0.25-4, solver
+#: notes above)
 NEWTON_SWITCH = 30.0
 
 
@@ -300,39 +307,62 @@ def _moments(grid, lap, kappa, phi, vphi) -> tuple[float, float, float]:
     return e1, e2, rho
 
 
-def _balanced_iteration(grid, lap, inv1, inv2, kappa, phi, vphi, tol, max_iter):
-    """The balanced sweep shared by both stationary solvers.
+def _balanced_sweep(grid, lap, inv1, inv2, kappa, phi, vphi):
+    """One balanced sweep from (phi, vphi); returns the new (phi, vphi).
 
     ``lap`` applies the Laplacian, ``inv1`` and ``inv2`` apply L1^{-1} and
-    L2^{-1}; (phi, vphi) is the initial guess.  Each sweep applies the plain
-    update phi~ = L1^{-1}(phi vphi), vphi~ = L2^{-1}(phi^2) and then the
-    moment balance of the module docstring, which makes the new iterate
-    independent of the scale of (phi~, vphi~).  Stops once both equation
-    residuals drop below ``tol`` in max-norm.  Returns
-    (phi, vphi, residual, iterations, residual history).
+    L2^{-1}.  The plain update phi~ = L1^{-1}(phi vphi), vphi~ = L2^{-1}(phi^2)
+    is followed by the moment balance of the module docstring, which pins
+    both Nehari identities and makes the result independent of the scale
+    of (phi~, vphi~).
+    """
+    phi_t = inv1(phi * vphi)
+    vphi_t = inv2(phi**2)
+    e1, e2, rho = _moments(grid, lap, kappa, phi_t, vphi_t)
+    if not np.isfinite(rho) or rho == 0 or e1 <= 0 or e2 <= 0:
+        raise ConvergenceError("balance moments degenerated")
+    return (np.sqrt(e1 * e2) / rho) * phi_t, (e1 / rho) * vphi_t
+
+
+def _stationary_solve(grid, lap, inv1, inv2, kappa, guess, tol, max_iter, jacobian=None):
+    """The iteration of both stationary solvers; returns (phi, vphi, residual history).
+
+    Starts from phi = vphi = ``guess`` and takes a balanced sweep
+    (:func:`_balanced_sweep`) while there is no ``jacobian`` or the
+    residual is at least ``NEWTON_SWITCH``, otherwise a Newton step with
+    the band ``jacobian(phi, vphi)``, which must lower the residual.
+    Sweeps and steps share one history and one budget: the solve stops
+    once both equation residuals drop below ``tol`` in max-norm and raises
+    :class:`ConvergenceError` when ``max_iter`` iterations did not get there.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    residual = np.inf
-    history: list[float] = []
-    for it in range(1, max_iter + 1):
-        phi_t = inv1(phi * vphi)
-        vphi_t = inv2(phi**2)
-
-        # moment balance: pin both Nehari identities of the new iterate
-        e1, e2, rho = _moments(grid, lap, kappa, phi_t, vphi_t)
-        if not np.isfinite(rho) or rho == 0 or e1 <= 0 or e2 <= 0:
-            raise ConvergenceError(f"balance moments degenerated at step {it}")
-        phi = (np.sqrt(e1 * e2) / rho) * phi_t
-        vphi = (e1 / rho) * vphi_t
-
-        residual = _max_norm(_residuals(lap, kappa, phi, vphi))
+    phi = vphi = guess
+    residual, history = np.inf, []
+    while not residual < tol:
+        if len(history) >= max_iter:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} iterations (residual {residual:.3e})"
+            )
+        if jacobian is None or not residual < NEWTON_SWITCH:
+            phi, vphi = _balanced_sweep(grid, lap, inv1, inv2, kappa, phi, vphi)
+            res = _residuals(lap, kappa, phi, vphi)
+            residual = _max_norm(res)
+        else:
+            jac = jacobian(phi, vphi)
+            step = _banded_solver(jac, jac.shape[0] // 2)(_interleave(*res))
+            phi_n, vphi_n = phi - step[0::2], vphi - step[1::2]
+            res = _residuals(lap, kappa, phi_n, vphi_n)
+            residual_n = _max_norm(res)
+            if not residual_n < residual:
+                raise ConvergenceError(
+                    f"Newton step {len(history) + 1} did not reduce the residual "
+                    f"({residual_n:.3e}); smallest residual {residual:.3e} against a "
+                    f"round-off floor of about {_residual_floor(jac, phi, vphi):.1e}"
+                )
+            phi, vphi, residual = phi_n, vphi_n, residual_n
         history.append(residual)
-        if residual < tol:
-            return phi, vphi, residual, it, tuple(history)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (residual {residual:.3e})"
-    )
+    return phi, vphi, history
 
 
 def petviashvili_normalization(pair: FieldPair) -> float:
@@ -355,17 +385,13 @@ def petviashvili_solve(
 ) -> GroundState:
     """Radial ground state: balanced sweeps, then a Newton finish.
 
-    Starts from phi = vphi = INITIAL_AMPLITUDE * exp(-r^2), runs the balanced
-    iteration with the solver's fourth-order radial operators down to
-    ``NEWTON_SWITCH`` = 30 (or ``tol``, if looser), which is at least 2.5
-    times inside Newton's measured basin (residuals 78-258 for kappa from
-    0.25 to 4), and then takes Newton steps until the residual is below
+    Starts from phi = vphi = INITIAL_AMPLITUDE * exp(-r^2) and runs
+    :func:`_stationary_solve` with the solver's fourth-order radial
+    operators and the Newton Jacobian: sweeps down to ``NEWTON_SWITCH`` = 30,
+    at least 2.5 times inside Newton's measured basin (residuals 78-258 for
+    kappa from 0.25 to 4), then Newton steps until the residual is below
     ``tol``; see the module docstring for the basin table.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    r = grid.nodes()
-    guess = INITIAL_AMPLITUDE * np.exp(-(r**2))
     l4 = _lap4_band(grid)
     lap = partial(_lap4_apply, grid)
 
@@ -374,36 +400,16 @@ def petviashvili_solve(
         band[2] += alpha
         return _banded_solver(band, 2)
 
-    phi, vphi, residual, it, history = _balanced_iteration(
-        grid, lap, inverse(1.0, 1.0), inverse(2.0, kappa), kappa, guess, guess.copy(),
-        max(tol, NEWTON_SWITCH), max_iter,
+    guess = INITIAL_AMPLITUDE * np.exp(-(grid.nodes() ** 2))
+    phi, vphi, history = _stationary_solve(
+        grid, lap, inverse(1.0, 1.0), inverse(2.0, kappa), kappa, guess, tol, max_iter,
+        partial(_newton_band, l4, kappa),
     )
-    history = list(history)
-    res = _residuals(lap, kappa, phi, vphi)
-    while residual >= tol:
-        if it == max_iter:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} iterations (residual {residual:.3e})"
-            )
-        jac = _newton_band(l4, kappa, phi, vphi)
-        step = _banded_solver(jac, 4)(_interleave(*res))
-        it += 1
-        phi_n, vphi_n = phi - step[0::2], vphi - step[1::2]
-        res = _residuals(lap, kappa, phi_n, vphi_n)
-        residual_n = _max_norm(res)
-        history.append(residual_n)
-        if not residual_n < residual:
-            raise ConvergenceError(
-                f"Newton step {it} did not reduce the residual ({residual_n:.3e}); "
-                f"smallest residual {residual:.3e} against a round-off floor of "
-                f"about {_residual_floor(jac, phi, vphi):.1e}"
-            )
-        phi, vphi, residual = phi_n, vphi_n, residual_n
     if float(np.min(phi)) < -1e-10 or float(np.min(vphi)) < -1e-10:
         raise ConvergenceError("converged to a sign-changing profile")
     floor = _residual_floor(_newton_band(l4, kappa, phi, vphi), phi, vphi)
     pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
-    return GroundState(pair, residual, floor, it, tuple(history))
+    return GroundState(pair, history[-1], floor, len(history), tuple(history))
 
 
 def _dense_radial_laplacian(grid: RadialGrid) -> np.ndarray:
@@ -505,10 +511,10 @@ def solve_periodic_profile(
 ) -> FieldPair:
     """Torus analog of the ground-state solve for dynamics experiments.
 
-    Same balanced iteration as :func:`petviashvili_solve`,
-    but on a periodic box in d <= 3 where L1 and L2 invert diagonally in
-    Fourier space, so the converged pair is a stationary state of the
-    semi-discrete flow to the requested residual.  The exact evolution of
+    The loop of :func:`petviashvili_solve`, with balanced sweeps only (the
+    torus Jacobian is not banded), on a periodic box in d <= 3 where L1 and
+    L2 invert diagonally in Fourier space, so the converged pair is a
+    stationary state of the semi-discrete flow to the requested residual.  The exact evolution of
     the returned data is (e^{it} phi, e^{2it} vphi).  The initial guess is
     INITIAL_AMPLITUDE * exp(-|x - c|^2 / 2) about the box centre c.
     """
@@ -520,8 +526,8 @@ def solve_periodic_profile(
     center = grid.L / 2.0
     rho2 = sum((c - center) ** 2 for c in grid.coords())
     guess = INITIAL_AMPLITUDE * np.exp(-rho2 / 2.0)
-    phi, vphi, _, _, _ = _balanced_iteration(
+    phi, vphi, _ = _stationary_solve(
         grid, lambda f: np.real(grid.laplacian(f)), multiplier(1.0 / (1.0 + k2)),
-        multiplier(1.0 / (2.0 + kappa * k2)), kappa, guess, guess.copy(), tol, max_iter,
+        multiplier(1.0 / (2.0 + kappa * k2)), kappa, guess, tol, max_iter,
     )
     return pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)

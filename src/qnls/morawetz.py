@@ -458,10 +458,13 @@ def cauchy_schwarz_margin(
     that swaps the two points); per pair it follows from the pointwise Cauchy-Schwarz bound
     and AM-GM, so the returned minimum is nonnegative up to roundoff for
     any state.  Plane-wave pairs with gradient parallel to the phase
-    saturate it.  Raises ``ValueError`` unless ``n_pairs`` is an integer >= 1.
+    saturate it.  Raises ``ValueError`` unless ``n_pairs`` is an integer >= 1,
+    and ``TypeError`` for a pair that is not on a periodic box.
     """
     _check_count("n_pairs", n_pairs, 1)
     grid = p.grid
+    if not isinstance(grid, UniformGrid):
+        raise TypeError("the Cauchy-Schwarz margin is defined on uniform grids")
     if rng is None:
         rng = np.random.default_rng(0)
     l_comp, a_comp, nu = _densities(p)

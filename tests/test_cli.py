@@ -275,7 +275,7 @@ def test_evolve_writes_every_third_snapshot(tmp_path, monkeypatch):
     }))
     assert run_command(cfg) == 0
     assert held == [4]
-    pair = _initial_pair(cfg, UniformGrid(1, 64, 20.0))
+    pair = _initial_pair(cfg)
     ts = evolve(pair, EvolutionConfig(dt=1e-3, t_final=0.02, cadence=2, snapshot_every=1))
     assert len(ts.snapshots) == 11
     names = [f"run.csv.{idx:06d}.snap" for idx in range(0, 11, 3)]
@@ -536,6 +536,25 @@ def test_morawetz_cadence_is_a_usage_error(tmp_path, capsys):
     assert "'cadence'" in err and "every 25th step" in err
 
 
+@pytest.mark.parametrize("conf, span, stops", [
+    # 10^9 steps dt at the default cadence 10: the stop list alone took gigabytes
+    ({"command": "evolve", "n": 64, "L": 20.0, "dt": 1e-9, "t_final": 1.0, "output": "x.csv"},
+     "t_final", 10**8 + 1),
+    ({"command": "evolve", "dt": 1.0, "t_final": 2.0**20, "cadence": 1}, "t_final", 2**20 + 1),
+    ({"command": "morawetz", "dt": 1.0, "T0": 25.0 * 2**20}, "T0", 2**20 + 1),
+])
+def test_a_span_of_more_than_2_to_the_20_stops_is_a_usage_error(conf, span, stops):
+    message = f"'{span}' must give at most 2\\*\\*20 stops, got {stops} "
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps(conf))
+
+
+def test_a_span_of_2_to_the_20_stops_is_accepted():
+    # step 0, then every cadence-th step up to the last
+    parse_config(json.dumps({"command": "evolve", "dt": 1.0, "t_final": 2.0**20 - 1, "cadence": 1}))
+    parse_config(json.dumps({"command": "morawetz", "dt": 1.0, "T0": 25.0 * (2**20 - 1)}))
+
+
 _MORAWETZ = {"command": "morawetz", "n": 128, "L": 64.0, "dt": 2e-3, "T0": 0.5,
              "amplitude": 0.3, "width": 3.0, "phase_velocity": 0.2}
 
@@ -591,7 +610,7 @@ def test_every_initial_kind_builds_from_each_commands_config(tmp_path, command):
         cfg = parse_config(json.dumps({
             "command": command, "n": 16, "L": 10.0, "initial": kind, "input_path": snap,
         }))
-        pair = _initial_pair(cfg, grid)
+        pair = _initial_pair(cfg)
         assert pair.grid == grid and pair.kappa == cfg.kappa
         assert np.all(np.isfinite(pair.u.values)) and np.max(np.abs(pair.u.values)) > 0
 

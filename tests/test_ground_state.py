@@ -11,7 +11,7 @@ from qnls.fields import pair_from_arrays
 from qnls.ground_state import (
     NEWTON_SWITCH,
     ConvergenceError,
-    _balanced_iteration,
+    _balanced_sweep,
     _banded_solver,
     _band_matvec,
     _interleave,
@@ -139,6 +139,13 @@ def test_solver_error_paths():
             petviashvili_solve(grid, tol=tol)
     with pytest.raises(ConvergenceError):
         petviashvili_solve(grid, tol=1e-14, max_iter=3)
+    # 17 sweeps (the 17th is the first below the switch) and 3 Newton steps:
+    # one budget covers both, so a cut inside the Newton phase fails
+    gs = petviashvili_solve(grid, tol=1e-8, max_iter=20)
+    assert gs.iterations == 20 == len(gs.residual_history)
+    assert gs.residual_history[16] < NEWTON_SWITCH <= gs.residual_history[15]
+    with pytest.raises(ConvergenceError, match="no convergence after 19 iterations"):
+        petviashvili_solve(grid, tol=1e-8, max_iter=19)
     torus = UniformGrid(1, 64, 20.0)
     for tol in (-1.0, np.nan):
         with pytest.raises(ValueError, match="tolerance"):
@@ -213,9 +220,9 @@ def test_balanced_sweep_is_scale_free(operators, c):
     # the moment balance divides out any common scale of the update, so
     # one sweep from (c phi, c vphi) lands on the sweep from (phi, vphi)
     grid, lap, inv1, inv2, (phi, vphi) = operators()
-    ref = _balanced_iteration(grid, lap, inv1, inv2, 0.5, phi, vphi, np.inf, 1)
-    out = _balanced_iteration(grid, lap, inv1, inv2, 0.5, c * phi, c * vphi, np.inf, 1)
-    for a, b in zip(out[:2], ref[:2]):
+    ref = _balanced_sweep(grid, lap, inv1, inv2, 0.5, phi, vphi)
+    out = _balanced_sweep(grid, lap, inv1, inv2, 0.5, c * phi, c * vphi)
+    for a, b in zip(out, ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 

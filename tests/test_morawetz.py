@@ -272,6 +272,9 @@ def test_windows_are_refused_off_the_torus():
     for call in ("boost_xi", "weighted_momentum", "galilean_pairing", "galilean_invariance_check"):
         with pytest.raises(TypeError, match="uniform grids"):
             _WINDOW_CALLS[call](p, 5.0, w, None)
+    # the margin differentiated across the stacked (u, v) axis and failed with IndexError
+    with pytest.raises(TypeError, match="uniform grids"):
+        cauchy_schwarz_margin(p)
 
 
 # every public function that builds a window, on a 2-D box at centre s

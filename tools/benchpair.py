@@ -5,8 +5,9 @@ Usage:
         [--workload W ...] --out FILE
 
 Compares the working tree this script sits in ("head") with the commit REV
-("base").  REV is checked out with ``git worktree add`` into a temporary
-directory, which is removed afterwards.  Each pair runs
+("base").  REV's committed files are extracted with ``git archive`` into a
+temporary directory, which is removed afterwards; the repository itself
+is not touched.  Each pair runs
 
     python3 perfbench/run.py --workload W --seed K --seconds S --trace 0
 
@@ -34,19 +35,21 @@ and quartiles, head's wins (a tie counts for neither) and a verdict:
 - ``within bound`` otherwise.
 
 A run that exits non-zero or ends without a result stops the script with
-exit status 1; the worktree is removed either way.
+exit status 1; the extracted tree is removed either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.metadata
+import io
 import json
 import os
 import platform
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 import numpy as np
@@ -167,12 +170,12 @@ def main(argv: list[str] | None = None) -> int:
     scratch = tempfile.mkdtemp(prefix="benchpair-")
     base_tree = os.path.join(scratch, "base")
     try:
-        _git("worktree", "add", "--detach", base_tree, base_sha)
-        try:
-            report["workloads"] = compare(base_tree, spec, workloads, args.pairs, args.seconds,
-                                          args.seed)
-        finally:
-            _git("worktree", "remove", "--force", base_tree)
+        archive = subprocess.run(("git", "archive", "--format=tar", base_sha), cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_tree, filter="data")
+        report["workloads"] = compare(base_tree, spec, workloads, args.pairs, args.seconds,
+                                      args.seed)
     except (RuntimeError, subprocess.CalledProcessError) as exc:
         print(f"benchpair: {exc}", file=sys.stderr)
         return 1
