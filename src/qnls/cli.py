@@ -72,8 +72,11 @@ _KEYS: dict[str, tuple] = {
     "max_iter": (500, _INTEGER, _at_least(1)),
     "dimension": (1, _INTEGER, (lambda d: d in (1, 2, 3), "1, 2 or 3")),
     "initial": ("gaussian", (lambda x: x in _INITIALS, f"one of {', '.join(_INITIALS)}"), None),
-    "amplitude": (1.0, _POSITIVE, None),
-    "width": (2.0, _POSITIVE, None),
+    # 2 width^2 stays a normal float, so the Gaussian is not 0/0 at its centre;
+    # classify's M H and the accumulator grow as amplitude^4, which overflows
+    # from about 1e77 on an L = 20 box
+    "amplitude": (1.0, _POSITIVE, (lambda a: a <= 1e50, "at most 1e50")),
+    "width": (2.0, _POSITIVE, (lambda w: w >= 1e-150, "at least 1e-150")),
     "center": (None, (lambda x: x is None or _is_number(x), "a finite number or null"), None),
     "phase_velocity": (0.0, _NUMBER, None),
     "xi": (0.5, _NUMBER, None),

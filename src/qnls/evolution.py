@@ -47,10 +47,10 @@ same operand order, so observing does not change the trajectory at any
 grid size.
 
 One private driver, ``_drive``, runs the stepper for both ``evolve`` and
-the accumulator, and one rule decides what ends a run.  It hands the
-synchronised state to its caller at the stops of ``_stop_steps`` (step 0,
-every ``cadence``-th step and the last) and at a trip.  Input that is not
-finite ends the run as ``blow-up`` before the first transform; a
+the accumulator, and it alone decides what ends a run; its caller only
+records the synchronised state it is handed at the stops of ``_stop_steps``
+(step 0, every ``cadence``-th step and the last) and at a trip.  Input that
+is not finite ends the run as ``blow-up`` before the first transform; a
 :class:`SubstepFailure` ends it as ``substep-failure``; and after every
 step it checks the resolution bound max |u|, |v| <= ``RESOLUTION_FACTOR /
 h``, which it does not apply to the input.  Between stops that check does
@@ -101,7 +101,6 @@ from .fields import FieldPair, lp_norm, pair_lp_norm
 from .grid import Field, UniformGrid
 
 RESOLUTION_FACTOR = 1.0   # a run ends in blow-up once max |u|, |v| exceeds this / h
-BLOWUP_GROWTH = 100.0     # evolve ends in blow-up at a row whose H exceeds this multiple of H(0)
 # relative slack on the l1 modulus bound for the rounding of the transforms
 MODULUS_MARGIN = 1e-9
 SUBSTEP_TOL = 1e-10       # pointwise invariant drift per step
@@ -582,24 +581,23 @@ def _stop_steps(span: float, dt: float, cadence: int) -> list[int]:
 
 
 def _drive(
-    p0: FieldPair, dt: float, stops: list[int], observe: Callable[[int, np.ndarray, bool], bool],
+    p0: FieldPair, dt: float, stops: list[int], observe: Callable[[int, np.ndarray, bool], None],
 ) -> str:
     """Step ``p0`` to the last of ``stops`` (:func:`_stop_steps`); returns the outcome.
 
     ``observe(step, w, tripped)`` gets the synchronised stacked state, which
-    it may keep, at each stop, where a true return ends the run as
-    ``"blow-up"``, and at a finite trip.  A trip is a step after which
-    ``not max |u|, |v| <= RESOLUTION_FACTOR / h``, certified by the l1 sums
-    and checked exactly where they miss (module docstring); it ends the run
-    as ``"blow-up"``, as input that is not finite does before the first
-    transform.  A :class:`SubstepFailure` ends it as ``"substep-failure"``.
+    it may keep, at each stop and at a finite trip; it cannot end the run.
+    A trip is a step after which ``not max |u|, |v| <= RESOLUTION_FACTOR /
+    h``, certified by the l1 sums and checked exactly where they miss
+    (module docstring); it ends the run as ``"blow-up"``, as input that is
+    not finite does before the first transform.  A :class:`SubstepFailure`
+    ends it as ``"substep-failure"``; every other run is ``"completed"``.
     """
     if not (np.isfinite(p0.u.values).all() and np.isfinite(p0.v.values).all()):
         return "blow-up"
     stepper = SplitStepper(p0, dt)
     bound = RESOLUTION_FACTOR / stepper.grid.h
-    if observe(0, stepper.sync(), False):
-        return "blow-up"
+    observe(0, stepper.sync(), False)
     stop_at = set(stops)
     for step in range(1, stops[-1] + 1):
         try:
@@ -616,8 +614,8 @@ def _drive(
             if math.isfinite(peak):
                 observe(step, w, True)
             return "blow-up"
-        if step in stop_at and observe(step, w, False):
-            return "blow-up"
+        if step in stop_at:
+            observe(step, w, False)
     return "completed"
 
 
@@ -625,26 +623,21 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
     """Run Strang stepping, recording diagnostics every ``cadence`` steps.
 
     :func:`_drive` ends the run; ``evolve`` records a row at each stop and
-    at a finite trip, and ends it as ``"blow-up"`` at a row whose kinetic
-    energy exceeds ``BLOWUP_GROWTH`` times H(0).  Early termination is a
-    labeled outcome, not an error.
+    at a finite trip, and a snapshot at every ``snapshot_every``-th row
+    that does not trip.  Early termination is a labeled outcome, not an
+    error.
     """
     if not isinstance(p0.grid, UniformGrid):
         raise TypeError("evolve requires a uniform grid")
     ts = TimeSeries()
 
-    def observe(step: int, w: np.ndarray, tripped: bool) -> bool:
+    def observe(step: int, w: np.ndarray, tripped: bool) -> None:
         t = step * cfg.dt
-        rec = _record(p0.with_values(w[0], w[1]), t)
-        ts.records.append(rec)
-        h0 = ts.records[0].kinetic
-        if tripped or (step > 0 and h0 > 0 and rec.kinetic > BLOWUP_GROWTH * h0):
-            return True
-        if cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
+        ts.records.append(_record(p0.with_values(w[0], w[1]), t))
+        if not tripped and cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
             # copy: the synchronised state shares its buffer with the
             # stepper's look-ahead
             ts.snapshots.append((t, p0.with_values(*w.copy())))
-        return False
 
     stops = _stop_steps(cfg.t_final, cfg.dt, cfg.cadence)
     ts.outcome = _drive(p0, cfg.dt, stops, observe)
@@ -658,7 +651,7 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
     12 log-spaced times), fits log-norm against log-t, and returns the
     slope; the dispersive bound predicts -d(1/2 - 1/r).  Aborts when more than 1e-6
     of the mass sits near the box boundary at the final time (wrap-around
-    contamination).
+    contamination).  Raises ``ValueError`` for a field that is not finite.
     """
     grid = f0.grid
     if not isinstance(grid, UniformGrid):
@@ -666,6 +659,8 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
     t0, t1 = t_range
     if not 0 < t0 < t1:
         raise ValueError("need 0 < t_start < t_end")
+    if not np.isfinite(f0.values).all():
+        raise ValueError("cannot fit the decay of a field that is not finite")
     k2 = grid.k2()
     fhat = grid.fft(f0.values)
     times = np.geomspace(t0, t1, 12)
@@ -690,8 +685,11 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
 def blow_up_detect(ts: TimeSeries) -> str:
     """Classify a finished series: 'blow-up', 'global-looking' or 'undecided'.
 
-    Numerical proxy only: growth of H and resolution-bound violations, not
-    a theorem check.  A run cut short by a substep failure is 'undecided'.
+    Numerical proxy only, not a theorem check.  A ``blow-up`` outcome is
+    'blow-up', a substep failure 'undecided'.  A completed run is
+    'global-looking' if max H <= 2 H(0), a test relative to H(0): a resolved
+    run that starts with small H and grows, such as a nearly flat pair's
+    modulational instability, is 'undecided'.
     """
     if ts.blown_up:
         return "blow-up"

@@ -575,7 +575,7 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     stride_w = grid.h * S_STRIDE
     shares: list[np.ndarray] = []   # one per sample, in the order of the stops
 
-    def observe(step: int, w: np.ndarray, tripped: bool) -> bool:
+    def observe(step: int, w: np.ndarray, tripped: bool) -> None:
         """Appends t_w * ln_w * (1/R) * int (l n - kappa a^2) ds per shell, unless tripped."""
         if not tripped:
             l_comp, a_comp, nu = _densities(p0.with_values(w[0], w[1]))
@@ -585,7 +585,6 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
             cells = np.maximum(l_w * n_w - kappa * a_w**2, 0.0)
             inner = np.add.reduce(cells[:, ::S_STRIDE], 1) * stride_w
             shares.append(t_w[len(shares)] * (ln_w * inner / radii))
-        return False
 
     outcome = _drive(p0, dt, stops, observe)
     # summed in sample order, as a running total would be

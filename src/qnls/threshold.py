@@ -56,7 +56,13 @@ def variational_thresholds(gs: GroundState) -> tuple[float, float]:
 
 
 def classify_data(p: FieldPair, gs: GroundState) -> ThresholdReport:
-    """Fill the threshold report for one state against the ground state."""
+    """Fill the threshold report for one state against the ground state.
+
+    Raises ``ValueError`` for a state that is not finite, whose NaN ratios
+    would otherwise fall through every comparison to ``"above"``.
+    """
+    if not (np.isfinite(p.u.values).all() and np.isfinite(p.v.values).all()):
+        raise ValueError("cannot classify a state that is not finite")
     me_q, mh_q = variational_thresholds(gs)
     m = fields_mod.mass(p)
     h = fields_mod.kinetic(p)

@@ -425,6 +425,49 @@ def test_disperse_command(tmp_path):
     assert doc["predicted"] == -0.5
 
 
+@pytest.mark.parametrize("command", ["classify", "disperse"])
+def test_a_state_that_is_not_finite_is_a_numeric_failure(tmp_path, capfd, command):
+    # classify's NaN ratios would fall through every comparison to "above",
+    # and disperse would fit a NaN slope: both refuse the state instead
+    grid = UniformGrid(1, 64, 20.0)
+    u = np.exp(-(grid.axis() - 10.0) ** 2) + 0j
+    u[5] = nan
+    snap = str(tmp_path / "nan.snap")
+    write_snapshot(pair_from_arrays(grid, u, np.zeros(64, complex)), 0.0, snap)
+    conf = tmp_path / "run.json"
+    out = tmp_path / "out.json"
+    conf.write_text(json.dumps({
+        "command": command, "n": 64, "L": 20.0, "initial": "file", "input_path": snap,
+        "output": str(out), **({"m": 128, "r_max": 12.0, "tol": 1e-8} if command == "classify"
+                               else {"t_fit_start": 1.0, "t_fit_end": 2.0}),
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(conf)]) == 2
+    stdout, err = capfd.readouterr()
+    doc = json.loads(stdout)
+    assert doc["error"] == "ValueError" and "not finite" in doc["message"]
+    assert err == "" and caught == [] and not out.exists()
+
+
+def test_evolve_prints_completed_and_undecided_for_a_nearly_flat_state(tmp_path, capsys):
+    # the modulational instability of a nearly flat u: H grows to 3.1e4 H(0),
+    # so blow_up_detect's test relative to H(0) cannot call it global, while
+    # max |u|, |v| stays below 1/h = 3.2 (at most 1.55) to the end
+    csv = tmp_path / "flat.csv"
+    conf = tmp_path / "flat.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1e-3, "t_final": 20.0,
+        "cadence": 100, "amplitude": 1.0, "width": 40.0, "output": str(csv),
+    }))
+    assert main([str(conf)]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line == {"outcome": "completed", "classification": "undecided"}
+    rows = [ln.split(",") for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+    modulus = np.array([float(row[rows[0].index("max_modulus")]) for row in rows[1:]])
+    assert float(rows[-1][0]) == pytest.approx(20.0) and np.all(modulus < 64 / 20.0)
+
+
 def test_main_usage_and_numeric_failure(tmp_path, capsys):
     assert main([]) == 1
     bad = tmp_path / "bad.json"
@@ -516,6 +559,12 @@ def test_classify_solves_the_ground_state_at_the_config_kappa(tmp_path, monkeypa
     ("initial", 7),
     ("n", 2**40),
     ("m", 2**40),
+    # 2 width^2 underflows to 0, and the Gaussian is 0/0 at the centre node
+    ("width", 1e-300),
+    ("width", 1e-151),
+    # the density overflows, and the quartic quantities long before it
+    ("amplitude", 1e150),
+    ("amplitude", 1.1e50),
 ])
 def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     conf = tmp_path / "bad.json"
@@ -524,6 +573,23 @@ def test_out_of_range_keys_are_usage_errors(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("key, value, outcome", [
+    ("width", 1e-150, "completed"), ("amplitude", 1e50, "substep-failure"),
+])
+def test_the_gaussian_key_bounds_build_and_run_quiet(tmp_path, capfd, key, value, outcome):
+    conf = tmp_path / "edge.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 64, "L": 20.0, "dt": 1e-3, "t_final": 0.01, key: value,
+        "output": str(tmp_path / "edge.csv"),
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(conf)]) == 0
+    out, err = capfd.readouterr()
+    assert json.loads(out)["outcome"] == outcome
+    assert err == "" and caught == []
 
 
 def test_morawetz_cadence_is_a_usage_error(tmp_path, capsys):

@@ -12,8 +12,8 @@ from qnls.fields import pair_from_arrays
 from qnls.ground_state import solve_periodic_profile
 from qnls.morawetz import InteractionParams, interaction_lhs
 from qnls.evolution import (
-    EvolutionConfig, SplitStepper, SubstepFailure, TimeSeries, evolve, nonlinear_step,
-    strang_step,
+    EvolutionConfig, SplitStepper, SubstepFailure, TimeSeries, blow_up_detect, evolve,
+    nonlinear_step, strang_step,
 )
 
 from conftest import out_of_reach_pair, random_envelope_pair
@@ -347,7 +347,6 @@ def _evolve_checked_every_step(p0, cfg):
     ts.records.append(evolution._record(pair, 0.0))
     if cfg.snapshot_every:
         ts.snapshots.append((0.0, pair))
-    h0 = ts.records[0].kinetic
     mod_bound = evolution.RESOLUTION_FACTOR / p0.grid.h
     for step in range(1, nsteps + 1):
         try:
@@ -359,9 +358,8 @@ def _evolve_checked_every_step(p0, cfg):
         t = step * cfg.dt
         too_large = float(np.max(np.abs(w))) > mod_bound
         if too_large or step % cfg.cadence == 0 or step == nsteps:
-            rec = evolution._record(stepper.pair(), t)
-            ts.records.append(rec)
-            if too_large or (h0 > 0 and rec.kinetic > evolution.BLOWUP_GROWTH * h0):
+            ts.records.append(evolution._record(stepper.pair(), t))
+            if too_large:
                 ts.outcome = "blow-up"
                 break
             if cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
@@ -412,9 +410,10 @@ def _every_5th_step():
     return p0, dataclasses.replace(cfg, cadence=5)
 
 
-def _kinetic_growth():
-    # the modulational instability of a flat pair: H passes BLOWUP_GROWTH H(0)
-    # at t = 7.2 while max |u|, |v| stays near 1, below 1/h = 3.2
+def _modulational():
+    # the modulational instability of a flat pair: H grows from 9.9e-7 to
+    # about 1e5 H(0) while max |u|, |v| stays below 1/h = 3.2, a resolved,
+    # conservative run to t = 20
     grid = UniformGrid(1, 64, 20.0)
     u = 1.0 + 1e-3 * np.cos(2 * np.pi * grid.axis() / grid.L) + 0j
     p0 = pair_from_arrays(grid, u, np.ones(grid.shape, complex))
@@ -422,7 +421,7 @@ def _kinetic_growth():
 
 
 @pytest.mark.parametrize("case", ["spike", "resolved", "trips_between_rows", "every_5th_step",
-                                  "kinetic_growth", "torus_soliton"])
+                                  "modulational", "torus_soliton"])
 def test_evolve_matches_a_modulus_check_after_every_step(case, request):
     if case == "torus_soliton":
         # max |u| = 3.14 against the bound 1/h = 4.0, certified at every step
@@ -431,16 +430,17 @@ def test_evolve_matches_a_modulus_check_after_every_step(case, request):
     else:
         p0, cfg = {"spike": _spike, "resolved": _resolved,
                    "trips_between_rows": _trips_between_rows, "every_5th_step": _every_5th_step,
-                   "kinetic_growth": _kinetic_growth}[case]()
+                   "modulational": _modulational}[case]()
     ts, ref = evolve(p0, cfg), _evolve_checked_every_step(p0, cfg)
     _assert_same_series(ts, ref)
     if case == "resolved":
         assert ts.outcome == "completed" and len(ts.snapshots) > 1
-    elif case == "kinetic_growth":
-        kinetic = ts.column("kinetic")
-        grown = kinetic > evolution.BLOWUP_GROWTH * kinetic[0]
-        assert ts.outcome == "blow-up" and grown[-1] and not np.any(grown[:-1])
+    elif case == "modulational":
+        assert ts.outcome == "completed" and ts.records[-1].t == pytest.approx(cfg.t_final)
         assert np.all(ts.column("max_modulus") < 1.0 / p0.grid.h)
+        mass = ts.column("mass")
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+        assert blow_up_detect(ts) == "undecided"
     elif case != "torus_soliton":
         assert ts.outcome == "blow-up" and round(ts.records[-1].t / cfg.dt) % cfg.cadence
     if case == "every_5th_step":
@@ -464,8 +464,7 @@ def _drive_checked_every_step(p0, dt, stops, observe):
         return "blow-up"
     stepper = SplitStepper(p0, dt)
     bound = evolution.RESOLUTION_FACTOR / p0.grid.h
-    if observe(0, stepper.sync(), False):
-        return "blow-up"
+    observe(0, stepper.sync(), False)
     for step in range(1, stops[-1] + 1):
         try:
             stepper.step()
@@ -476,8 +475,8 @@ def _drive_checked_every_step(p0, dt, stops, observe):
             if np.all(np.isfinite(w)):
                 observe(step, w, True)
             return "blow-up"
-        if step in stops and observe(step, w, False):
-            return "blow-up"
+        if step in stops:
+            observe(step, w, False)
     return "completed"
 
 

@@ -4,22 +4,22 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below has 22 CLI runs.  They run every command, in d = 1, 2 and
+The manifest below has 23 CLI runs.  They run every command, in d = 1, 2 and
 3, with snapshots written and read back (``initial: "file"``); every
 outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
-``substep-failure`` of each, and ``evolve``'s blow-up by both the modulus
-bound and kinetic growth); three usage errors and a numeric error.  Each run is
-``python -m qnls.cli CONFIG`` in its own process, from the ``src/`` next
-to this script, inside one temporary directory with relative paths, so
-artifacts never embed a location.  Runs go in manifest order, because the
-``file`` runs read snapshots that earlier runs wrote.  A 23rd run builds
+``substep-failure`` of each, and a completed ``evolve`` whose nearly flat
+state grows by modulational instability); four usage errors and a numeric
+error.  Each run is ``python -m qnls.cli CONFIG`` in its own process, from
+the ``src/`` next to this script, inside one temporary directory with
+relative paths, so artifacts never embed a location.  Runs go in manifest order, because the
+``file`` runs read snapshots that earlier runs wrote.  A 24th run builds
 the Morawetz weight tables, which no command writes, in one more process:
 ``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
 eps = 0.05.
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each CLI run, ``files/<name>`` of every file left in the directory, and
-``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 136
+``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 140
 entries for this manifest.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
@@ -75,10 +75,11 @@ MANIFEST: list[tuple[str, dict]] = [
         "command": "evolve", "dimension": 1, "n": 256, "L": 512.0, "dt": 1e-3, "t_final": 0.01,
         "cadence": 1, "initial": "soliton", "snapshot_every": 1, "output": "blows.csv",
     }),
-    # H passes 100 H(0) at t = 7.5 while max |u| stays below 1/h = 3.2
-    ("evolve-kinetic-growth", {
+    # a nearly flat u: H grows to 3.1e4 H(0) while max |u|, |v| stays below
+    # 1/h = 3.2 (at most 1.55); completed, and "undecided" by H(0)-relative growth
+    ("evolve-modulational", {
         "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1e-3, "t_final": 20.0,
-        "cadence": 100, "amplitude": 1.0, "width": 40.0, "output": "growth.csv",
+        "cadence": 100, "amplitude": 1.0, "width": 40.0, "output": "modulational.csv",
     }),
     ("evolve-substep-failure", {
         "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1.0, "t_final": 1.0,
@@ -112,6 +113,8 @@ MANIFEST: list[tuple[str, dict]] = [
     ("usage-error", {"command": "evolve", "kapa": 1.0}),
     # morawetz samples every 25th step whatever the config says, so setting cadence is an error
     ("usage-error-morawetz-cadence", {"command": "morawetz", "cadence": 10}),
+    # 2 width^2 underflows to 0 here, which would make the Gaussian 0/0 at its centre
+    ("usage-error-width", {"command": "evolve", "width": 1e-300}),
     # morawetz writes no snapshot, so it refuses snapshot_every as a key it does not read
     ("usage-error-unread-key", {
         "command": "morawetz", "n": 128, "L": 64.0, "dt": 2e-3, "T0": 0.5,
