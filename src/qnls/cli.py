@@ -55,6 +55,10 @@ _POSITIVE = (lambda x: _is_number(x) and x > 0, "a positive number")
 _PATH = (lambda x: x is None or isinstance(x, str), "a path string or null")
 
 _INITIALS = ("gaussian", "soliton", "boosted-soliton", "file")
+# the largest max |u|, |v| of an initial state: classify's M H and the
+# accumulator grow as its fourth power, which overflows from about 1e77 on
+# an L = 20 box
+_AMPLITUDE_CAP = 1e50
 
 # key: (default, type check, range check or None), in echo order
 _KEYS: dict[str, tuple] = {
@@ -72,10 +76,8 @@ _KEYS: dict[str, tuple] = {
     "max_iter": (500, _INTEGER, _at_least(1)),
     "dimension": (1, _INTEGER, (lambda d: d in (1, 2, 3), "1, 2 or 3")),
     "initial": ("gaussian", (lambda x: x in _INITIALS, f"one of {', '.join(_INITIALS)}"), None),
-    # 2 width^2 stays a normal float, so the Gaussian is not 0/0 at its centre;
-    # classify's M H and the accumulator grow as amplitude^4, which overflows
-    # from about 1e77 on an L = 20 box
-    "amplitude": (1.0, _POSITIVE, (lambda a: a <= 1e50, "at most 1e50")),
+    "amplitude": (1.0, _POSITIVE, (lambda a: a <= _AMPLITUDE_CAP, "at most 1e50")),
+    # 2 width^2 stays a normal float, so the Gaussian is not 0/0 at its centre
     "width": (2.0, _POSITIVE, (lambda w: w >= 1e-150, "at least 1e-150")),
     "center": (None, (lambda x: x is None or _is_number(x), "a finite number or null"), None),
     "phase_velocity": (0.0, _NUMBER, None),
@@ -318,11 +320,21 @@ def _initial_pair(cfg: RunConfig) -> FieldPair:
         ]
         if differ:
             raise ConfigError(f"the input_path snapshot disagrees with config keys {', '.join(differ)}")
+        # a state that is not finite keeps its own outcome (blow-up, or a refusal)
+        u, v = pair.u.values, pair.v.values
+        if np.isfinite(u).all() and np.isfinite(v).all():
+            with np.errstate(over="ignore"):   # |z| of a finite z may be inf
+                peak = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))))
+            if peak > _AMPLITUDE_CAP:
+                raise ConfigError(f"input_path holds a state with max |u|, |v| = {peak:.3g}, "
+                                  "above the amplitude cap 1e50")
         return pair
     if kind == "gaussian":
         center = cfg.center if cfg.center is not None else grid.L / 2.0
-        rho2 = sum((c - center) ** 2 for c in grid.coords())
-        env = cfg.amplitude * np.exp(-rho2 / (2.0 * cfg.width**2))
+        # far from a narrow Gaussian the exponent overflows, and exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            rho2 = sum((c - center) ** 2 for c in grid.coords())
+            env = cfg.amplitude * np.exp(-rho2 / (2.0 * cfg.width**2))
         phase = cfg.phase_velocity * sum(grid.coords())
         u = env * np.exp(1j * phase)
         v = np.zeros(grid.shape, dtype=complex)

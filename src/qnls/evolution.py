@@ -63,25 +63,35 @@ step is un-fused and checked exactly, so the driver stops at the same
 step, and hands out the same states, as a check after every step would.
 
 The per-step path works on arrays only, and pays for as few numpy calls
-as it can.  Each stepper allocates, once, the scratch of the array-level
-substep ``_substep`` (``_SubstepBuffers``): three RK4 stages (the fourth
-reuses the third's) and one stage argument, each with its two halves
-(u, v) bound once, and two real arrays for the density monitor; the stage
-factors i h/2, i h and i h/6 are 0-d arrays, built once per h.  RK4 then
-runs there as one pass of in-place ufuncs, with ``out`` passed
-positionally, in the operation order of the out-of-place formula, so its
-results are the same bits; the public :func:`nonlinear_step` is a thin
-wrapper over the same substep.
+and as little memory as it can.  Each stepper allocates, once, the scratch
+of the array-level substep ``_substep`` (``_SubstepBuffers``): three RK4
+stages (the fourth reuses the third's) and one stage argument, each with
+its two halves (u, v) bound once, and one real array of the density
+monitor, whose second one comes with the first step that runs the exact
+rule or the monitor; the stage factors i h/2, i h and i h/6 are 0-d
+arrays, built once per h.  RK4 then runs there as one pass of in-place
+ufuncs, with ``out`` passed positionally, in the operation order of the
+out-of-place formula, so its results are the same bits; the public
+:func:`nonlinear_step` is a thin wrapper over the same substep.
 The stepper takes one reduction per step, the l1 sums (a, b) of the
 spectrum it keeps anyway: they bound the modulus for the driver and, since
 the next step's pre-substep state is the inverse transform of the same
 spectrum times unimodular multipliers, its maximum density s <=
 (a^2 + b^2) (1 + ``MODULUS_MARGIN``)^2 for the substep's certificate, so
 a certified step makes no pass over the density.  Only the exact
-fallback and the monitored refinement run under ``np.errstate``.  Arrays
-handed out by ``sync`` or ``pair`` are never written again: every step
-returns its state in a new array, because ``evolve`` keeps snapshots and
-callers keep what they were given.
+fallback and the monitored refinement run under ``np.errstate``.
+
+The substep returns its state in a new array.  Each free-flow product
+(the constructor's L(dt/2), a fused step's L(dt), the stacked pair of
+``sync``) is formed out of place in a new array and inverse-transformed in
+place in it, with the out-of-place bits (``grid`` module docstring), and
+the spectrum goes once its l1 sums are taken and its product formed.
+Only the substep's buffers are ever written again, so arrays handed out by
+``sync`` or ``pair`` are not: ``evolve`` keeps snapshots and callers keep
+what they were given.  A stepper holds 8.5 stacked (u, v) arrays and
+peaks at 10.5 while it steps and syncs.  A diagnostics row of ``evolve``
+transforms the synchronised stacked state once for both H and P
+(``_record``).
 
 Blow-up and substep failure are flagged outcomes, never exceptions.
 """
@@ -200,15 +210,6 @@ def _stacked(p: FieldPair) -> np.ndarray:
     return np.array((p.u.values, p.v.values), dtype=complex)
 
 
-def linear_step(p: FieldPair, dt: float) -> FieldPair:
-    """Exact free flow: uhat *= e^{-i|k|^2 dt}, vhat *= e^{-i kappa |k|^2 dt}."""
-    grid = p.grid
-    if not isinstance(grid, UniformGrid):
-        raise TypeError("time stepping is defined on uniform grids")
-    w = grid.ifft(_free_multiplier(grid, p.kappa, dt) * grid.fft(_stacked(p)))
-    return p.with_values(w[0], w[1])
-
-
 class _SubstepBuffers:
     """Scratch of :func:`_substep` on a stacked pair of one shape.
 
@@ -219,11 +220,15 @@ class _SubstepBuffers:
     stage factors i h/2, i h and i h/6 as 0-d arrays, built once per h
     (:meth:`factors`).  A 0-d array costs a ufunc call about half of what
     a Python complex does, and every value is the same, so the products
-    keep their bits.
+    keep their bits.  The invariants at the end, ``inv``, are also the
+    scratch of :meth:`SplitStepper._l1_sums`; those at the start are
+    allocated by :meth:`monitor` on the first step that runs the exact
+    rule or the monitor, so a stepper whose steps are all certified never
+    holds them.
     """
 
     __slots__ = ("k1", "k1u", "k1v", "k2", "k2u", "k2v", "k3", "k3u", "k3v",
-                 "arg", "argu", "argv", "inv", "inv0", "_h", "_factors")
+                 "arg", "argu", "argv", "inv", "_inv0", "_h", "_factors")
 
     def __init__(self, shape: tuple[int, ...]) -> None:
         self.k1, self.k2, self.k3, self.arg = (
@@ -233,8 +238,14 @@ class _SubstepBuffers:
         self.k2u, self.k2v = self.k2
         self.k3u, self.k3v = self.k3
         self.argu, self.argv = self.arg
-        self.inv, self.inv0 = np.empty(shape), np.empty(shape)
+        self.inv, self._inv0 = np.empty(shape), None
         self._h = None
+
+    def monitor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The invariants (at the end, at the start); the second is allocated on first use."""
+        if self._inv0 is None:
+            self._inv0 = np.empty_like(self.inv)
+        return self.inv, self._inv0
 
     def factors(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """i h/2, i h and i h/6 as 0-d arrays, rebuilt only when h changes."""
@@ -401,7 +412,7 @@ def _substep(
     if l1 is not None and abs(dt) * math.hypot(*l1) * (1.0 + MODULUS_MARGIN) <= _TAU_STAR:
         return _rk4(w0, buffers, dt, w)
     with np.errstate(over="ignore", invalid="ignore"):
-        inv, inv0 = buffers.inv, buffers.inv0
+        inv, inv0 = buffers.monitor()
         scale = max(float(_density(w0, inv0).max()), 1e-300)
         if abs(dt) * math.sqrt(scale) <= _TAU_STAR:
             return _rk4(w0, buffers, dt, w)
@@ -463,9 +474,9 @@ class SplitStepper:
     post-substep state is taken once and kept: the next step, :meth:`sync`
     or the driver's modulus certificate, whichever asks first, computes it,
     and the others reuse it; so do its l1 sums (:meth:`_l1_sums`), which
-    :meth:`sync` takes before it lets the spectrum go, so that every step
-    has them for its certificate.  :meth:`sync` un-fuses (see the module
-    docstring).
+    :meth:`_propagate` takes before it lets the spectrum go, so that every
+    step has them for its certificate.  :meth:`sync` un-fuses (see the
+    module docstring).
     """
 
     def __init__(self, p0: FieldPair, dt: float) -> None:
@@ -484,12 +495,27 @@ class SplitStepper:
         self._root_n = math.sqrt(grid.size)
         self._hat = None          # the forward transform of _state, once taken
         self._l1 = None           # its l1 sums per field, once taken
-        self._ahead = grid.ifft(self._free[0] * self._spectrum())
+        self._ahead = self._propagate(self._free[0])
 
     def _spectrum(self) -> np.ndarray:
         if self._hat is None:
             self._hat = self.grid.fft(self._state)
         return self._hat
+
+    def _propagate(self, free: np.ndarray) -> np.ndarray:
+        """ifft(``free`` * spectrum), inverse-transformed in place in the new product.
+
+        Takes the l1 sums first and then lets the spectrum go, which nothing
+        reads afterwards.  The product is formed out of place, the same
+        operands in the same order whichever of the step, :meth:`sync` and
+        the constructor asks, so it rounds the same, and observing stays
+        bit-neutral; the in-place transform has the out-of-place bits
+        (``grid`` module docstring).
+        """
+        self._l1_sums()
+        product = free * self._spectrum()
+        self._hat = None
+        return self.grid.ifft(product, out=product)
 
     def _l1_sums(self) -> tuple[float, float]:
         """(a, b) = sum_k |w_k| / sqrt(N) per field, w the kept spectrum.
@@ -511,23 +537,17 @@ class SplitStepper:
     def step(self) -> None:
         """Advance by dt; raises :class:`SubstepFailure` like the substep."""
         if self._ahead is None:
-            # the cached spectrum is a named array, so numpy cannot evaluate
-            # the product in place with its operands swapped: the product
-            # rounds as sync's does, and observing stays bit-neutral
-            self._ahead = self.grid.ifft(self._free[1] * self._spectrum())
+            self._ahead = self._propagate(self._free[1])
         # the look-ahead is ifft(m w) of the spectrum whose sums _l1 holds
         self._state = _substep(self._ahead, self.dt, self._buffers, self._l1_sums())
-        self._ahead = self._hat = self._l1 = None
+        self._ahead = self._l1 = None
         self.steps += 1
 
     def sync(self) -> np.ndarray:
         """The stacked (u, v) at time ``steps * dt``; the stepper's own array."""
         if self._ahead is None:
-            both = self.grid.ifft(self._free * self._spectrum())
+            both = self._propagate(self._free)
             self._state, self._ahead = both[0], both[1]
-            # taken before the spectrum goes, for the next step's certificate
-            self._l1_sums()
-            self._hat = None
         return self._state
 
     def pair(self) -> FieldPair:
@@ -543,31 +563,23 @@ def strang_step(p: FieldPair, dt: float) -> FieldPair:
     return stepper.pair()
 
 
-def reference_rk4_step(p: FieldPair, dt: float) -> FieldPair:
-    """Method-of-lines RK4 on the full right-hand side (splitting-free oracle)."""
-    grid = p.grid
-    kappa = p.kappa
+def _record(p: FieldPair, t: float, w: np.ndarray | None = None) -> DiagnosticsRecord:
+    """The diagnostics row of ``p`` at ``t``; ``w``, if given, is ``p`` stacked.
 
-    def rhs(u, v):
-        return 1j * (grid.laplacian(u) + v * np.conj(u)), 1j * (kappa * grid.laplacian(v) + u * u)
-
-    u, v = p.u.values, p.v.values
-    k1u, k1v = rhs(u, v)
-    k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
-    u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return p.with_values(u, v)
-
-
-def _record(p: FieldPair, t: float) -> DiagnosticsRecord:
+    H and P read one forward transform of the stacked pair, through the
+    formulas of :func:`fields.kinetic` and :func:`fields.momentum`; the
+    halves of a stacked transform are the single-field transforms bit for
+    bit, so the row has their bits.  ``evolve`` passes the stepper's
+    synchronised state as ``w``, so the row makes no stacked copy.
+    """
+    g = p.grid
+    spectrum = g.fft(_stacked(p) if w is None else w)
     return DiagnosticsRecord(
         t=t,
         mass=fields_mod.mass(p),
-        kinetic=fields_mod.kinetic(p),
+        kinetic=fields_mod._kinetic(g._dirichlet_of_spectrum, *spectrum, p.kappa),
         potential=fields_mod.potential(p),
-        momentum=fields_mod.momentum(p),
+        momentum=fields_mod._momentum(g, *spectrum),
         l3_u=lp_norm(p.u, 3.0),
         l3_pair=pair_lp_norm(p, 3.0),
         max_modulus=pair_lp_norm(p, np.inf),
@@ -616,6 +628,8 @@ def _drive(
             return "blow-up"
         if step in stop_at:
             observe(step, w, False)
+        # w shares its buffer with the look-ahead, which the next step frees
+        del w
     return "completed"
 
 
@@ -633,7 +647,7 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
 
     def observe(step: int, w: np.ndarray, tripped: bool) -> None:
         t = step * cfg.dt
-        ts.records.append(_record(p0.with_values(w[0], w[1]), t))
+        ts.records.append(_record(p0.with_values(w[0], w[1]), t, w))
         if not tripped and cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
             # copy: the synchronised state shares its buffer with the
             # stepper's look-ahead

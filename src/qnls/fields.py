@@ -57,8 +57,12 @@ def mass(p: FieldPair) -> float:
 
 def kinetic(p: FieldPair) -> float:
     """H = ||grad u||_2^2 + (kappa/2) ||grad v||_2^2."""
-    g = p.grid
-    return g.dirichlet(p.u.values) + 0.5 * p.kappa * g.dirichlet(p.v.values)
+    return _kinetic(p.grid.dirichlet, p.u.values, p.v.values, p.kappa)
+
+
+def _kinetic(dirichlet, u: np.ndarray, v: np.ndarray, kappa: float) -> float:
+    """H = dirichlet(u) + (kappa/2) dirichlet(v): the grid's Dirichlet integral of samples or of spectra."""
+    return dirichlet(u) + 0.5 * kappa * dirichlet(v)
 
 
 def potential(p: FieldPair) -> float:
@@ -81,7 +85,11 @@ def momentum(p: FieldPair) -> np.ndarray:
     g = p.grid
     if not isinstance(g, UniformGrid):
         raise TypeError("momentum is defined on uniform grids only")
-    uhat, vhat = g.fft(np.array((p.u.values, p.v.values)))
+    return _momentum(g, *g.fft(np.array((p.u.values, p.v.values))))
+
+
+def _momentum(g: UniformGrid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
+    """P of the pair whose transforms are ``uhat`` and ``vhat``."""
     dens = np.abs(uhat) ** 2 + 0.5 * np.abs(vhat) ** 2
     return np.array([np.sum(km * dens) for km in g.derivative_wavenumbers()]) * g.h**g.d
 

@@ -14,9 +14,12 @@ pocketfft's ``c2c``, the call ``scipy.fft.fftn(..., norm="ortho")`` ends
 in for either dtype, so the bits are the same and only scipy.fft's argument
 handling around each transform is skipped.  (Real data cast to complex
 first would give other bits: ``c2c`` transforms float64 input on its own
-real-to-complex path.)  ``c2c`` is bound once at import from scipy's
-compiled ``pypocketfft`` module, loaded by file with
-:func:`_scipy_extension`: importing it through its package runs
+real-to-complex path.)  A transform with ``out`` set to its complex input
+runs in place, with the bits of the out-of-place call: pocketfft copies
+each line of samples out of its input before it transforms the line, so
+where the result goes does not change the arithmetic.  ``c2c`` is bound
+once at import from scipy's compiled ``pypocketfft`` module, loaded by
+file with :func:`_scipy_extension`: importing it through its package runs
 ``scipy.fft``'s ``__init__``, which loads scipy's array-API layer,
 ``numpy.f2py`` and ``scipy.special``, about 0.4 s of CPU per process
 and more than half of the package's start-up.  Every other dtype,
@@ -206,27 +209,33 @@ class UniformGrid:
         """Wavenumber meshes with the Nyquist mode zeroed (odd derivatives)."""
         return list(self._derivative_wavenumbers)
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
+    def fft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Orthonormal forward transform over the last d axes.
 
         Leading axes are a batch: a stacked pair of shape (2, *shape) goes
         through in one call.  Complex128 and float64 input go to
         pocketfft's ``c2c`` directly, other dtypes through ``scipy.fft``
-        (module docstring).
+        (module docstring).  ``out``, if given, is a complex128 array of
+        the shape of ``values`` that receives the result and is returned;
+        it may be ``values`` itself (module docstring).
         """
-        return self._transform(values, True)
+        return self._transform(values, True, out)
 
-    def ifft(self, values: np.ndarray) -> np.ndarray:
+    def ifft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of :meth:`fft`, batched and dispatched the same way."""
-        return self._transform(values, False)
+        return self._transform(values, False, out)
 
-    def _transform(self, values: np.ndarray, forward: bool) -> np.ndarray:
+    def _transform(self, values: np.ndarray, forward: bool, out: np.ndarray | None) -> np.ndarray:
         dtype = values.dtype
         if (dtype is _COMPLEX or dtype is _REAL) and _c2c is not None:
-            return _c2c(values, self._axes, forward, _ORTHO, None, 1)
+            return _c2c(values, self._axes, forward, _ORTHO, out, 1)
         import scipy.fft
 
-        return (scipy.fft.fftn if forward else scipy.fft.ifftn)(values, axes=self._axes, norm="ortho")
+        result = (scipy.fft.fftn if forward else scipy.fft.ifftn)(values, axes=self._axes, norm="ortho")
+        if out is None:
+            return result
+        out[...] = result
+        return out
 
     def convolve(self, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Periodic convolution int k(x - y) f(y) dy as a Riemann sum.
@@ -258,7 +267,11 @@ class UniformGrid:
 
         Uses the Nyquist-zeroed wavenumbers of :meth:`gradient`.
         """
-        return float(np.sum(self._dirichlet_k2 * np.abs(self.fft(values)) ** 2) * self.h**self.d)
+        return self._dirichlet_of_spectrum(self.fft(values))
+
+    def _dirichlet_of_spectrum(self, values_hat: np.ndarray) -> float:
+        """:meth:`dirichlet` of the field whose :meth:`fft` is ``values_hat``."""
+        return float(np.sum(self._dirichlet_k2 * np.abs(values_hat) ** 2) * self.h**self.d)
 
     def integrate(self, values: np.ndarray):
         """Riemann sum times h^d (spectrally accurate for smooth data)."""

@@ -592,6 +592,46 @@ def test_the_gaussian_key_bounds_build_and_run_quiet(tmp_path, capfd, key, value
     assert err == "" and caught == []
 
 
+def test_a_narrow_gaussian_on_a_large_box_builds_quietly(tmp_path, capfd):
+    # rho2 / (2 width^2) overflows away from the centre; exp(-inf) = 0 there
+    conf = tmp_path / "narrow.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 64, "L": 1e6, "width": 1e-150, "t_final": 0.01,
+        "output": str(tmp_path / "narrow.csv"),
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(conf)]) == 0
+    out, err = capfd.readouterr()
+    # one unit-height node on a box of spacing 1.6e4 is far past 1/h
+    assert json.loads(out)["outcome"] == "blow-up"
+    assert err == "" and caught == []
+
+
+@pytest.mark.parametrize("command", ["morawetz", "classify"])
+def test_a_snapshot_above_the_amplitude_cap_is_a_usage_error(tmp_path, capfd, command):
+    # at |u| about 1e80 morawetz overflowed to an OverflowError after a
+    # RuntimeWarning, and classify reported "above" with a gap of 5e160
+    grid = UniformGrid(1, 64, 20.0)
+    u = 1e80 * np.exp(-(grid.axis() - 10.0) ** 2) + 0j
+    snap = str(tmp_path / "big.snap")
+    write_snapshot(pair_from_arrays(grid, u, np.zeros(64, complex)), 0.0, snap)
+    conf = tmp_path / "run.json"
+    out = tmp_path / "out.json"
+    conf.write_text(json.dumps({
+        "command": command, "n": 64, "L": 20.0, "initial": "file", "input_path": snap,
+        "output": str(out), **({"m": 128, "r_max": 12.0, "tol": 1e-8} if command == "classify"
+                               else {"T0": 0.05}),
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(conf)]) == 1
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert "input_path" in err and "1e50" in err
+    assert caught == [] and not out.exists()
+
+
 def test_morawetz_cadence_is_a_usage_error(tmp_path, capsys):
     # the accumulator samples every 25th step whatever the config says
     conf = tmp_path / "mw.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnls import fields
+from qnls import evolution, fields
 from qnls.grid import Field, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.evolution import (
@@ -12,9 +12,7 @@ from qnls.evolution import (
     blow_up_detect,
     dispersive_decay_fit,
     evolve,
-    linear_step,
     nonlinear_step,
-    reference_rk4_step,
     strang_step,
     _SubstepBuffers,
 )
@@ -25,6 +23,35 @@ from conftest import out_of_reach_pair, random_envelope_pair
 def _zero_pair(g):
     z = np.zeros(g.shape, dtype=complex)
     return pair_from_arrays(g, z, z)
+
+
+def linear_step(p, dt):
+    """Exact free flow: uhat *= e^{-i|k|^2 dt}, vhat *= e^{-i kappa |k|^2 dt}.
+
+    Built on the stepper's own multiplier, so the tests below check it.
+    """
+    grid = p.grid
+    w = np.array((p.u.values, p.v.values), dtype=complex)
+    w = grid.ifft(evolution._free_multiplier(grid, p.kappa, dt) * grid.fft(w))
+    return p.with_values(w[0], w[1])
+
+
+def reference_rk4_step(p, dt):
+    """Method-of-lines RK4 on the full right-hand side (splitting-free oracle)."""
+    grid = p.grid
+    kappa = p.kappa
+
+    def rhs(u, v):
+        return 1j * (grid.laplacian(u) + v * np.conj(u)), 1j * (kappa * grid.laplacian(v) + u * u)
+
+    u, v = p.u.values, p.v.values
+    k1u, k1v = rhs(u, v)
+    k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+    k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+    k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
+    u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return p.with_values(u, v)
 
 
 def test_linear_step_constant_unchanged():

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from qnls import evolution, grid as grid_mod, morawetz
+from qnls import evolution, fields, grid as grid_mod, morawetz
 from qnls.grid import UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import solve_periodic_profile
@@ -62,9 +63,9 @@ def test_unobserved_step_is_one_transform_each_way(monkeypatch):
     for name in calls:
         original = getattr(UniformGrid, name)
 
-        def counted(self, values, _name=name, _original=original):
+        def counted(self, values, out=None, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self, values)
+            return _original(self, values, out)
 
         monkeypatch.setattr(UniformGrid, name, counted)
     for expected in range(1, 4):
@@ -156,6 +157,23 @@ def test_transforms_equal_fftn_over_the_space_axes(d, batch, direct, monkeypatch
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
         assert calls[0] - before == (2 if direct and bound else 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("direct", [True, False], ids=["c2c", "fallback"])
+def test_transforms_into_their_input_keep_the_bits(d, direct, monkeypatch):
+    # the stepper inverse-transforms its products in place
+    if not direct:
+        monkeypatch.setattr(grid_mod, "_c2c", None)
+    grid = UniformGrid(d, {1: 64, 2: 32, 3: 16}[d], 10.0)
+    rng = np.random.default_rng(d)
+    for batch in ((2,), (2, 2)):
+        z = rng.normal(size=batch + grid.shape) + 1j * rng.normal(size=batch + grid.shape)
+        for transform in (grid.fft, grid.ifft):
+            expected = transform(z)
+            x = z.copy()
+            assert transform(x, out=x) is x
+            assert x.tobytes() == expected.tobytes()
 
 
 def _scalar_rk4(tau):
@@ -530,6 +548,79 @@ def test_non_finite_input_is_a_blow_up_with_nothing_recorded(bad):
     assert math.isnan(res.e0)
 
 
+def test_the_stepper_rests_in_ten_units_and_peaks_in_eleven():
+    # a unit is one stacked (u, v) of 2 * 64^2 complex values, 128 KiB; the
+    # stepper holds L(dt/2) and L(dt) (2 units), the substep buffers (4.5)
+    # and its state and look-ahead (2), and makes each product a unit at
+    # most and transforms it in place
+    grid = UniformGrid(2, 64, 16.0)
+    p = random_envelope_pair(grid, np.random.default_rng(5), amp=0.3)
+    SplitStepper(p, 1e-3).step()   # builds the grid's cached tables
+    unit = 2 * grid.size * 16
+    tracemalloc.start()
+    try:
+        stepper = SplitStepper(p, 1e-3)
+        resting, _ = tracemalloc.get_traced_memory()
+        for k in range(1, 21):
+            stepper.step()
+            if k % 5 == 0:
+                stepper.sync()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert resting <= 10 * unit and after <= 10 * unit
+    assert peak <= 11 * unit
+    # every step was certified, so the monitor's second buffer never came
+    assert stepper._buffers._inv0 is None
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"d{g.d}")
+def test_states_handed_out_are_never_written_again(grid):
+    p = random_envelope_pair(grid, np.random.default_rng(grid.d + 20), amp=0.5)
+    stepper = SplitStepper(p, 1e-2)
+    stepper.step()
+    a = stepper.sync()
+    b = stepper.pair()
+    kept = [x.copy() for x in (a, b.u.values, b.v.values)]
+    for _ in range(5):
+        stepper.step()
+        stepper.sync()
+    for x, copy in zip((a, b.u.values, b.v.values), kept, strict=True):
+        assert x.tobytes() == copy.tobytes()
+
+
+def _bits(record):
+    return {f.name: np.asarray(getattr(record, f.name)).tobytes()
+            for f in dataclasses.fields(record)}
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"d{g.d}")
+def test_a_row_is_one_stacked_transform_with_the_functionals_bits(grid, monkeypatch):
+    p = random_envelope_pair(grid, np.random.default_rng(grid.d + 30), amp=0.5)
+    stepper = SplitStepper(p, 1e-2)
+    for _ in range(3):
+        stepper.step()
+    w = stepper.sync()
+    q = p.with_values(w[0].copy(), w[1].copy())
+    expected = evolution.DiagnosticsRecord(
+        t=0.03, mass=fields.mass(q), kinetic=fields.kinetic(q), potential=fields.potential(q),
+        momentum=fields.momentum(q), l3_u=fields.lp_norm(q.u, 3.0),
+        l3_pair=fields.pair_lp_norm(q, 3.0), max_modulus=fields.pair_lp_norm(q, np.inf),
+    )
+    shapes = []
+    for name in ("fft", "ifft"):
+        original = getattr(UniformGrid, name)
+
+        def counted(self, values, out=None, _name=name, _original=original):
+            shapes.append((_name, values.shape))
+            return _original(self, values, out)
+
+        monkeypatch.setattr(UniformGrid, name, counted)
+    row = evolution._record(p.with_values(w[0], w[1]), 0.03, w)
+    assert shapes == [("fft", w.shape)]
+    assert _bits(row) == _bits(expected)
+
+
 def test_evolve_unfuses_only_at_rows(monkeypatch):
     grid = UniformGrid(2, 32, 12.0)
     p = random_envelope_pair(grid, np.random.default_rng(10), amp=0.5)
@@ -538,10 +629,10 @@ def test_evolve_unfuses_only_at_rows(monkeypatch):
     for name in ("fft", "ifft"):
         original = getattr(UniformGrid, name)
 
-        def counted(self, values, _name=name, _original=original):
+        def counted(self, values, out=None, _name=name, _original=original):
             calls[_name] += 1
             calls["unfuse"] += values.shape[:2] == (2, 2)
-            return _original(self, values)
+            return _original(self, values, out)
 
         monkeypatch.setattr(UniformGrid, name, counted)
     evolution._record(p, 0.0)
