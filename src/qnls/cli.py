@@ -330,13 +330,27 @@ def _initial_pair(cfg: RunConfig) -> FieldPair:
                                   "above the amplitude cap 1e50")
         return pair
     if kind == "gaussian":
+        if cfg.width > 1e150:   # 2 width^2 overflows near 1e154
+            raise ConfigError(
+                f"config key 'width' must be at most 1e150 for a Gaussian, so that 2 width^2 "
+                f"is finite, got {cfg.width!r}"
+            )
         center = cfg.center if cfg.center is not None else grid.L / 2.0
         # far from a narrow Gaussian the exponent overflows, and exp(-inf) = 0
         with np.errstate(over="ignore"):
             rho2 = sum((c - center) ** 2 for c in grid.coords())
             env = cfg.amplitude * np.exp(-rho2 / (2.0 * cfg.width**2))
-        phase = cfg.phase_velocity * sum(grid.coords())
-        u = env * np.exp(1j * phase)
+        u = env.astype(complex)   # the bits of env * exp(1j * 0)
+        if cfg.phase_velocity:
+            with np.errstate(over="ignore"):
+                phase = cfg.phase_velocity * sum(grid.coords())
+            if not np.isfinite(phase).all():
+                raise ConfigError(
+                    f"config keys 'phase_velocity' and 'L' give a plane-wave phase "
+                    f"phase_velocity * (x_1 + ... + x_d) beyond the float range, got "
+                    f"{cfg.phase_velocity!r} on a box of length {cfg.L!r}"
+                )
+            u = env * np.exp(1j * phase)
         v = np.zeros(grid.shape, dtype=complex)
         return pair_from_arrays(grid, u, v, cfg.kappa)
     pair = solve_periodic_profile(grid, kappa=cfg.kappa, tol=1e-12)

@@ -44,8 +44,9 @@ the same.  ``dgbtrf`` and ``dgbtrs`` come from scipy's compiled
 objects ``scipy.linalg.lapack`` re-exports, without the 0.3 s of CPU that
 importing ``scipy.linalg`` adds to every process's start-up.  When the
 file cannot be loaded they come from ``scipy.linalg.lapack`` itself.
-The package's only second-order radial operator is the dense one of the
-independent oracle below.
+The package's only second-order radial operator is the tridiagonal one
+of the independent oracle below, factored by LAPACK's ``dgttrf`` and
+``dgttrs`` from the same module.
 
 Both stationary solvers run one loop, ``_stationary_solve``.  The
 balanced sweep contracts only linearly, by about 0.85 per sweep at
@@ -93,8 +94,8 @@ solve reaches it for kappa = 0.25, 0.5 and 1 (9.9e-11, 6.2e-11, 6.0e-11)
 but stalls at 1.2e-10 for kappa = 2, and at kappa = 0.5 m = 3072 and
 4096 stall at 1.7e-10 and 3.5e-10.
 
-A deliberately independent coarse solver (dense second-order matrices,
-damped held-mass Picard) cross-checks M_gs.
+A deliberately independent coarse solver (second-order tridiagonal
+operators in O(m) memory, damped held-mass Picard) cross-checks M_gs.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ from . import fields
 from .fields import FieldPair, pair_from_arrays
 from .grid import RadialGrid, UniformGrid, _centred_d1, _centred_d2, _scipy_extension, radial_ghosts
 
-# LAPACK's banded LU and its back-substitution (solver notes above)
+# LAPACK's banded and tridiagonal LU and their back-substitutions (solver notes above)
 _lapack = _scipy_extension("scipy.linalg._flapack")
 if _lapack is None:
     from scipy.linalg import lapack as _lapack
@@ -412,30 +413,43 @@ def petviashvili_solve(
     return GroundState(pair, history[-1], floor, len(history), tuple(history))
 
 
-def _dense_radial_laplacian(grid: RadialGrid) -> np.ndarray:
-    """Dense second-order radial Laplacian, assembled independently.
+def _oracle_operators(grid: RadialGrid, kappa: float):
+    """The oracle's second-order radial Laplacian, L1 = 1 - lap and L2 = 2 - kappa lap.
 
-    No code shared with the fourth-order banded path used by
-    :func:`petviashvili_solve`.
+    Each is a (lower, main, upper) triple of diagonals.  Row j of lap reads
+    c_dn f_{j-1} + c_md f_j + c_up f_{j+1}; the even reflection at r = 0
+    folds c_dn into the first main entry and the Dirichlet ghost at r_max
+    folds -c_up into the last.  Assembled independently: no code shared
+    with the fourth-order path of :func:`petviashvili_solve`.
     """
-    m = grid.m
     r = grid.nodes()
     dr = grid.dr
-    mat = np.zeros((m, m))
-    for j in range(m):
-        c_dn = 1.0 / dr**2 - 2.0 / (r[j] * dr)
-        c_md = -2.0 / dr**2
-        c_up = 1.0 / dr**2 + 2.0 / (r[j] * dr)
-        if j > 0:
-            mat[j, j - 1] += c_dn
-        else:
-            mat[j, j] += c_dn          # even reflection at r = 0
-        mat[j, j] += c_md
-        if j < m - 1:
-            mat[j, j + 1] += c_up
-        else:
-            mat[j, j] -= c_up          # Dirichlet ghost at r_max
-    return mat
+    c_dn = 1.0 / dr**2 - 2.0 / (r * dr)
+    c_md = -2.0 / dr**2
+    c_up = 1.0 / dr**2 + 2.0 / (r * dr)
+    main = np.full(grid.m, c_md)
+    main[0] = c_dn[0] + c_md          # even reflection at r = 0
+    main[-1] = c_md - c_up[-1]        # Dirichlet ghost at r_max
+    lower, upper = c_dn[1:], c_up[:-1]
+    l1 = (-lower, 1.0 - main, -upper)
+    l2 = (-kappa * lower, 2.0 - kappa * main, -kappa * upper)
+    return (lower, main, upper), l1, l2
+
+
+def _tridiagonal_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
+    """Factor a tridiagonal matrix once with ``dgttrf``; return x = A^{-1} b by ``dgttrs``."""
+    dl, d, du, du2, ipiv, info = _lapack.dgttrf(lower, main, upper)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return lambda rhs: _lapack.dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+
+
+def _tridiagonal_matvec(lower: np.ndarray, main: np.ndarray, upper: np.ndarray, x: np.ndarray):
+    """A @ x for the tridiagonal A with the given diagonals."""
+    y = main * x
+    y[1:] += lower * x[:-1]
+    y[:-1] += upper * x[1:]
+    return y
 
 
 def oracle_coarse_solve(
@@ -448,7 +462,10 @@ def oracle_coarse_solve(
     after every sweep so that int phi^2 is held at its running value.  The held-mass fixed point is a
     common rescaling (c phi*, c vphi*) of the true solution, so the measured
     scale c recovers it; the final profile is checked directly against the
-    stationary equations.  Dense second-order linear algebra throughout.
+    stationary equations.  Second-order tridiagonal operators
+    (:func:`_oracle_operators`): L1 and L2 are LU-factored once by LAPACK
+    ``gttrf`` and each sweep is one ``gttrs`` pair, so the solve costs O(m)
+    memory and O(m) work per sweep.
     """
     if m > 512:
         raise ValueError("the oracle is a coarse solver; use m <= 512")
@@ -456,10 +473,8 @@ def oracle_coarse_solve(
         raise ValueError(f"tolerance must be positive, got {tol}")
     grid = RadialGrid(m, r_max)
     r = grid.nodes()
-    lap = _dense_radial_laplacian(grid)
-    eye = np.eye(m)
-    inv_l1 = np.linalg.inv(eye - lap)
-    inv_l2 = np.linalg.inv(2.0 * eye - kappa * lap)
+    lap, l1, l2 = _oracle_operators(grid, kappa)
+    inv_l1, inv_l2 = _tridiagonal_solver(*l1), _tridiagonal_solver(*l2)
 
     phi = INITIAL_AMPLITUDE * np.exp(-(r**2))
     vphi = phi.copy()
@@ -467,8 +482,8 @@ def oracle_coarse_solve(
 
     c = 1.0
     for it in range(1, 6001):
-        phi_t = inv_l1 @ (phi * vphi)
-        vphi_t = inv_l2 @ (phi**2)
+        phi_t = inv_l1(phi * vphi)
+        vphi_t = inv_l2(phi**2)
         raw = float(grid.integrate(phi_t**2))
         if not np.isfinite(raw) or raw <= 0:
             raise ConvergenceError(f"oracle iterate degenerated at step {it}")
@@ -487,8 +502,8 @@ def oracle_coarse_solve(
     # undo the held-mass normalization: (c phi, c vphi) solves the system
     phi = c * phi
     vphi = c * vphi
-    res1 = phi - lap @ phi - phi * vphi
-    res2 = 2.0 * vphi - kappa * (lap @ vphi) - phi**2
+    res1 = phi - _tridiagonal_matvec(*lap, phi) - phi * vphi
+    res2 = 2.0 * vphi - kappa * _tridiagonal_matvec(*lap, vphi) - phi**2
     residual = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
     pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
     return GroundState(pair, residual, np.nan, it, (residual,))

@@ -608,6 +608,49 @@ def test_a_narrow_gaussian_on_a_large_box_builds_quietly(tmp_path, capfd):
     assert err == "" and caught == []
 
 
+def _quiet_main(conf):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(conf)])
+    assert caught == []
+    return code
+
+
+def test_a_plane_wave_phase_beyond_the_float_range_is_a_usage_error(tmp_path, capfd):
+    # phase_velocity * x overflowed, exp(1j * inf) gave NaN, and the run
+    # labelled the NaN state it built "blow-up" after three RuntimeWarnings
+    conf = tmp_path / "phase.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 8, "L": 1e300, "phase_velocity": 1e10, "t_final": 0.001,
+        "output": str(tmp_path / "phase.csv"),
+    }))
+    assert _quiet_main(conf) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "'phase_velocity'" in err and "'L'" in err
+    assert not (tmp_path / "phase.csv").exists()
+
+
+def test_a_width_whose_square_overflows_is_a_usage_error(tmp_path, capfd):
+    # 2 width^2 raised a bare OverflowError (exit 2) that named no key
+    conf = tmp_path / "wide.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 8, "L": 1e300, "width": 1e300, "t_final": 0.001,
+        "output": str(tmp_path / "wide.csv"),
+    }))
+    assert _quiet_main(conf) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.count("\n") == 1 and "'width'" in err
+    # the upper bound itself builds a flat state and runs quietly
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 64, "L": 20.0, "width": 1e150, "t_final": 0.01,
+        "output": str(tmp_path / "wide.csv"),
+    }))
+    assert _quiet_main(conf) == 0
+    out, err = capfd.readouterr()
+    assert json.loads(out)["outcome"] == "completed" and err == ""
+
+
 @pytest.mark.parametrize("command", ["morawetz", "classify"])
 def test_a_snapshot_above_the_amplitude_cap_is_a_usage_error(tmp_path, capfd, command):
     # at |u| about 1e80 morawetz overflowed to an OverflowError after a

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from qnls import fields, ground_state
+from qnls import fields, ground_state, grid as grid_module
 from qnls.grid import RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import (
@@ -18,6 +19,7 @@ from qnls.ground_state import (
     _lap4_apply,
     _lap4_band,
     _newton_band,
+    _oracle_operators,
     _residuals,
     oracle_coarse_solve,
     petviashvili_normalization,
@@ -92,6 +94,75 @@ def test_oracle_solver_other_coupling():
 def test_oracle_rejects_fine_grids():
     with pytest.raises(ValueError):
         oracle_coarse_solve(m=1024)
+
+
+def _dense_radial_laplacian(grid):
+    """Dense second-order radial Laplacian: the oracle's operator as a full matrix."""
+    m = grid.m
+    r = grid.nodes()
+    dr = grid.dr
+    mat = np.zeros((m, m))
+    for j in range(m):
+        c_dn = 1.0 / dr**2 - 2.0 / (r[j] * dr)
+        c_md = -2.0 / dr**2
+        c_up = 1.0 / dr**2 + 2.0 / (r[j] * dr)
+        if j > 0:
+            mat[j, j - 1] += c_dn
+        else:
+            mat[j, j] += c_dn          # even reflection at r = 0
+        mat[j, j] += c_md
+        if j < m - 1:
+            mat[j, j + 1] += c_up
+        else:
+            mat[j, j] -= c_up          # Dirichlet ghost at r_max
+    return mat
+
+
+@pytest.mark.parametrize("kappa", [0.25, 0.7])
+@pytest.mark.parametrize("m", [4, 5, 64, 512])
+def test_oracle_diagonals_are_the_dense_operators_bit_for_bit(m, kappa):
+    grid = RadialGrid(m, 16.0)
+    lap = _dense_radial_laplacian(grid)
+    eye = np.eye(m)
+    dense = (lap, eye - lap, 2.0 * eye - kappa * lap)
+    for (lower, main, upper), mat in zip(_oracle_operators(grid, kappa), dense):
+        for k, diagonal in ((-1, lower), (0, main), (1, upper)):
+            assert np.diagonal(mat, k).tobytes() == diagonal.tobytes()
+        assert not np.triu(mat, 2).any() and not np.tril(mat, -2).any()
+
+
+def test_oracle_keeps_its_iterations_and_mass():
+    # an LU solve rounds differently from the explicit inverses the oracle
+    # once multiplied by: the counts stay and M moves in its last digits
+    gs = oracle_coarse_solve(m=512, r_max=16.0, kappa=0.5)
+    assert gs.iterations == 276
+    assert gs.mass == pytest.approx(726.9686156374783, rel=1e-12)
+    assert gs.residual_norm == pytest.approx(4.346e-7, rel=1e-3)
+    gs = oracle_coarse_solve(m=384, r_max=16.0, kappa=1.0, tol=1e-10)
+    assert gs.iterations == 287
+    assert gs.mass == pytest.approx(1220.0086113341674, rel=1e-12)
+
+
+def test_oracle_works_in_o_m_memory():
+    # two dense 512^2 inverses took about 10 MiB
+    tracemalloc.start()
+    try:
+        oracle_coarse_solve(m=512, r_max=16.0, kappa=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_oracle_shares_no_code_with_the_fourth_order_path(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("the oracle reached the fourth-order path")
+
+    for name in ("_lap4_apply", "_lap4_band", "_banded_solver", "radial_ghosts"):
+        monkeypatch.setattr(ground_state, name, unused)
+    monkeypatch.setattr(grid_module, "radial_ghosts", unused)
+    gs = oracle_coarse_solve(m=64, r_max=12.0, kappa=0.5, tol=1e-8)
+    assert gs.residual_norm < 1e-3
 
 
 def test_grid_refinement_stability(gs_fine):
