@@ -297,6 +297,13 @@ def _write_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
 def _initial_pair(cfg: RunConfig) -> FieldPair:
     """The command's initial state on its periodic box (``morawetz`` runs in d = 1)."""
     grid = UniformGrid(cfg.options.get("dimension", 1), cfg.n, cfg.L)
+    try:
+        grid.h**grid.d   # the cell volume of every quadrature on the box
+    except OverflowError:
+        raise ConfigError(
+            f"config keys 'L', 'n' and 'dimension' give a cell volume (L / n)^dimension "
+            f"beyond the float range, got L {cfg.L!r}, n {cfg.n!r}, dimension {grid.d}"
+        ) from None
     kind = cfg.initial
     if kind == "file":
         if cfg.input_path is None:
@@ -336,21 +343,20 @@ def _initial_pair(cfg: RunConfig) -> FieldPair:
                 f"is finite, got {cfg.width!r}"
             )
         center = cfg.center if cfg.center is not None else grid.L / 2.0
-        # far from a narrow Gaussian the exponent overflows, and exp(-inf) = 0
+        # far from a narrow Gaussian the exponent overflows, and exp(-inf) = 0;
+        # a phase that overflows is refused below (with a finite cell volume
+        # the coordinate sum is finite, so a zero phase_velocity gives 0)
         with np.errstate(over="ignore"):
             rho2 = sum((c - center) ** 2 for c in grid.coords())
             env = cfg.amplitude * np.exp(-rho2 / (2.0 * cfg.width**2))
-        u = env.astype(complex)   # the bits of env * exp(1j * 0)
-        if cfg.phase_velocity:
-            with np.errstate(over="ignore"):
-                phase = cfg.phase_velocity * sum(grid.coords())
-            if not np.isfinite(phase).all():
-                raise ConfigError(
-                    f"config keys 'phase_velocity' and 'L' give a plane-wave phase "
-                    f"phase_velocity * (x_1 + ... + x_d) beyond the float range, got "
-                    f"{cfg.phase_velocity!r} on a box of length {cfg.L!r}"
-                )
-            u = env * np.exp(1j * phase)
+            phase = cfg.phase_velocity * sum(grid.coords())
+        if not np.isfinite(phase).all():
+            raise ConfigError(
+                f"config keys 'phase_velocity' and 'L' give a plane-wave phase "
+                f"phase_velocity * (x_1 + ... + x_d) beyond the float range, got "
+                f"{cfg.phase_velocity!r} on a box of length {cfg.L!r}"
+            )
+        u = env * np.exp(1j * phase)
         v = np.zeros(grid.shape, dtype=complex)
         return pair_from_arrays(grid, u, v, cfg.kappa)
     pair = solve_periodic_profile(grid, kappa=cfg.kappa, tol=1e-12)

@@ -322,12 +322,8 @@ class RadialGrid:
         return self._nodes
 
     def integrate(self, values: np.ndarray):
-        """Midpoint rule: sum f(r_j) * sigma_4 * r_j^4 * dr.
-
-        ``np.add.reduce`` over all axes is the pairwise sum that ``np.sum``
-        ends in, so the bits are the same without its wrapper.
-        """
-        return SPHERE_AREA_4 * np.add.reduce(values * self._r4, axis=None) * self.dr
+        """Midpoint rule: sum f(r_j) * sigma_4 * r_j^4 * dr."""
+        return SPHERE_AREA_4 * np.sum(values * self._r4) * self.dr
 
     def gradient(self, values: np.ndarray) -> list[np.ndarray]:
         """Fourth-order centered d/dr.
@@ -359,13 +355,9 @@ def radial_ghosts(f: np.ndarray) -> np.ndarray:
 
     Even reflection across r=0 (f(-dr/2) = f(dr/2), exact for smooth radial
     functions on half-offset nodes) and odd reflection about r_max
-    (homogeneous Dirichlet).  The result is a new array of the dtype of
-    ``f``.
+    (homogeneous Dirichlet).
     """
-    g = np.empty(f.size + 4, f.dtype)
-    g[2:-2] = f
-    g[0], g[1], g[-2], g[-1] = f[1], f[0], -f[-1], -f[-2]
-    return g
+    return np.concatenate(([f[1], f[0]], f, [-f[-1], -f[-2]]))
 
 
 @dataclass(frozen=True)

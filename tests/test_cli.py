@@ -651,6 +651,21 @@ def test_a_width_whose_square_overflows_is_a_usage_error(tmp_path, capfd):
     assert json.loads(out)["outcome"] == "completed" and err == ""
 
 
+@pytest.mark.parametrize("dimension, L", [(3, 1e308), (2, 1e200)])
+def test_a_cell_volume_beyond_the_float_range_is_a_usage_error(tmp_path, capfd, dimension, L):
+    # the quadratures' h^d raised a bare OverflowError (exit 2) that named no key
+    conf = tmp_path / "huge.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "dimension": dimension, "n": 8, "L": L, "t_final": 0.001,
+        "output": str(tmp_path / "huge.csv"),
+    }))
+    assert _quiet_main(conf) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "'L'" in err and "'n'" in err and "'dimension'" in err
+    assert not (tmp_path / "huge.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["morawetz", "classify"])
 def test_a_snapshot_above_the_amplitude_cap_is_a_usage_error(tmp_path, capfd, command):
     # at |u| about 1e80 morawetz overflowed to an OverflowError after a

@@ -14,7 +14,6 @@ from qnls.grid import (
     SPHERE_AREA_4,
     UniformGrid,
     _scipy_extension,
-    radial_ghosts,
     unit_ball_volume,
 )
 
@@ -265,37 +264,6 @@ def test_cached_quadratures_keep_their_bits(d, n):
     want = SPHERE_AREA_4 * np.sum(vals * r**4) * rg.dr
     assert rg.integrate(vals) == want
     assert rg.integrate(vals) == want
-
-
-def _concatenated_ghosts(f):
-    """The padding of :func:`radial_ghosts` built from Python lists."""
-    return np.concatenate(([f[1], f[0]], f, [-f[-1], -f[-2]]))
-
-
-@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.complex64, np.complex128])
-@pytest.mark.parametrize("m", [4, 5, 64])
-def test_radial_ghosts_are_the_concatenated_padding(m, dtype):
-    # at m = 4 and 5 the reflections at r = 0 and r_max read neighbouring nodes
-    rng = np.random.default_rng(m)
-    f = 100.0 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-    f[-1] = 0.0                        # a signed zero in the odd reflection
-    f = f.astype(dtype) if np.issubdtype(dtype, np.complexfloating) else f.real.astype(dtype)
-    for sample in (f, np.repeat(f, 2)[::2]):
-        got, want = radial_ghosts(sample), _concatenated_ghosts(sample)
-        assert got.dtype == want.dtype == f.dtype
-        assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("is_complex", [False, True])
-def test_radial_integrate_is_the_summed_midpoint_rule_bit_for_bit(is_complex):
-    rng = np.random.default_rng(5)
-    rg = RadialGrid(1000, 9.0)
-    vals = rng.normal(size=rg.m) + (1j * rng.normal(size=rg.m) if is_complex else 0.0)
-    r = (np.arange(rg.m) + 0.5) * rg.dr
-    want = SPHERE_AREA_4 * np.sum(vals * r**4) * rg.dr
-    got = rg.integrate(vals)
-    assert type(got) is type(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_filled_caches_keep_equality_and_hash():

@@ -89,6 +89,8 @@ def test_cross_solver_mass_agreement(gs_fine):
 def test_oracle_solver_other_coupling():
     gs = oracle_coarse_solve(m=384, r_max=16.0, kappa=1.0, tol=1e-10)
     assert gs.residual_norm < 1e-6
+    assert gs.iterations == 287
+    assert gs.mass == pytest.approx(1220.0086113341674, rel=1e-12)
 
 
 def test_oracle_rejects_fine_grids():
@@ -138,9 +140,6 @@ def test_oracle_keeps_its_iterations_and_mass():
     assert gs.iterations == 276
     assert gs.mass == pytest.approx(726.9686156374783, rel=1e-12)
     assert gs.residual_norm == pytest.approx(4.346e-7, rel=1e-3)
-    gs = oracle_coarse_solve(m=384, r_max=16.0, kappa=1.0, tol=1e-10)
-    assert gs.iterations == 287
-    assert gs.mass == pytest.approx(1220.0086113341674, rel=1e-12)
 
 
 def test_oracle_works_in_o_m_memory():
