@@ -367,9 +367,11 @@ def _initial_pair(cfg: RunConfig) -> FieldPair:
 
 def _ground_state(cfg: RunConfig) -> GroundState:
     """The radial ground state at the config's solver keys."""
-    return petviashvili_solve(
-        RadialGrid(cfg.m, cfg.r_max), kappa=cfg.kappa, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+    try:
+        grid = RadialGrid(cfg.m, cfg.r_max)
+    except ValueError as exc:   # the grid's own numeric domain
+        raise ConfigError(f"config keys 'm' and 'r_max': {exc}") from None
+    return petviashvili_solve(grid, kappa=cfg.kappa, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def run_command(cfg: RunConfig) -> int:

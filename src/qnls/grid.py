@@ -8,6 +8,9 @@ All quadrature conventions used elsewhere in the package are fixed here:
 Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
 weight on the radial grid, orthonormal FFT normalization, the min-image
 displacement on the torus and the periodic convolution built on both.
+``RadialGrid.integrate`` and ``RadialGrid.dirichlet`` reduce over the last
+axis, so a stacked (2, m) pair gives one value per field in one call, each
+with the bits of its own one-field call.
 
 The torus transforms send complex128 and float64 input straight to
 pocketfft's ``c2c``, the call ``scipy.fft.fftn(..., norm="ortho")`` ends
@@ -27,9 +30,9 @@ float32 and integers among them, stays on the public ``scipy.fft``
 functions, imported on first use, which convert it as they document; so
 does every input when the compiled module cannot be loaded.
 
-Each grid computes its constant arrays once, on first use: the nodes and
-r^4 of the radial grid; the axis, coordinate meshes, wavenumbers, |k|^2
-and Nyquist-zeroed wavenumber meshes of the torus.  The accessors return
+Each grid computes its constant arrays once, on first use: the spacing,
+nodes and r^4 of the radial grid; the axis, coordinate meshes,
+wavenumbers, |k|^2 and Nyquist-zeroed wavenumber meshes of the torus.  The accessors return
 these shared arrays read-only, so a caller that wants to write into one
 must copy it first.
 """
@@ -284,6 +287,9 @@ class RadialGrid:
 
     Nodes sit at r_j = (j + 1/2) * dr so the coordinate singularity of the
     radial Laplacian is never touched; r_max is the Dirichlet cutoff.
+    The quadrature weights reach sigma_4 r_max^4 dr and the stencils divide
+    by dr^2, so r_max^5 and (m / r_max)^2 must be at most 1e300: that leaves
+    a factor 1e8 of the float range to the sampled values and the sums.
     """
 
     m: int
@@ -297,8 +303,13 @@ class RadialGrid:
             raise ValueError(f"need at least 4 radial nodes, got {self.m}")
         if not (self.r_max > 0 and isfinite(self.r_max)):
             raise ValueError(f"cutoff must be a finite positive number, got {self.r_max}")
+        if not self.m * 1e-150 <= self.r_max <= 1e60:
+            raise ValueError(
+                f"r_max^5 and (m / r_max)^2 must be at most 1e300, "
+                f"got m {self.m}, r_max {self.r_max!r}"
+            )
 
-    @property
+    @cached_property
     def dr(self) -> float:
         return self.r_max / self.m
 
@@ -322,42 +333,59 @@ class RadialGrid:
         return self._nodes
 
     def integrate(self, values: np.ndarray):
-        """Midpoint rule: sum f(r_j) * sigma_4 * r_j^4 * dr."""
-        return SPHERE_AREA_4 * np.sum(values * self._r4) * self.dr
+        """Midpoint rule over the last axis: sum f(r_j) * sigma_4 * r_j^4 * dr."""
+        return SPHERE_AREA_4 * np.sum(values * self._r4, axis=-1) * self.dr
 
     def gradient(self, values: np.ndarray) -> list[np.ndarray]:
-        """Fourth-order centered d/dr.
+        """Fourth-order centered d/dr over the last axis.
 
         Ghost values come from even reflection across r=0 (exact for the
         half-offset nodes) and odd reflection at the Dirichlet cutoff.
         """
         return [_centred_d1(radial_ghosts(np.asarray(values)), self.dr)]
 
-    def dirichlet(self, values: np.ndarray) -> float:
-        """int |grad f|^2 with the fourth-order :meth:`gradient`."""
-        return float(self.integrate(np.abs(self.gradient(values)[0]) ** 2))
+    def dirichlet(self, values: np.ndarray):
+        """int |grad f|^2 with the fourth-order :meth:`gradient`, over the last axis.
+
+        Complex samples take :meth:`gradient` as it is.  Real samples run
+        in real arithmetic and scale the stencil by the product with
+        1/(12 dr), which is how numpy divides a complex array by a real
+        scalar: so float64 samples give the bits of the same samples stored
+        as complex with a zero imaginary part (|x + 0i| = |x| under hypot).
+        """
+        f = np.asarray(values)
+        if np.iscomplexobj(f):
+            d1 = self.gradient(f)[0]
+        else:
+            d1 = _d1_numerator(radial_ghosts(f)) * (1.0 / (12.0 * self.dr))
+        return self.integrate(np.abs(d1) ** 2)
+
+
+def _d1_numerator(g: np.ndarray) -> np.ndarray:
+    """12 dx times the fourth-order centred first derivative at g[..., 2:-2]."""
+    return g[..., :-4] - 8.0 * g[..., 1:-3] + 8.0 * g[..., 3:-1] - g[..., 4:]
 
 
 def _centred_d1(g: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order centred first derivative at the nodes g[2:-2] of samples spaced dx."""
-    return (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * dx)
+    """Fourth-order centred first derivative at the nodes g[..., 2:-2] of samples spaced dx."""
+    return _d1_numerator(g) / (12.0 * dx)
 
 
 def _centred_d2(g: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order centred second derivative at the nodes g[2:-2] of samples spaced dx."""
-    return (-g[4:] + 16.0 * g[3:-1] - 30.0 * g[2:-2] + 16.0 * g[1:-3] - g[:-4]) / (
-        12.0 * dx**2
-    )
+    """Fourth-order centred second derivative at the nodes g[..., 2:-2] of samples spaced dx."""
+    return (
+        -g[..., 4:] + 16.0 * g[..., 3:-1] - 30.0 * g[..., 2:-2] + 16.0 * g[..., 1:-3] - g[..., :-4]
+    ) / (12.0 * dx**2)
 
 
 def radial_ghosts(f: np.ndarray) -> np.ndarray:
-    """Pad radial samples with two ghost nodes per side.
+    """Pad radial samples with two ghost nodes per side of the last axis.
 
     Even reflection across r=0 (f(-dr/2) = f(dr/2), exact for smooth radial
     functions on half-offset nodes) and odd reflection about r_max
     (homogeneous Dirichlet).
     """
-    return np.concatenate(([f[1], f[0]], f, [-f[-1], -f[-2]]))
+    return np.concatenate((f[..., 1::-1], f, -f[..., :-3:-1]), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -217,7 +217,7 @@ def _lap4_band(grid: RadialGrid) -> np.ndarray:
     fold order cannot change a bit.
     """
     m = grid.m
-    d2, d1 = _centred_d2(np.eye(5), grid.dr)[0], _centred_d1(np.eye(5), grid.dr)[0]
+    d2, d1 = _centred_d2(np.eye(5), grid.dr)[:, 0], _centred_d1(np.eye(5), grid.dr)[:, 0]
     c = d2[:, None] + d1[:, None] * (4.0 / grid.nodes())   # c[k + 2, i]: f_{i+k} in row i
     i = np.arange(m)
     j = np.abs(sliding_window_view(radial_ghosts(i), m))    # [k + 2, i]: the node f_{i+k} is read from

@@ -115,21 +115,24 @@ def boosted_kinetic(p: FieldPair, xi) -> float:
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     g = p.grid
-    h = fields_mod.kinetic(p)
-    mu = float(g.integrate(np.abs(p.u.values) ** 2))
-    mv = float(g.integrate(np.abs(p.v.values) ** 2))
     kap = p.kappa
-    quad = float(np.dot(xi, xi)) * (kap**2 * mu + 0.5 * kap * mv)
     if isinstance(g, UniformGrid):
+        h = fields_mod.kinetic(p)
+        mu = float(g.integrate(np.abs(p.u.values) ** 2))
+        mv = float(g.integrate(np.abs(p.v.values) ** 2))
         mom = fields_mod.momentum(p)
         if xi.shape != mom.shape:
             raise ValueError(f"xi must have {g.d} components")
         lin = 2.0 * kap * float(np.dot(xi, mom))
     else:
-        # np.any counts a NaN imaginary part as nonzero, so NaN is not real
-        if np.any(np.imag(p.u.values)) or np.any(np.imag(p.v.values)):
+        # one stacked pass; the stack stays complex when an imaginary part is non-zero or NaN
+        w = fields_mod._radial_stack(p)
+        if np.iscomplexobj(w):
             raise ValueError("radial boosted kinetic assumes real profiles")
+        h = fields_mod._kinetic(float, *g.dirichlet(w), kap)
+        mu, mv = g.integrate(w**2).tolist()
         lin = 0.0
+    quad = float(np.dot(xi, xi)) * (kap**2 * mu + 0.5 * kap * mv)
     return h + lin + quad
 
 

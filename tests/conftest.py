@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qnls
-from qnls.grid import RadialGrid, UniformGrid
+from qnls.grid import SPHERE_AREA_4, RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.ground_state import petviashvili_solve, solve_periodic_profile
 
@@ -87,6 +87,21 @@ def out_of_reach_pair():
     grid = UniformGrid(1, 64, 20.0)
     u = 1000.0 * np.exp(-((grid.axis() - 10.0) ** 2)) + 0j
     return pair_from_arrays(grid, u, np.zeros(grid.shape, complex), 0.5)
+
+
+def radial_integral_reference(grid, values):
+    """The radial midpoint rule of one field, written out: sum f(r_j) sigma_4 r_j^4 dr."""
+    r = (np.arange(grid.m) + 0.5) * grid.dr
+    return SPHERE_AREA_4 * np.sum(values * r**4) * grid.dr
+
+
+def radial_dirichlet_reference(grid, f):
+    """int |f'|^2 of one radial field by the one-field formula: the fourth-order
+    stencil on the reflected samples, divided by 12 dr, then |.|^2 and the
+    midpoint rule; complex input runs in complex arithmetic."""
+    g = np.concatenate(([f[1], f[0]], f, [-f[-1], -f[-2]]))
+    d1 = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * grid.dr)
+    return float(radial_integral_reference(grid, np.abs(d1) ** 2))
 
 
 def random_radial_pair(grid, rng, kappa=0.5, amp_scale=1.0):

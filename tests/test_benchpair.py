@@ -71,3 +71,21 @@ def test_one_pair_gives_each_side_its_single_value():
     r = summarize([4.0], [3.0], "lower", 0.25)
     assert r["base"] == {"values": [4.0], "median": 4.0, "q1": 4.0, "q3": 4.0}
     assert (r["head_wins"], r["verdict"]) == (1, "gain")
+
+
+def test_setup_parts_split_each_run_into_imports_and_the_median_set_up():
+    details = [
+        {"import_s": 0.142, "setup_runs_s": [0.004, 0.002, 0.008], "section_cpu_s": 9.9},
+        {"import_s": 0.150, "setup_runs_s": [0.003, 0.005, 0.004]},
+        {"import_s": 0.139, "setup_runs_s": [0.006, 0.007, 0.002]},
+    ]
+    parts = benchpair.setup_parts(details)
+    assert parts["import_s"] == {"values": [0.142, 0.150, 0.139], "median": 0.142}
+    assert parts["setups_s"] == {"values": [0.004, 0.004, 0.006], "median": 0.004}
+
+
+def test_a_run_without_bytecode_writes_is_warned_about(monkeypatch):
+    monkeypatch.setattr(benchpair.sys, "dont_write_bytecode", False)
+    assert benchpair.bytecode_warning() is None
+    monkeypatch.setattr(benchpair.sys, "dont_write_bytecode", True)
+    assert "dont_write_bytecode" in benchpair.bytecode_warning()

@@ -666,6 +666,33 @@ def test_a_cell_volume_beyond_the_float_range_is_a_usage_error(tmp_path, capfd, 
     assert not (tmp_path / "huge.csv").exists()
 
 
+@pytest.mark.parametrize("r_max", [1e300, 1e80, 1e-160, 1e-300])
+def test_a_radial_grid_beyond_the_float_range_is_a_usage_error(tmp_path, capfd, r_max):
+    # 1e300 raised a bare OverflowError (exit 2) that named no key; the
+    # others printed RuntimeWarnings from r^4 or 1/dr^2 and then raised
+    # ConvergenceError (exit 2)
+    conf = tmp_path / "radial.json"
+    conf.write_text(json.dumps({
+        "command": "ground-state", "m": 64, "r_max": r_max, "output": str(tmp_path / "gs.json"),
+    }))
+    assert _quiet_main(conf) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "'m'" in err and "'r_max'" in err
+    assert not (tmp_path / "gs.json").exists()
+
+
+@pytest.mark.parametrize("r_max, message", [
+    (1e6, "balance moments degenerated"), (1e3, "converged to a sign-changing profile"),
+])
+def test_a_radial_grid_inside_the_float_range_keeps_its_convergence_error(capfd, tmp_path, r_max, message):
+    conf = tmp_path / "radial.json"
+    conf.write_text(json.dumps({"command": "ground-state", "m": 64, "r_max": r_max}))
+    assert _quiet_main(conf) == 2
+    out, err = capfd.readouterr()
+    assert json.loads(out) == {"error": "ConvergenceError", "message": message} and err == ""
+
+
 @pytest.mark.parametrize("command", ["morawetz", "classify"])
 def test_a_snapshot_above_the_amplitude_cap_is_a_usage_error(tmp_path, capfd, command):
     # at |u| about 1e80 morawetz overflowed to an OverflowError after a

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnls.grid import Field, UniformGrid
+from qnls.grid import Field, RadialGrid, UniformGrid
 from qnls.fields import (
     FieldPair,
     energy,
@@ -15,8 +15,14 @@ from qnls.fields import (
     pair_lp_norm,
     potential,
 )
+from qnls.threshold import boosted_kinetic
 
-from conftest import random_envelope_pair
+from conftest import (
+    radial_dirichlet_reference,
+    radial_integral_reference,
+    random_envelope_pair,
+    random_radial_pair,
+)
 
 
 def _grid1(n=256, L=2 * np.pi):
@@ -205,3 +211,29 @@ def test_pair_requires_matching_grids_and_positive_kappa():
         pair_from_arrays(g1, z1, z1, kappa=-1.0)
     with pytest.raises(ValueError, match="coupling"):
         pair_from_arrays(g1, z1, z1, kappa=np.inf)
+
+
+@pytest.mark.parametrize("m", [4, 5, 1024])
+def test_radial_pair_functionals_keep_the_one_field_formulas_bits(m):
+    # M, H, R and H(u^xi) each take one stacked pass, in real arithmetic when
+    # no imaginary part is non-zero; each keeps the bits of the one-field
+    # complex formulas, also with a -0.0 imaginary part and with a non-zero one
+    g = RadialGrid(m, 12.0)
+    rng = np.random.default_rng(m)
+    real = random_radial_pair(g, rng)
+    minus = real.with_values(np.conj(real.u.values), np.conj(real.v.values))
+    cplx = real.with_values(real.u.values + 1j * rng.normal(size=m), real.v.values * (1 + 0.5j))
+    for p in (real, minus, cplx):
+        u, v, kap = p.u.values, p.v.values, p.kappa
+        mu = radial_integral_reference(g, np.abs(u) ** 2)
+        mv = radial_integral_reference(g, np.abs(v) ** 2)
+        h = radial_dirichlet_reference(g, u) + 0.5 * kap * radial_dirichlet_reference(g, v)
+        assert mass(p) == float(mu + mv)
+        assert kinetic(p) == h
+        assert potential(p) == float(radial_integral_reference(g, np.real(np.conj(v) * u**2)))
+        if p is not cplx:
+            for xi in (0.0, 0.7, [1.3]):
+                quad = float(np.dot(np.atleast_1d(xi), np.atleast_1d(xi))) * (
+                    kap**2 * float(mu) + 0.5 * kap * float(mv))
+                assert boosted_kinetic(p, xi) == h + 0.0 + quad
+        assert all(type(f(p)) is float for f in (mass, kinetic, potential))

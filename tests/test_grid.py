@@ -17,7 +17,7 @@ from qnls.grid import (
     unit_ball_volume,
 )
 
-from conftest import run_python
+from conftest import radial_dirichlet_reference, run_python
 
 
 def test_make_uniform_grid_spacing():
@@ -44,6 +44,11 @@ def test_uniform_grid_rejects_bad_input():
             UniformGrid(1, 8, bad)
         with pytest.raises(ValueError, match="cutoff"):
             RadialGrid(8, bad)
+    # r_max^5 (the quadrature weights) and (m / r_max)^2 (the stencils) stay at most 1e300
+    for m, r_max in ((64, 1e300), (64, 1.01e60), (64, 63.9 * 1e-150), (2**20, 1e-145)):
+        with pytest.raises(ValueError, match=r"r_max\^5 and \(m / r_max\)\^2"):
+            RadialGrid(m, r_max)
+    RadialGrid(64, 1e60), RadialGrid(64, 64 * 1e-150), RadialGrid(2**20, 2**20 * 1e-150)
 
 
 def test_transform_constant_is_dc_only():
@@ -261,9 +266,32 @@ def test_cached_quadratures_keep_their_bits(d, n):
     rg = RadialGrid(64 * d, 5.0 * d)
     vals = rng.normal(size=rg.m) + 1j * rng.normal(size=rg.m)
     r = (np.arange(rg.m) + 0.5) * rg.dr
-    want = SPHERE_AREA_4 * np.sum(vals * r**4) * rg.dr
-    assert rg.integrate(vals) == want
-    assert rg.integrate(vals) == want
+    for f in (vals, vals.real):
+        want = SPHERE_AREA_4 * np.sum(f * r**4) * rg.dr
+        assert rg.integrate(f) == want
+        assert rg.integrate(f) == want
+
+
+@pytest.mark.parametrize("m", [4, 5, 1024])
+def test_radial_quadratures_of_a_stacked_pair_keep_the_one_field_bits(m):
+    g = RadialGrid(m, 9.0)
+    rng = np.random.default_rng(m)
+    real = rng.normal(size=(2, m))
+    cplx = real + 1j * rng.normal(size=(2, m))
+    for w in (real, cplx, np.abs(cplx) ** 2):
+        # the last axis is reduced: one value per field, each with its own call's bits
+        assert g.integrate(w).tobytes() == np.array([g.integrate(w[0]), g.integrate(w[1])]).tobytes()
+        assert g.dirichlet(w).tobytes() == np.array([g.dirichlet(w[0]), g.dirichlet(w[1])]).tobytes()
+    for f in cplx:
+        # an imaginary part that is not zero keeps the complex stencil and its true division
+        assert g.dirichlet(f) == radial_dirichlet_reference(g, f)
+    for f in real:
+        # float samples run in real arithmetic with the bits of the complex
+        # formula on the same samples with a +0.0 or a -0.0 imaginary part
+        plus, minus = f + 0j, np.conj(f + 0j)
+        assert np.signbit(minus.imag).all() and not np.signbit(plus.imag).any()
+        assert g.dirichlet(f) == radial_dirichlet_reference(g, plus) == radial_dirichlet_reference(g, minus)
+        assert g.dirichlet(plus) == g.dirichlet(minus) == g.dirichlet(f)
 
 
 def test_filled_caches_keep_equality_and_hash():

@@ -18,13 +18,19 @@ runs.  Both sides use this interpreter and this environment.  Each side
 first makes one unrecorded warm-up run per workload, which writes the
 tree's bytecode cache, so that no recorded run compiles.  (A separate cache
 through ``PYTHONPYCACHEPREFIX`` is no substitute: it raised windows'
-``peak_rss_mib`` by about 1.5 MiB.)
+``peak_rss_mib`` by about 1.5 MiB.)  When ``sys.dont_write_bytecode`` is
+set, as by ``PYTHONDONTWRITEBYTECODE``, no run writes that cache, so every
+recorded run compiles ``src/`` inside its ``setup_s``; the script warns.
 
 The report holds both shas (head's with a flag for uncommitted changes), the
 numpy, scipy and Python versions and the core count.  For each workload it
 holds each side's attempted and failed operations, summed over its runs, and
 for each end-to-end metric of ``BENCHMARK.json`` each side's values, median
-and quartiles, head's wins (a tie counts for neither) and a verdict:
+and quartiles, head's wins (a tie counts for neither) and a verdict.
+Next to ``setup_s`` it holds that metric's two parts, read from each run's
+``.perfbench_work/results/<workload>-seed<K>-trace0.json`` ``details``:
+``import_s``, the CPU of interpreter start-up and imports, and the median
+of the run's ``setup_runs_s``, the workload's own set-ups.  The verdicts:
 
 - ``gain``: head wins at least 9 of 10 pairs, and the medians differ in
   head's favour by more than base's interquartile range;
@@ -85,13 +91,37 @@ def summarize(base: list[float], head: list[float], better: str, bound: float) -
     return {**sides, "head_wins": wins, "verdict": verdict}
 
 
+def setup_parts(details: list[dict]) -> dict:
+    """``setup_s`` of one side's runs taken apart, from each run's ``details``.
+
+    ``import_s`` holds each run's start-up and import CPU, ``setups_s`` the
+    median of each run's ``setup_runs_s``; each with its median over runs.
+    """
+    parts = {"import_s": [d["import_s"] for d in details],
+             "setups_s": [float(np.median(d["setup_runs_s"])) for d in details]}
+    return {name: {"values": values, "median": float(np.median(values))}
+            for name, values in parts.items()}
+
+
+def bytecode_warning() -> str | None:
+    """The warning to print when no run can write the bytecode cache, else None."""
+    if not sys.dont_write_bytecode:
+        return None
+    return ("benchpair: warning: sys.dont_write_bytecode is set, so the warm-up runs cannot "
+            "fill the bytecode cache and every recorded run compiles src/ inside its setup_s")
+
+
 def _git(*args: str) -> str:
     return subprocess.run(("git", *args), cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run from ``tree``'s root: the JSON of its last line."""
+    """One ``perfbench/run.py --trace 0`` run from ``tree``'s root.
+
+    Returns the JSON of its last line, with the ``details`` of the result
+    file the run wrote added under that key.
+    """
     cmd = (sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0")
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -99,7 +129,9 @@ def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    result = os.path.join(tree, ".perfbench_work", "results", f"{workload}-seed{seed}-trace0.json")
+    with open(result) as fh:
+        return {**json.loads(lines[-1]), "details": json.load(fh)["details"]}
 
 
 def compare(base_tree: str, spec: dict, workloads: list[str], pairs: int, seconds: float,
@@ -119,6 +151,7 @@ def compare(base_tree: str, spec: dict, workloads: list[str], pairs: int, second
         report[workload] = {
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+            "setup_parts": {side: setup_parts([r["details"] for r in rs]) for side, rs in runs.items()},
             "metrics": {
                 m["name"]: {
                     "unit": m["unit"], "better": m["better"], "bound": m["bound"],
@@ -143,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="a workload to run (repeatable; default: all)")
     parser.add_argument("--out", required=True, metavar="FILE")
     args = parser.parse_args(argv)
+    warning = bytecode_warning()
+    if warning:
+        print(warning, file=sys.stderr)
     if args.pairs < 1 or not args.seconds >= 0:
         parser.error("--pairs must be at least 1 and --seconds not negative")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -176,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
             tar.extractall(base_tree, filter="data")
         report["workloads"] = compare(base_tree, spec, workloads, args.pairs, args.seconds,
                                       args.seed)
-    except (RuntimeError, subprocess.CalledProcessError) as exc:
+    except (RuntimeError, OSError, subprocess.CalledProcessError) as exc:
         print(f"benchpair: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -189,6 +225,10 @@ def main(argv: list[str] | None = None) -> int:
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: base {m['base']['median']:.6g} head {m['head']['median']:.6g} "
                   f"{m['unit']}, head wins {m['head_wins']}/{args.pairs}, {m['verdict']}")
+        parts = entry["setup_parts"]
+        print(f"{workload} setup_s parts: " + ", ".join(
+            f"{side} imports {parts[side]['import_s']['median']:.4g} s + set-ups "
+            f"{parts[side]['setups_s']['median']:.4g} s" for side in ("base", "head")))
         print(f"{workload} failed/attempted: base {entry['failed']['base']}/{entry['attempted']['base']}"
               f", head {entry['failed']['head']}/{entry['attempted']['head']}")
     return 0
