@@ -49,7 +49,7 @@ def pair_from_arrays(
     return FieldPair(Field(grid, u), Field(grid, v), kappa)
 
 
-def _radial_stack(p: FieldPair) -> np.ndarray:
+def radial_stack(p: FieldPair) -> np.ndarray:
     """(u, v) of a radial pair stacked as one (2, m) array, for one pass over both fields.
 
     When no imaginary part is non-zero the float view of the real parts is
@@ -64,9 +64,6 @@ def _radial_stack(p: FieldPair) -> np.ndarray:
 def mass(p: FieldPair) -> float:
     """M = ||u||_2^2 + ||v||_2^2."""
     g = p.grid
-    if isinstance(g, RadialGrid):
-        mu, mv = g.integrate(np.abs(_radial_stack(p)) ** 2)
-        return float(mu + mv)
     return float(g.integrate(np.abs(p.u.values) ** 2) + g.integrate(np.abs(p.v.values) ** 2))
 
 
@@ -74,24 +71,20 @@ def kinetic(p: FieldPair) -> float:
     """H = ||grad u||_2^2 + (kappa/2) ||grad v||_2^2."""
     g = p.grid
     if isinstance(g, RadialGrid):
-        return _kinetic(float, *g.dirichlet(_radial_stack(p)), p.kappa)
+        du, dv = g.dirichlet(radial_stack(p))
+        return float(du + 0.5 * p.kappa * dv)
     return _kinetic(g.dirichlet, p.u.values, p.v.values, p.kappa)
 
 
-def _kinetic(dirichlet, u, v, kappa: float) -> float:
-    """H = dirichlet(u) + (kappa/2) dirichlet(v).
-
-    ``dirichlet`` is the grid's Dirichlet integral of samples or of
-    spectra, or ``float`` of integrals already taken.
-    """
+def _kinetic(dirichlet, u: np.ndarray, v: np.ndarray, kappa: float) -> float:
+    """H = dirichlet(u) + (kappa/2) dirichlet(v): the grid's Dirichlet integral of samples or of spectra."""
     return dirichlet(u) + 0.5 * kappa * dirichlet(v)
 
 
 def potential(p: FieldPair) -> float:
     """R = Re int conj(v) u^2."""
     g = p.grid
-    u, v = _radial_stack(p) if isinstance(g, RadialGrid) else (p.u.values, p.v.values)
-    return float(g.integrate(np.real(np.conj(v) * u**2)))
+    return float(g.integrate(np.real(np.conj(p.v.values) * p.u.values**2)))
 
 
 def energy(p: FieldPair) -> float:

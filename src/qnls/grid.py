@@ -347,17 +347,13 @@ class RadialGrid:
     def dirichlet(self, values: np.ndarray):
         """int |grad f|^2 with the fourth-order :meth:`gradient`, over the last axis.
 
-        Complex samples take :meth:`gradient` as it is.  Real samples run
-        in real arithmetic and scale the stencil by the product with
-        1/(12 dr), which is how numpy divides a complex array by a real
-        scalar: so float64 samples give the bits of the same samples stored
-        as complex with a zero imaginary part (|x + 0i| = |x| under hypot).
+        The stencil is scaled by the product with 1/(12 dr), which is how
+        numpy divides a complex array by a real scalar: so complex samples
+        keep the bits of :meth:`gradient` up to the sign of zeros, and
+        float64 samples give the bits of the same samples stored as complex
+        with a zero imaginary part (|x + 0i| = |x| under hypot).
         """
-        f = np.asarray(values)
-        if np.iscomplexobj(f):
-            d1 = self.gradient(f)[0]
-        else:
-            d1 = _d1_numerator(radial_ghosts(f)) * (1.0 / (12.0 * self.dr))
+        d1 = _d1_numerator(radial_ghosts(np.asarray(values))) * (1.0 / (12.0 * self.dr))
         return self.integrate(np.abs(d1) ** 2)
 
 

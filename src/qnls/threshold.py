@@ -126,10 +126,11 @@ def boosted_kinetic(p: FieldPair, xi) -> float:
         lin = 2.0 * kap * float(np.dot(xi, mom))
     else:
         # one stacked pass; the stack stays complex when an imaginary part is non-zero or NaN
-        w = fields_mod._radial_stack(p)
+        w = fields_mod.radial_stack(p)
         if np.iscomplexobj(w):
             raise ValueError("radial boosted kinetic assumes real profiles")
-        h = fields_mod._kinetic(float, *g.dirichlet(w), kap)
+        du, dv = g.dirichlet(w)
+        h = float(du + 0.5 * kap * dv)
         mu, mv = g.integrate(w**2).tolist()
         lin = 0.0
     quad = float(np.dot(xi, xi)) * (kap**2 * mu + 0.5 * kap * mv)

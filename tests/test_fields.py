@@ -215,9 +215,10 @@ def test_pair_requires_matching_grids_and_positive_kappa():
 
 @pytest.mark.parametrize("m", [4, 5, 1024])
 def test_radial_pair_functionals_keep_the_one_field_formulas_bits(m):
-    # M, H, R and H(u^xi) each take one stacked pass, in real arithmetic when
-    # no imaginary part is non-zero; each keeps the bits of the one-field
-    # complex formulas, also with a -0.0 imaginary part and with a non-zero one
+    # H and H(u^xi) each take one stacked pass, in real arithmetic when no
+    # imaginary part is non-zero; with M and R they keep the bits of the
+    # one-field complex formulas, also with a -0.0 imaginary part and with a
+    # non-zero one
     g = RadialGrid(m, 12.0)
     rng = np.random.default_rng(m)
     real = random_radial_pair(g, rng)

@@ -283,7 +283,7 @@ def test_radial_quadratures_of_a_stacked_pair_keep_the_one_field_bits(m):
         assert g.integrate(w).tobytes() == np.array([g.integrate(w[0]), g.integrate(w[1])]).tobytes()
         assert g.dirichlet(w).tobytes() == np.array([g.dirichlet(w[0]), g.dirichlet(w[1])]).tobytes()
     for f in cplx:
-        # an imaginary part that is not zero keeps the complex stencil and its true division
+        # an imaginary part that is not zero keeps the bits of the stencil's true division
         assert g.dirichlet(f) == radial_dirichlet_reference(g, f)
     for f in real:
         # float samples run in real arithmetic with the bits of the complex
