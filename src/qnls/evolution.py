@@ -577,7 +577,7 @@ def _record(p: FieldPair, t: float, w: np.ndarray | None = None) -> DiagnosticsR
     return DiagnosticsRecord(
         t=t,
         mass=fields_mod.mass(p),
-        kinetic=fields_mod._kinetic(g._dirichlet_of_spectrum, *spectrum, p.kappa),
+        kinetic=fields_mod._kinetic(g._dirichlet_of_spectrum(spectrum), p.kappa),
         potential=fields_mod.potential(p),
         momentum=fields_mod._momentum(g, *spectrum),
         l3_u=lp_norm(p.u, 3.0),
@@ -665,7 +665,8 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
     12 log-spaced times), fits log-norm against log-t, and returns the
     slope; the dispersive bound predicts -d(1/2 - 1/r).  Aborts when more than 1e-6
     of the mass sits near the box boundary at the final time (wrap-around
-    contamination).  Raises ``ValueError`` for a field that is not finite.
+    contamination).  Raises ``ValueError`` for a field that is not finite or
+    is zero at every sample, whose norms have no logarithm.
     """
     grid = f0.grid
     if not isinstance(grid, UniformGrid):
@@ -675,6 +676,8 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
         raise ValueError("need 0 < t_start < t_end")
     if not np.isfinite(f0.values).all():
         raise ValueError("cannot fit the decay of a field that is not finite")
+    if not f0.values.any():
+        raise ValueError("cannot fit the decay of a field that is zero everywhere")
     k2 = grid.k2()
     fhat = grid.fft(f0.values)
     times = np.geomspace(t0, t1, 12)

@@ -49,16 +49,19 @@ def pair_from_arrays(
     return FieldPair(Field(grid, u), Field(grid, v), kappa)
 
 
-def radial_stack(p: FieldPair) -> np.ndarray:
-    """(u, v) of a radial pair stacked as one (2, m) array, for one pass over both fields.
+def stack(p: FieldPair) -> np.ndarray:
+    """(u, v) stacked as one (2, *shape) array, for one pass of a grid quadrature over both fields.
 
-    When no imaginary part is non-zero the float view of the real parts is
-    returned, without a copy, and the functionals run in real arithmetic
-    with the bits of the complex formulas: a NaN imaginary part counts as
-    non-zero, and -0.0 as zero, since |x + (-0)i| = |x| under hypot.
+    On the radial grid, when no imaginary part is non-zero, the float view of
+    the real parts is returned, without a copy, and the functionals run in
+    real arithmetic with the bits of the complex formulas: a NaN imaginary
+    part counts as non-zero, and -0.0 as zero, since |x + (-0)i| = |x| under
+    hypot.  A torus stack is never viewed as real: a transform of float64
+    input takes pocketfft's real path, with other bits (``grid`` module
+    docstring).
     """
     w = np.array((p.u.values, p.v.values))
-    return w if w.imag.any() else w.real
+    return w.real if isinstance(p.grid, RadialGrid) and not w.imag.any() else w
 
 
 def mass(p: FieldPair) -> float:
@@ -69,16 +72,13 @@ def mass(p: FieldPair) -> float:
 
 def kinetic(p: FieldPair) -> float:
     """H = ||grad u||_2^2 + (kappa/2) ||grad v||_2^2."""
-    g = p.grid
-    if isinstance(g, RadialGrid):
-        du, dv = g.dirichlet(radial_stack(p))
-        return float(du + 0.5 * p.kappa * dv)
-    return _kinetic(g.dirichlet, p.u.values, p.v.values, p.kappa)
+    return _kinetic(p.grid.dirichlet(stack(p)), p.kappa)
 
 
-def _kinetic(dirichlet, u: np.ndarray, v: np.ndarray, kappa: float) -> float:
-    """H = dirichlet(u) + (kappa/2) dirichlet(v): the grid's Dirichlet integral of samples or of spectra."""
-    return dirichlet(u) + 0.5 * kappa * dirichlet(v)
+def _kinetic(dirichlet: np.ndarray, kappa: float) -> float:
+    """H from the pair's per-field Dirichlet integrals (du, dv): du + (kappa/2) dv."""
+    du, dv = dirichlet.tolist()
+    return float(du + 0.5 * kappa * dv)
 
 
 def potential(p: FieldPair) -> float:
@@ -101,13 +101,13 @@ def momentum(p: FieldPair) -> np.ndarray:
     g = p.grid
     if not isinstance(g, UniformGrid):
         raise TypeError("momentum is defined on uniform grids only")
-    return _momentum(g, *g.fft(np.array((p.u.values, p.v.values))))
+    return _momentum(g, *g.fft(stack(p)))
 
 
 def _momentum(g: UniformGrid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
     """P of the pair whose transforms are ``uhat`` and ``vhat``."""
     dens = np.abs(uhat) ** 2 + 0.5 * np.abs(vhat) ** 2
-    return np.array([np.sum(km * dens) for km in g.derivative_wavenumbers()]) * g.h**g.d
+    return np.array([g.integrate(km * dens) for km in g.derivative_wavenumbers()])
 
 
 def gn_functional(p: FieldPair) -> float:

@@ -509,18 +509,6 @@ def oracle_coarse_solve(
     return GroundState(pair, residual, np.nan, it, (residual,))
 
 
-def sharp_gn_constant(gs: GroundState) -> float:
-    """C_GN = 4 * 5^(-5/4) * M_gs^(-1/2), cross-checked against J(Q)^(-1/2)."""
-    c_formula = gs.gn_constant
-    c_direct = fields.gn_functional(gs.pair) ** (-0.5)
-    rel = abs(c_formula - c_direct) / c_formula
-    if rel > 1e-2:
-        raise ConvergenceError(
-            f"C_GN formula and J(Q)^(-1/2) disagree by {rel:.2e}; state not converged"
-        )
-    return c_formula
-
-
 def solve_periodic_profile(
     grid: UniformGrid, kappa: float = 0.5, tol: float = 1e-12, max_iter: int = 2000
 ) -> FieldPair:

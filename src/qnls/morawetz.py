@@ -335,8 +335,8 @@ def _window(grid: UniformGrid, s, R: float, eps: float) -> np.ndarray:
     return _cutoff(grid, s, R, eps) ** 2
 
 
-def _densities(p: FieldPair):
-    """Pointwise densities used across the module.
+def _densities(grid: UniformGrid, w: np.ndarray, kappa: float):
+    """Pointwise densities of the stacked pair ``w`` = (u, v) (:func:`fields.stack`).
 
     Returns (L, A, nu): L = 2|grad u|^2 + kappa |grad v|^2 (per-component
     array of shape (d, ...) summed on request), A_j = Im(2 u d_j conj(u) +
@@ -344,10 +344,8 @@ def _densities(p: FieldPair):
     B_j = Im(2 kappa u d_j conj(u) + kappa v d_j conj(v)) is kappa A_j
     identically, so callers use kappa A in its place.
     """
-    grid = p.grid
-    kappa = p.kappa
-    u, v = p.u.values, p.v.values
-    grads = grid.gradient(np.array((u, v)))   # one stacked (du_j, dv_j) per axis
+    u, v = w
+    grads = grid.gradient(w)   # one stacked (du_j, dv_j) per axis
     du = [g[0] for g in grads]
     dv = [g[1] for g in grads]
     l_comp = np.array([2.0 * np.abs(du[j]) ** 2 + kappa * np.abs(dv[j]) ** 2 for j in range(grid.d)])
@@ -361,10 +359,10 @@ def _densities(p: FieldPair):
 def _window_moments(p: FieldPair, win: np.ndarray):
     """Window moments (l, n, a): the integrals of sum_j L_j, nu and each A_j against win."""
     grid = p.grid
-    l_comp, a_comp, nu = _densities(p)
+    l_comp, a_comp, nu = _densities(grid, fields_mod.stack(p), p.kappa)
     l_tot = float(grid.integrate(np.sum(l_comp, axis=0) * win))
     n_tot = float(grid.integrate(nu * win))
-    a_vec = np.array([float(grid.integrate(a_comp[j] * win)) for j in range(grid.d)])
+    a_vec = grid.integrate(a_comp * win)
     return l_tot, n_tot, a_vec
 
 
@@ -411,11 +409,11 @@ def morawetz_action(p: FieldPair, w: MorawetzWeights) -> float:
         raise TypeError("the Morawetz action is evaluated in d = 1 or 2")
     if w.d != grid.d:
         raise ValueError(f"weights are built for d = {w.d}, the grid has d = {grid.d}")
-    _, a_comp, nu = _densities(p)
+    _, a_comp, nu = _densities(grid, fields_mod.stack(p), p.kappa)
     origin = np.zeros(grid.d)
     kernel = w.psi_of(grid.distance(origin) / w.R) * np.array(grid.displacement(origin))
     conv = np.real(grid.convolve(kernel, nu))
-    return -2.0 * float(grid.integrate(a_comp * conv))
+    return -2.0 * float(np.sum(grid.integrate(a_comp * conv)))
 
 
 def galilean_pairing(p: FieldPair, s, R: float, w: MorawetzWeights) -> float:
@@ -467,7 +465,7 @@ def cauchy_schwarz_margin(
         raise TypeError("the Cauchy-Schwarz margin is defined on uniform grids")
     if rng is None:
         rng = np.random.default_rng(0)
-    l_comp, a_comp, nu = _densities(p)
+    l_comp, a_comp, nu = _densities(grid, fields_mod.stack(p), p.kappa)
     l_flat = l_comp.reshape(grid.d, -1)
     a_flat = a_comp.reshape(grid.d, -1)
     b_flat = p.kappa * a_flat
@@ -578,7 +576,7 @@ def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> Inte
     def observe(step: int, w: np.ndarray, tripped: bool) -> None:
         """Appends t_w * ln_w * (1/R) * int (l n - kappa a^2) ds per shell, unless tripped."""
         if not tripped:
-            l_comp, a_comp, nu = _densities(p0.with_values(w[0], w[1]))
+            l_comp, a_comp, nu = _densities(grid, w, kappa)
             sums = window_sums(np.array((l_comp[0], a_comp[0], nu))).real
             # views, not a moveaxis: per-call overhead dominates on these arrays
             l_w, a_w, n_w = sums[:, 0], sums[:, 1], sums[:, 2]

@@ -116,23 +116,19 @@ def boosted_kinetic(p: FieldPair, xi) -> float:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     g = p.grid
     kap = p.kappa
+    # one stacked pass; a radial stack stays complex when an imaginary part is non-zero or NaN
+    w = fields_mod.stack(p)
     if isinstance(g, UniformGrid):
-        h = fields_mod.kinetic(p)
-        mu = float(g.integrate(np.abs(p.u.values) ** 2))
-        mv = float(g.integrate(np.abs(p.v.values) ** 2))
-        mom = fields_mod.momentum(p)
+        mom = fields_mod._momentum(g, *g.fft(w))
         if xi.shape != mom.shape:
             raise ValueError(f"xi must have {g.d} components")
         lin = 2.0 * kap * float(np.dot(xi, mom))
+    elif np.iscomplexobj(w):
+        raise ValueError("radial boosted kinetic assumes real profiles")
     else:
-        # one stacked pass; the stack stays complex when an imaginary part is non-zero or NaN
-        w = fields_mod.radial_stack(p)
-        if np.iscomplexobj(w):
-            raise ValueError("radial boosted kinetic assumes real profiles")
-        du, dv = g.dirichlet(w)
-        h = float(du + 0.5 * kap * dv)
-        mu, mv = g.integrate(w**2).tolist()
         lin = 0.0
+    h = fields_mod._kinetic(g.dirichlet(w), kap)
+    mu, mv = g.integrate(np.abs(w) ** 2).tolist()
     quad = float(np.dot(xi, xi)) * (kap**2 * mu + 0.5 * kap * mv)
     return h + lin + quad
 

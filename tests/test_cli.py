@@ -450,6 +450,28 @@ def test_a_state_that_is_not_finite_is_a_numeric_failure(tmp_path, capfd, comman
     assert err == "" and caught == [] and not out.exists()
 
 
+def test_disperse_refuses_a_zero_field(tmp_path, capfd):
+    # the norms of a zero field have no logarithm: the fit would divide
+    # by zero and print a NaN slope, so the field is refused instead
+    grid = UniformGrid(1, 64, 20.0)
+    zero = np.zeros(64, complex)
+    snap = str(tmp_path / "zero.snap")
+    write_snapshot(pair_from_arrays(grid, zero, zero), 0.0, snap)
+    conf = tmp_path / "run.json"
+    out = tmp_path / "out.json"
+    conf.write_text(json.dumps({
+        "command": "disperse", "n": 64, "L": 20.0, "initial": "file", "input_path": snap,
+        "output": str(out),
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(conf)]) == 2
+    stdout, err = capfd.readouterr()
+    doc = json.loads(stdout)
+    assert doc["error"] == "ValueError" and "zero everywhere" in doc["message"]
+    assert err == "" and caught == [] and not out.exists()
+
+
 def test_evolve_prints_completed_and_undecided_for_a_nearly_flat_state(tmp_path, capsys):
     # the modulational instability of a nearly flat u: H grows to 3.1e4 H(0),
     # so blow_up_detect's test relative to H(0) cannot call it global, while

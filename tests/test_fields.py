@@ -238,3 +238,28 @@ def test_radial_pair_functionals_keep_the_one_field_formulas_bits(m):
                     kap**2 * float(mu) + 0.5 * kap * float(mv))
                 assert boosted_kinetic(p, xi) == h + 0.0 + quad
         assert all(type(f(p)) is float for f in (mass, kinetic, potential))
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+def test_torus_pair_functionals_keep_the_one_field_formulas_bits(d, n):
+    # H, P and H(u^xi) each take stacked passes over (u, v); they keep the
+    # bits of the one-field formulas written out here
+    g = UniformGrid(d, n, 9.0)
+    rng = np.random.default_rng(d)
+    p = random_envelope_pair(g, rng)
+    u, v, kap, hd = p.u.values, p.v.values, p.kappa, g.h**g.d
+    kd = g.derivative_wavenumbers()
+    k2 = sum(km**2 for km in kd)
+    uhat, vhat = g.fft(u), g.fft(v)
+    du = float(np.sum(k2 * np.abs(uhat) ** 2) * hd)
+    dv = float(np.sum(k2 * np.abs(vhat) ** 2) * hd)
+    h = du + 0.5 * kap * dv
+    dens = np.abs(uhat) ** 2 + 0.5 * np.abs(vhat) ** 2
+    mom = np.array([np.sum(km * dens) for km in kd]) * hd
+    mu = float(np.sum(np.abs(u) ** 2) * hd)
+    mv = float(np.sum(np.abs(v) ** 2) * hd)
+    assert kinetic(p) == h
+    assert momentum(p).tobytes() == mom.tobytes()
+    for xi in (np.zeros(d), rng.normal(size=d), np.full(d, 0.7)):
+        quad = float(np.dot(xi, xi)) * (kap**2 * mu + 0.5 * kap * mv)
+        assert boosted_kinetic(p, xi) == h + 2.0 * kap * float(np.dot(xi, mom)) + quad

@@ -262,6 +262,11 @@ def test_cached_quadratures_keep_their_bits(d, n):
     want = float(np.sum(k2 * np.abs(g.fft(vals)) ** 2) * g.h**g.d)
     assert g.dirichlet(vals) == want
     assert g.dirichlet(vals) == want            # again, from the filled cache
+    real = rng.normal(size=(2, *g.shape))
+    for w in (real, real + 1j * rng.normal(size=(2, *g.shape))):
+        # the last d axes are reduced: one value per field, each with its own call's bits
+        assert g.integrate(w).tobytes() == np.array([g.integrate(w[0]), g.integrate(w[1])]).tobytes()
+        assert g.dirichlet(w).tobytes() == np.array([g.dirichlet(w[0]), g.dirichlet(w[1])]).tobytes()
 
     rg = RadialGrid(64 * d, 5.0 * d)
     vals = rng.normal(size=rg.m) + 1j * rng.normal(size=rg.m)

@@ -24,7 +24,6 @@ from qnls.ground_state import (
     oracle_coarse_solve,
     petviashvili_normalization,
     petviashvili_solve,
-    sharp_gn_constant,
     solve_periodic_profile,
 )
 
@@ -172,7 +171,7 @@ def test_grid_refinement_stability(gs_fine):
 
 
 def test_sharp_gn_constant_consistency(gs_fine):
-    c = sharp_gn_constant(gs_fine)
+    c = gs_fine.gn_constant
     j_q = fields.gn_functional(gs_fine.pair)
     assert c == pytest.approx(j_q ** (-0.5), rel=1e-3)
     # power law: doubling the mass shrinks the constant by sqrt(2)

@@ -15,12 +15,19 @@ relative paths, so artifacts never embed a location.  Runs go in manifest order,
 ``file`` runs read snapshots that earlier runs wrote.  A 24th run builds
 the Morawetz weight tables, which no command writes, in one more process:
 ``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
-eps = 0.05.
+eps = 0.05.  A 25th process evaluates the pair functionals, which no
+command prints on its own: ``kinetic``, ``momentum``, ``boosted_kinetic``,
+``coercivity_gap``, ``boost_xi``, ``weighted_momentum``,
+``galilean_pairing`` and ``cauchy_schwarz_margin`` on two seeded torus
+pairs each in d = 1, 2 and 3, ``coercivity_on_balls`` and
+``morawetz_action`` on those in d = 1 and 2, and ``kinetic``,
+``boosted_kinetic`` and ``coercivity_gap`` on two seeded radial pairs.
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
-each CLI run, ``files/<name>`` of every file left in the directory, and
-``tables/d<d>/<name>`` of each table, to the sha256 of its bytes: 140
-entries for this manifest.  Outputs are
+each CLI run, ``files/<name>`` of every file left in the directory,
+``tables/d<d>/<name>`` of each table, and ``functionals/<name>/<case>`` of
+each functional value (its float64 bytes), to the sha256 of its bytes:
+140 entries for the CLI runs and tables and 62 for the functionals.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
 entries that differ or that only one digest has, and exits 1 if there are
@@ -135,6 +142,62 @@ print(json.dumps({
 }))
 """
 
+# prints {"functionals/<name>/<case>": sha256 of the float64 bytes} as JSON
+FUNCTIONALS = """
+import hashlib, json
+import numpy as np
+from qnls import fields as F, morawetz as M, threshold as TH
+from qnls.grid import RadialGrid, UniformGrid
+from qnls.ground_state import petviashvili_solve
+
+out = {}
+
+def put(name, case, *values):
+    data = np.concatenate([np.asarray(v, dtype=float).ravel() for v in values]).tobytes()
+    out[f"functionals/{name}/{case}"] = hashlib.sha256(data).hexdigest()
+
+# two random plane waves under a Gaussian whose centre is off the box centre
+def bump(g, rng):
+    x = g.coords()
+    env = np.exp(-sum((xj - g.L * rng.uniform(0.35, 0.65)) ** 2 for xj in x) / 4.0)
+    return env * sum(rng.normal() * np.exp(1j * sum(rng.normal() * xj for xj in x)) for _ in range(2))
+
+gs = petviashvili_solve(RadialGrid(256, 20.0))
+weights = {d: M.build_weights(d, 2.0, 0.05) for d in (1, 2)}
+for d, n, L in ((1, 64, 20.0), (2, 32, 15.0), (3, 16, 10.0)):
+    g = UniformGrid(d, n, L)
+    s, xi = np.full(d, L / 2), np.full(d, 0.3)
+    w = weights[min(d, 2)]   # windows read only eps; the action needs its own d
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        p = F.pair_from_arrays(g, bump(g, rng), bump(g, rng))
+        case = f"torus-d{d}-seed{seed}"
+        put("kinetic", case, F.kinetic(p))
+        put("momentum", case, F.momentum(p))
+        put("boosted_kinetic", case, TH.boosted_kinetic(p, xi))
+        put("coercivity_gap", case, TH.coercivity_gap(p, xi))
+        choice = M.boost_xi(p, s, 2.0, w)
+        put("boost_xi", case, choice.xi, choice.denominator)
+        put("weighted_momentum", case, M.weighted_momentum(p, s, 2.0, w))
+        put("galilean_pairing", case, M.galilean_pairing(p, s, 2.0, w))
+        put("cauchy_schwarz_margin", case, M.cauchy_schwarz_margin(p, 1000))
+        if d <= 2:
+            rep = TH.coercivity_on_balls(p, s, 3.0, gs)
+            put("coercivity_on_balls", case, rep.localized_kinetic, rep.localized_potential,
+                rep.delta_prime, rep.identity_error, rep.kinetic_excess_constant)
+            put("morawetz_action", case, M.morawetz_action(p, w))
+for seed in (0, 1):
+    rng = np.random.default_rng(seed)
+    r = gs.pair.grid.nodes()
+    p = gs.pair.with_values(*(rng.uniform(0.3, 2.0) * np.exp(-(r / rng.uniform(0.5, 3.0)) ** 2)
+                              + 0j for _ in range(2)))
+    case = f"radial-seed{seed}"
+    put("kinetic", case, F.kinetic(p))
+    put("boosted_kinetic", case, TH.boosted_kinetic(p, 0.7))
+    put("coercivity_gap", case, TH.coercivity_gap(p, 0.7))
+print(json.dumps(out))
+"""
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -162,6 +225,10 @@ def digest() -> dict[str, str]:
         [sys.executable, "-c", TABLES], env=env, capture_output=True, check=True, text=True,
     )
     out.update(json.loads(tables.stdout))
+    functionals = subprocess.run(
+        [sys.executable, "-c", FUNCTIONALS], env=env, capture_output=True, check=True, text=True,
+    )
+    out.update(json.loads(functionals.stdout))
     return out
 
 
