@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .evolution import EvolutionConfig, _whole_steps, blow_up_detect, dispersive_decay_fit, evolve
-from .fields import FieldPair, galilean_boost, pair_from_arrays
+from .fields import FieldPair, galilean_boost, kinetic, mass, pair_from_arrays, potential, stack
 from .grid import RadialGrid, UniformGrid
 from .ground_state import GroundState, petviashvili_solve, solve_periodic_profile
 from .morawetz import InteractionParams, interaction_lhs
@@ -59,6 +59,9 @@ _INITIALS = ("gaussian", "soliton", "boosted-soliton", "file")
 # accumulator grow as its fourth power, which overflows from about 1e77 on
 # an L = 20 box
 _AMPLITUDE_CAP = 1e50
+# the keys that build each kind of initial state, as its refusal names them
+_BUILT_BY = {"gaussian": ("amplitude", "width", "phase_velocity", "L"), "file": ("input_path",),
+             "soliton": ("kappa", "n", "L"), "boosted-soliton": ("kappa", "xi", "n", "L")}
 
 # key: (default, type check, range check or None), in echo order
 _KEYS: dict[str, tuple] = {
@@ -77,8 +80,8 @@ _KEYS: dict[str, tuple] = {
     "dimension": (1, _INTEGER, (lambda d: d in (1, 2, 3), "1, 2 or 3")),
     "initial": ("gaussian", (lambda x: x in _INITIALS, f"one of {', '.join(_INITIALS)}"), None),
     "amplitude": (1.0, _POSITIVE, (lambda a: a <= _AMPLITUDE_CAP, "at most 1e50")),
-    # 2 width^2 stays a normal float, so the Gaussian is not 0/0 at its centre
-    "width": (2.0, _POSITIVE, (lambda w: w >= 1e-150, "at least 1e-150")),
+    # 2 width^2 stays a finite normal float, so the Gaussian is not 0/0 at its centre
+    "width": (2.0, _POSITIVE, (lambda w: 1e-150 <= w <= 1e150, "in [1e-150, 1e150]")),
     "center": (None, (lambda x: x is None or _is_number(x), "a finite number or null"), None),
     "phase_velocity": (0.0, _NUMBER, None),
     "xi": (0.5, _NUMBER, None),
@@ -295,15 +298,11 @@ def _write_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
 
 
 def _initial_pair(cfg: RunConfig) -> FieldPair:
-    """The command's initial state on its periodic box (``morawetz`` runs in d = 1)."""
-    grid = UniformGrid(cfg.options.get("dimension", 1), cfg.n, cfg.L)
+    """The command's initial state on its periodic box (``morawetz``: d = 1), or a domain usage error."""
     try:
-        grid.h**grid.d   # the cell volume of every quadrature on the box
-    except OverflowError:
-        raise ConfigError(
-            f"config keys 'L', 'n' and 'dimension' give a cell volume (L / n)^dimension "
-            f"beyond the float range, got L {cfg.L!r}, n {cfg.n!r}, dimension {grid.d}"
-        ) from None
+        grid = UniformGrid(cfg.options.get("dimension", 1), cfg.n, cfg.L)
+    except ValueError as exc:   # the grid's own numeric domain
+        raise ConfigError(f"config keys 'L', 'n' and 'dimension': {exc}") from None
     kind = cfg.initial
     if kind == "file":
         if cfg.input_path is None:
@@ -327,42 +326,37 @@ def _initial_pair(cfg: RunConfig) -> FieldPair:
         ]
         if differ:
             raise ConfigError(f"the input_path snapshot disagrees with config keys {', '.join(differ)}")
-        # a state that is not finite keeps its own outcome (blow-up, or a refusal)
-        u, v = pair.u.values, pair.v.values
-        if np.isfinite(u).all() and np.isfinite(v).all():
-            with np.errstate(over="ignore"):   # |z| of a finite z may be inf
-                peak = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))))
-            if peak > _AMPLITUDE_CAP:
-                raise ConfigError(f"input_path holds a state with max |u|, |v| = {peak:.3g}, "
-                                  "above the amplitude cap 1e50")
-        return pair
-    if kind == "gaussian":
-        if cfg.width > 1e150:   # 2 width^2 overflows near 1e154
-            raise ConfigError(
-                f"config key 'width' must be at most 1e150 for a Gaussian, so that 2 width^2 "
-                f"is finite, got {cfg.width!r}"
-            )
+    elif kind == "gaussian":
         center = cfg.center if cfg.center is not None else grid.L / 2.0
         # far from a narrow Gaussian the exponent overflows, and exp(-inf) = 0;
-        # a phase that overflows is refused below (with a finite cell volume
-        # the coordinate sum is finite, so a zero phase_velocity gives 0)
-        with np.errstate(over="ignore"):
+        # a phase that overflows gives NaN samples, which the check below refuses
+        with np.errstate(over="ignore", invalid="ignore"):
             rho2 = sum((c - center) ** 2 for c in grid.coords())
             env = cfg.amplitude * np.exp(-rho2 / (2.0 * cfg.width**2))
-            phase = cfg.phase_velocity * sum(grid.coords())
-        if not np.isfinite(phase).all():
-            raise ConfigError(
-                f"config keys 'phase_velocity' and 'L' give a plane-wave phase "
-                f"phase_velocity * (x_1 + ... + x_d) beyond the float range, got "
-                f"{cfg.phase_velocity!r} on a box of length {cfg.L!r}"
-            )
-        u = env * np.exp(1j * phase)
-        v = np.zeros(grid.shape, dtype=complex)
-        return pair_from_arrays(grid, u, v, cfg.kappa)
-    pair = solve_periodic_profile(grid, kappa=cfg.kappa, tol=1e-12)
-    if kind == "soliton":
-        return pair
-    return galilean_boost(pair, [cfg.xi] * grid.d)   # boosted-soliton
+            u = env * np.exp(1j * (cfg.phase_velocity * sum(grid.coords())))
+        pair = pair_from_arrays(grid, u, np.zeros(grid.shape, dtype=complex), cfg.kappa)
+    else:
+        pair = solve_periodic_profile(grid, kappa=cfg.kappa, tol=1e-12)
+        if kind == "boosted-soliton":
+            with np.errstate(over="ignore", invalid="ignore"):
+                pair = galilean_boost(pair, [cfg.xi] * grid.d)
+    # a snapshot that is not finite keeps its own outcome (blow-up, or a refusal); the
+    # caps keep the reports' quadratic products (M H, M E, E0^2) finite
+    w = stack(pair)
+    keys = ", ".join(map(repr, _BUILT_BY[kind]))
+    if not np.isfinite(w).all():
+        if kind == "file":
+            return pair
+        raise ConfigError(f"the initial state from config keys {keys} is not finite")
+    with np.errstate(all="ignore"):   # |z| of a finite z, and the sums, may be inf
+        peak = float(np.max(np.abs(w)))
+        size = mass(pair) + kinetic(pair) + abs(potential(pair))
+    if peak > _AMPLITUDE_CAP or not size <= 1e150:
+        raise ConfigError(
+            f"the initial state from config keys {keys} has max |u|, |v| = {peak:.3g} and "
+            f"M + H + |R| = {size:.3g} at t = 0; the caps are 1e50 and 1e150"
+        )
+    return pair
 
 
 def _ground_state(cfg: RunConfig) -> GroundState:
@@ -434,8 +428,11 @@ def run_command(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "morawetz":
+        try:
+            params = InteractionParams(R0=cfg.R0, J=cfg.J, T0=cfg.T0, eps=cfg.eps)
+        except ValueError as exc:   # the radii's numeric domain
+            raise ConfigError(f"config keys 'R0', 'J' and 'T0': {exc}") from None
         pair = _initial_pair(cfg)
-        params = InteractionParams(R0=cfg.R0, J=cfg.J, T0=cfg.T0, eps=cfg.eps)
         res = interaction_lhs(pair, cfg.dt, params)
         rows = [[float(r), float(acc)] for r, acc in zip(res.radii, res.per_radius)]
         if out is not None:

@@ -666,7 +666,8 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
     slope; the dispersive bound predicts -d(1/2 - 1/r).  Aborts when more than 1e-6
     of the mass sits near the box boundary at the final time (wrap-around
     contamination).  Raises ``ValueError`` for a field that is not finite or
-    is zero at every sample, whose norms have no logarithm.
+    is zero at every sample, and for one whose density sum or any fitted norm
+    underflows to zero: those norms have no logarithm.
     """
     grid = f0.grid
     if not isinstance(grid, UniformGrid):
@@ -690,7 +691,10 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
     dens = np.abs(ft) ** 2
     margin = grid.L / 16.0
     edge = np.any([(x < margin) | (x > grid.L - margin) for x in grid.coords()], axis=0)
-    frac = float(np.sum(dens[edge]) / np.sum(dens))
+    total = np.sum(dens)
+    if total == 0 or min(norms) == 0:
+        raise ValueError("cannot fit the decay of a field whose density or norm underflows to zero")
+    frac = float(np.sum(dens[edge]) / total)
     if frac > 1e-6:
         raise RuntimeError(
             f"wrap-around contamination: boundary mass fraction {frac:.2e}"

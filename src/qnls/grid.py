@@ -2,8 +2,8 @@
 
 Two domains are supported: periodic boxes [0, L)^d for d in {1, 2, 3}
 (dynamics, spectral calculus) and a half-line radial grid for the 5-D
-elliptic problem (half-offset nodes; ``RadialGrid.gradient`` and the
-ground-state solver's Laplacian are fourth-order finite differences).
+elliptic problem (half-offset nodes; ``RadialGrid.dirichlet`` and the
+ground-state solver's Laplacian use fourth-order finite differences).
 All quadrature conventions used elsewhere in the package are fixed here:
 Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
 weight on the radial grid, orthonormal FFT normalization, the min-image
@@ -126,7 +126,11 @@ class UniformGrid:
 
     n must be a power of two (>= 8) so transforms stay fast and sizes
     predictable; d is capped at 3 because full grids in higher dimension
-    are out of reach at desk scale.
+    are out of reach at desk scale.  The quadratures reach the cell volume
+    h^d, the min-image distances are squared up to d (L / 2)^2 and the
+    multipliers hold |k|^2 up to d (pi n / L)^2, so L^3 and (n / L)^2 must
+    be at most 1e300 whatever d: n * 1e-150 <= L <= 1e100, which leaves a
+    factor 1e8 of the float range to the sampled values and the sums.
     """
 
     d: int
@@ -140,6 +144,11 @@ class UniformGrid:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if not (self.L > 0 and isfinite(self.L)):
             raise ValueError(f"box length must be a finite positive number, got {self.L}")
+        if not self.n * 1e-150 <= self.L <= 1e100:
+            raise ValueError(
+                f"L^3 and (n / L)^2 must be at most 1e300, that is n * 1e-150 <= L <= 1e100, "
+                f"got n {self.n}, L {self.L!r}"
+            )
 
     @property
     def h(self) -> float:
@@ -343,22 +352,15 @@ class RadialGrid:
         """Midpoint rule over the last axis: sum f(r_j) * sigma_4 * r_j^4 * dr."""
         return SPHERE_AREA_4 * np.sum(values * self._r4, axis=-1) * self.dr
 
-    def gradient(self, values: np.ndarray) -> list[np.ndarray]:
-        """Fourth-order centered d/dr over the last axis.
+    def dirichlet(self, values: np.ndarray):
+        """int |grad f|^2 with the fourth-order centred d/dr, over the last axis.
 
         Ghost values come from even reflection across r=0 (exact for the
-        half-offset nodes) and odd reflection at the Dirichlet cutoff.
-        """
-        return [_centred_d1(radial_ghosts(np.asarray(values)), self.dr)]
-
-    def dirichlet(self, values: np.ndarray):
-        """int |grad f|^2 with the fourth-order :meth:`gradient`, over the last axis.
-
-        The stencil is scaled by the product with 1/(12 dr), which is how
-        numpy divides a complex array by a real scalar: so complex samples
-        keep the bits of :meth:`gradient` up to the sign of zeros, and
-        float64 samples give the bits of the same samples stored as complex
-        with a zero imaginary part (|x + 0i| = |x| under hypot).
+        half-offset nodes) and odd reflection at the Dirichlet cutoff.  The
+        stencil is scaled by the product with 1/(12 dr), which is how numpy
+        divides a complex array by a real scalar: so float64 samples give
+        the bits of the same samples stored as complex with a zero imaginary
+        part (|x + 0i| = |x| under hypot).
         """
         d1 = _d1_numerator(radial_ghosts(np.asarray(values))) * (1.0 / (12.0 * self.dr))
         return self.integrate(np.abs(d1) ** 2)

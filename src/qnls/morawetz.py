@@ -498,6 +498,13 @@ class InteractionParams:
                 raise ValueError(f"{key} must be a finite positive number, got {value}")
         if not 0 < self.eps <= 0.5:
             raise ValueError(f"eps must lie in (0, 1/2], got {self.eps}")
+        # inf or NaN whenever the largest radius R0 e^J, as interaction_lhs computes it, is inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if not np.isfinite(self.nu):
+                raise ValueError(
+                    f"the largest radius R0 e^J and nu = R0 e^J / (J T0) + eps must be finite, "
+                    f"got R0 {self.R0!r}, J {self.J!r}, T0 {self.T0!r}"
+                )
 
     @property
     def nu(self) -> float:
@@ -518,8 +525,10 @@ class InteractionResult:
 
     @property
     def ratio(self) -> float:
-        """accumulator / (nu * E0^2); inf when E0 = 0."""
-        return self.accumulator / (self.nu * self.e0**2) if self.e0 != 0 else np.inf
+        """accumulator / (nu * E0^2); inf when nu * E0^2 is 0: E0 = 0, or E0^2 underflows."""
+        with np.errstate(over="ignore"):
+            denominator = self.nu * self.e0**2
+            return self.accumulator / denominator if denominator != 0 else np.inf
 
 
 def interaction_lhs(p0: FieldPair, dt: float, params: InteractionParams) -> InteractionResult:

@@ -640,7 +640,8 @@ def _quiet_main(conf):
 
 def test_a_plane_wave_phase_beyond_the_float_range_is_a_usage_error(tmp_path, capfd):
     # phase_velocity * x overflowed, exp(1j * inf) gave NaN, and the run
-    # labelled the NaN state it built "blow-up" after three RuntimeWarnings
+    # labelled the NaN state it built "blow-up" after three RuntimeWarnings;
+    # the box L = 1e300 is now outside the grid's own domain
     conf = tmp_path / "phase.json"
     conf.write_text(json.dumps({
         "command": "evolve", "n": 8, "L": 1e300, "phase_velocity": 1e10, "t_final": 0.001,
@@ -649,7 +650,22 @@ def test_a_plane_wave_phase_beyond_the_float_range_is_a_usage_error(tmp_path, ca
     assert _quiet_main(conf) == 1
     out, err = capfd.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert "'phase_velocity'" in err and "'L'" in err
+    assert "'L'" in err and "'n'" in err
+    assert not (tmp_path / "phase.csv").exists()
+
+
+def test_a_plane_wave_phase_that_overflows_on_an_in_domain_box_is_a_usage_error(tmp_path, capfd):
+    # the phase overflows to inf and exp(1j * inf) is NaN: the initial-state
+    # check refuses the state it built, naming the keys that built it
+    conf = tmp_path / "phase.json"
+    conf.write_text(json.dumps({
+        "command": "evolve", "n": 8, "L": 20.0, "phase_velocity": 1e308, "t_final": 0.001,
+        "output": str(tmp_path / "phase.csv"),
+    }))
+    assert _quiet_main(conf) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "'phase_velocity'" in err and "not finite" in err
     assert not (tmp_path / "phase.csv").exists()
 
 
@@ -737,6 +753,160 @@ def test_a_snapshot_above_the_amplitude_cap_is_a_usage_error(tmp_path, capfd, co
     assert stdout == "" and err.count("\n") == 1
     assert "input_path" in err and "1e50" in err
     assert caught == [] and not out.exists()
+
+
+@pytest.mark.parametrize("conf", [
+    {"command": "evolve", "dimension": 2, "L": 1e150, "amplitude": 1e50},
+    {"command": "classify", "dimension": 3, "L": 1e100},
+    {"command": "classify", "L": 1e-200},
+    {"command": "evolve", "L": 1e-200},
+    {"command": "disperse", "L": 1e-200},
+    {"command": "morawetz", "L": 1e-200},
+    {"command": "morawetz", "L": 1e200},
+], ids=lambda conf: "-".join(map(str, conf.values())))
+def test_a_torus_outside_the_numeric_domain_is_a_one_line_usage_error(tmp_path, capfd,
+                                                                      monkeypatch, conf):
+    # each warned, reported Infinity or NaN with exit 0, or both: the box
+    # arithmetic or the quadratic products of the report overflowed.  The
+    # grid's domain or the initial-state check refuses each before any solve
+    # or step.
+    monkeypatch.setattr("qnls.cli.petviashvili_solve", None)
+    monkeypatch.setattr("qnls.cli.evolve", None)
+    monkeypatch.setattr("qnls.cli.interaction_lhs", None)
+    path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps({**conf, "n": 8, "output": str(out)}))
+    assert _quiet_main(path) == 1
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "'L'" in err and not out.exists()
+
+
+@pytest.mark.parametrize("keys", [
+    {"J": 800.0}, {"R0": 1e307}, {"J": 1e-300, "dt": 1e-10, "T0": 1e-10},
+])
+def test_morawetz_radii_beyond_the_float_range_are_a_usage_error(tmp_path, capfd, keys):
+    # R0 e^J overflowed in interaction_lhs, which warned and then raised a
+    # ValueError whose message was the 12-row array of radii (exit 2); a
+    # J T0 of 1e-310 made nu = R0 e^J / (J T0) + eps overflow, with a
+    # warning, and the run reported "nu": Infinity and "ratio": 0.0
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "morawetz", "n": 8, "L": 20.0, "T0": 0.05, **keys}))
+    assert _quiet_main(path) == 1
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert "'R0'" in err and "'J'" in err
+
+
+def test_a_morawetz_ratio_whose_denominator_underflows_is_infinite(tmp_path, capfd):
+    # E0 = 4.4e-321 squares to 0, and 0 / 0 printed a RuntimeWarning and NaN
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "morawetz", "n": 64, "L": 20.0, "amplitude": 1e-160,
+                                "T0": 0.05}))
+    assert _quiet_main(path) == 0
+    stdout, err = capfd.readouterr()
+    doc = json.loads(stdout)
+    assert 0 < doc["E0"] < 1e-300 and doc["accumulator"] == 0.0
+    assert doc["ratio"] == inf and err == ""
+
+
+def test_disperse_refuses_a_density_that_underflows(tmp_path, capfd):
+    # |u|^2 = 1e-400 underflows to 0 at every sample: the boundary fraction
+    # was 0 / 0 and log 0 followed, with two RuntimeWarnings and a NaN slope
+    grid = UniformGrid(1, 64, 20.0)
+    u = 1e-200 * np.exp(-(grid.axis() - 10.0) ** 2) + 0j
+    snap = str(tmp_path / "tiny.snap")
+    write_snapshot(pair_from_arrays(grid, u, np.zeros(64, complex)), 0.0, snap)
+    path = tmp_path / "run.json"
+    out = tmp_path / "out.json"
+    for r in (2, "inf"):
+        path.write_text(json.dumps({
+            "command": "disperse", "n": 64, "L": 20.0, "initial": "file", "input_path": snap,
+            "decay_exponent": r, "output": str(out),
+        }))
+        assert _quiet_main(path) == 2
+        stdout, err = capfd.readouterr()
+        doc = json.loads(stdout)
+        assert doc["error"] == "ValueError" and "underflows to zero" in doc["message"]
+        assert err == "" and not out.exists()
+
+
+# the report fields the README documents as possibly not finite
+_MAY_NOT_BE_FINITE = {"delta_prime", "E0", "ratio"}
+# a number of any size: log-uniform over most of the float range
+_ANY_SIZE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+def _report_numbers(doc, field=None):
+    """(field, value) for every number in a JSON report, the config echo left out."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key != "config":
+                yield from _report_numbers(value, key)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _report_numbers(value, field)
+    elif isinstance(doc, float):
+        yield field, doc
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["evolve", "morawetz", "classify", "disperse"]),
+    dimension=st.integers(1, 3),
+    n=st.sampled_from([8, 16]),
+    L=_ANY_SIZE,
+    keys=st.fixed_dictionaries({}, optional={
+        "amplitude": _ANY_SIZE, "width": _ANY_SIZE, "phase_velocity": _ANY_SIZE,
+    }),
+    peak=st.none() | _ANY_SIZE,
+)
+def test_every_torus_run_ends_in_a_report_a_usage_error_or_a_labelled_failure(
+    tmp_path, capfd, command, dimension, n, L, keys, peak
+):
+    conf = {"command": command, "n": n, "L": L, **keys, "output": str(tmp_path / "out")}
+    if command == "morawetz":
+        dimension = 1
+        conf.update(dt=1e-3, T0=0.025)
+    else:
+        conf["dimension"] = dimension
+    conf.update({"evolve": {"dt": 1e-3, "t_final": 2e-3, "cadence": 1},
+                 "classify": {"m": 64, "r_max": 12.0, "tol": 1e-8}}.get(command, {}))
+    if peak is not None and n * 1e-150 <= L <= 1e100:
+        # a snapshot: a Gaussian of a sixteenth of the box, v half of u
+        grid = UniformGrid(dimension, n, L)
+        rho2 = sum((c / L - 0.5) ** 2 for c in grid.coords())
+        u = peak * np.exp(-256.0 * rho2) + 0j
+        snap = str(tmp_path / "in.snap")
+        write_snapshot(pair_from_arrays(grid, u, 0.5 * u), 0.0, snap)
+        conf.update(initial="file", input_path=snap)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(conf))
+    capfd.readouterr()
+    code = _quiet_main(path)
+    stdout, err = capfd.readouterr()
+    if code == 1:
+        assert stdout == "" and err.count("\n") == 1 and err.startswith("error: ")
+        return
+    assert err == ""
+    if code == 2:
+        assert stdout.count("\n") == 1 and set(json.loads(stdout)) == {"error", "message"}
+        return
+    assert code == 0
+    out = tmp_path / "out"
+    if command == "evolve":
+        rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=3, ndmin=2)
+        assert np.isfinite(rows).all()
+        return
+    for field, value in _report_numbers(json.loads(out.read_text())):
+        assert np.isfinite(value) or field in _MAY_NOT_BE_FINITE, (field, value)
+    if command == "morawetz":
+        for name in ("out.csv", "out.time.csv"):
+            rows = np.loadtxt(tmp_path / name, delimiter=",", comments="#", skiprows=3, ndmin=2)
+            assert np.isfinite(rows).all()
 
 
 def test_morawetz_cadence_is_a_usage_error(tmp_path, capsys):

@@ -49,6 +49,14 @@ def test_uniform_grid_rejects_bad_input():
         with pytest.raises(ValueError, match=r"r_max\^5 and \(m / r_max\)\^2"):
             RadialGrid(m, r_max)
     RadialGrid(64, 1e60), RadialGrid(64, 64 * 1e-150), RadialGrid(2**20, 2**20 * 1e-150)
+    # L^3 (the cell volume, the squared distances) and (n / L)^2 (|k|^2) stay at most 1e300
+    for d, n in ((1, 8), (3, 8), (2, 1024)):
+        for L in (n * 1e-150, 1e100):
+            UniformGrid(d, n, L)
+        below, above = math.nextafter(n * 1e-150, 0.0), math.nextafter(1e100, math.inf)
+        for L in (below, above, 1e300, 1e-300):
+            with pytest.raises(ValueError, match=r"L\^3 and \(n / L\)\^2"):
+                UniformGrid(d, n, L)
 
 
 def test_transform_constant_is_dc_only():

@@ -14,6 +14,7 @@ from qnls.morawetz import (
     Q_MAX,
     TABLE_SIZE,
     InteractionParams,
+    InteractionResult,
     _bump_correlations,
     _cumulative,
     _cutoff,
@@ -458,6 +459,31 @@ def test_interaction_rejects_a_bad_value_naming_it(key, value):
             interaction_lhs(p, value, InteractionParams(**kwargs))
         else:
             interaction_lhs(p, 1e-2, InteractionParams(**{**kwargs, key: value}))
+
+
+def test_interaction_params_refuse_a_largest_radius_beyond_the_float_range():
+    # R0 e^J overflowed in interaction_lhs, with a RuntimeWarning, and the
+    # window check then raised a ValueError quoting the 12 radii
+    for R0, J, T0 in ((2.5, 800.0, 1.0), (1e307, 4.0, 1.0), (1.0, 710.0, 1.0),
+                      # R0 e^J is finite, but nu = R0 e^J / (J T0) + eps overflows
+                      (2.5, 1e-300, 1e-10), (1.0, 709.0, 1e-4)):
+        with pytest.raises(ValueError, match=r"R0 e\^J and nu = R0 e\^J / \(J T0\) \+ eps"):
+            InteractionParams(R0=R0, J=J, T0=T0, eps=0.25)
+    assert InteractionParams(R0=1.0, J=709.0, T0=1.0, eps=0.25).nu < math.inf   # e^709 = 8.2e307
+
+
+@pytest.mark.parametrize("accumulator, e0, nu_ratio", [
+    (0.0, 0.0, math.inf), (1.0, 0.0, math.inf),
+    # E0^2 underflows to 0: 0 / 0 warned and gave NaN, 1 / 0 warned and gave inf
+    (0.0, 4.4e-321, math.inf), (1.0, 4.4e-321, math.inf),
+    (0.0, math.nan, math.nan), (3.0, 2.0, 3.0 / 4.0),
+])
+def test_the_ratio_is_infinite_whenever_its_denominator_is_zero(accumulator, e0, nu_ratio):
+    nu = InteractionParams(R0=1.0, J=1.0, T0=1.0, eps=0.25).nu
+    res = InteractionResult(accumulator=accumulator, nu=nu, e0=e0, per_radius=np.zeros(12),
+                            radii=np.ones(12), per_time=np.zeros(1), times=np.zeros(1),
+                            n_time_samples=1, outcome="completed")
+    assert res.ratio * nu == pytest.approx(nu_ratio, rel=1e-15, nan_ok=True)
 
 
 def test_interaction_substep_failure_is_a_labeled_outcome():

@@ -4,18 +4,20 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below has 23 CLI runs.  They run every command, in d = 1, 2 and
+The manifest below has 26 CLI runs.  They run every command, in d = 1, 2 and
 3, with snapshots written and read back (``initial: "file"``); every
 outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
 ``substep-failure`` of each, and a completed ``evolve`` whose nearly flat
-state grows by modulational instability); four usage errors and a numeric
-error.  Each run is ``python -m qnls.cli CONFIG`` in its own process, from
+state grows by modulational instability); seven usage errors, three of
+them numeric-domain refusals (a box outside the torus grid's domain, an
+initial state beyond the caps, Morawetz radii beyond the float range), and
+a numeric error.  Each run is ``python -m qnls.cli CONFIG`` in its own process, from
 the ``src/`` next to this script, inside one temporary directory with
 relative paths, so artifacts never embed a location.  Runs go in manifest order, because the
-``file`` runs read snapshots that earlier runs wrote.  A 24th run builds
+``file`` runs read snapshots that earlier runs wrote.  A 27th run builds
 the Morawetz weight tables, which no command writes, in one more process:
 ``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
-eps = 0.05.  A 25th process evaluates the pair functionals, which no
+eps = 0.05.  A 28th process evaluates the pair functionals, which no
 command prints on its own: ``kinetic``, ``momentum``, ``boosted_kinetic``,
 ``coercivity_gap``, ``boost_xi``, ``weighted_momentum``,
 ``galilean_pairing`` and ``cauchy_schwarz_margin`` on two seeded torus
@@ -27,7 +29,7 @@ The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each CLI run, ``files/<name>`` of every file left in the directory,
 ``tables/d<d>/<name>`` of each table, and ``functionals/<name>/<case>`` of
 each functional value (its float64 bytes), to the sha256 of its bytes:
-140 entries for the CLI runs and tables and 62 for the functionals.  Outputs are
+152 entries for the CLI runs and tables and 62 for the functionals.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
 entries that differ or that only one digest has, and exits 1 if there are
@@ -128,6 +130,13 @@ MANIFEST: list[tuple[str, dict]] = [
         "amplitude": 0.3, "width": 3.0, "phase_velocity": 0.2, "snapshot_every": 3,
         "output": "mwu",
     }),
+    # L^3 = 1e600 is outside the torus grid's domain: the min-image distances overflowed
+    ("usage-error-torus-domain", {"command": "morawetz", "n": 8, "L": 1e200, "T0": 0.05}),
+    # M + H + |R| = 2e297 at t = 0: M H overflowed, and the state was classified "above"
+    ("usage-error-initial-state", {"command": "classify", "dimension": 3, "n": 8, "L": 1e100}),
+    # the largest radius R0 e^J overflows
+    ("usage-error-morawetz-radii", {"command": "morawetz", "n": 8, "L": 20.0, "T0": 0.05,
+                                    "J": 800}),
     ("numeric-error", {"command": "ground-state", "m": 128, "r_max": 10.0, "tol": 1e-15,
                        "max_iter": 2}),
 ]
