@@ -298,7 +298,7 @@ def _write_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
 
 
 def _initial_pair(cfg: RunConfig) -> FieldPair:
-    """The command's initial state on its periodic box (``morawetz``: d = 1), or a domain usage error."""
+    """The command's initial state on its periodic box (``morawetz``: d = 1), inside the domain."""
     try:
         grid = UniformGrid(cfg.options.get("dimension", 1), cfg.n, cfg.L)
     except ValueError as exc:   # the grid's own numeric domain
