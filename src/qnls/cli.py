@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .evolution import EvolutionConfig, _whole_steps, blow_up_detect, dispersive_decay_fit, evolve
-from .fields import FieldPair, galilean_boost, kinetic, mass, pair_from_arrays, potential, stack
+from .fields import FieldPair, galilean_boost, kinetic, mass, pair_from_arrays, potential
 from .grid import RadialGrid, UniformGrid
 from .ground_state import GroundState, petviashvili_solve, solve_periodic_profile
 from .morawetz import InteractionParams, interaction_lhs
@@ -215,7 +215,7 @@ def write_snapshot(p: FieldPair, t: float, path: str) -> None:
             fh.write(struct.pack("<I", grid.m))
             fh.write(struct.pack("<d", grid.r_max))
         fh.write(struct.pack("<ddI", p.kappa, t, 2))
-        fh.write(np.array((p.u.values, p.v.values), dtype="<c16").tobytes())
+        fh.write(np.asarray(p.values, dtype="<c16").tobytes())
 
 
 def read_snapshot(path: str) -> tuple[FieldPair, float]:
@@ -269,7 +269,7 @@ def read_snapshot(path: str) -> tuple[FieldPair, float]:
         )
     # astype copies the read-only buffer into native, writable complex
     w = np.frombuffer(data, "<c16", count=2 * size, offset=off).astype(complex)
-    return pair_from_arrays(grid, *w.reshape((2,) + grid.shape), kappa), t
+    return FieldPair.from_stack(grid, w.reshape((2,) + grid.shape), kappa), t
 
 
 def _fmt(x) -> str:
@@ -342,14 +342,13 @@ def _initial_pair(cfg: RunConfig) -> FieldPair:
                 pair = galilean_boost(pair, [cfg.xi] * grid.d)
     # a snapshot that is not finite keeps its own outcome (blow-up, or a refusal); the
     # caps keep the reports' quadratic products (M H, M E, E0^2) finite
-    w = stack(pair)
     keys = ", ".join(map(repr, _BUILT_BY[kind]))
-    if not np.isfinite(w).all():
+    if not np.isfinite(pair.values).all():
         if kind == "file":
             return pair
         raise ConfigError(f"the initial state from config keys {keys} is not finite")
     with np.errstate(all="ignore"):   # |z| of a finite z, and the sums, may be inf
-        peak = float(np.max(np.abs(w)))
+        peak = float(np.max(np.abs(pair.values)))
         size = mass(pair) + kinetic(pair) + abs(potential(pair))
     if peak > _AMPLITUDE_CAP or not size <= 1e150:
         raise ConfigError(

@@ -88,10 +88,10 @@ place in it, with the out-of-place bits (``grid`` module docstring), and
 the spectrum goes once its l1 sums are taken and its product formed.
 Only the substep's buffers are ever written again, so arrays handed out by
 ``sync`` or ``pair`` are not: ``evolve`` keeps snapshots and callers keep
-what they were given.  A stepper holds 8.5 stacked (u, v) arrays and
-peaks at 10.5 while it steps and syncs.  A diagnostics row of ``evolve``
-transforms the synchronised stacked state once for both H and P
-(``_record``).
+what they were given, and a complex initial pair's array is used as it is.
+A stepper holds 8.5 stacked (u, v) arrays and peaks at 10.5 while it steps
+and syncs.  A diagnostics row of ``evolve`` transforms the synchronised
+stacked state once for both H and P (``_record``).
 
 Blow-up and substep failure are flagged outcomes, never exceptions.
 """
@@ -204,10 +204,6 @@ def _free_multiplier(grid: UniformGrid, kappa: float, t: float) -> np.ndarray:
     """Free flow over t for the stacked pair: e^{-i |k|^2 t} over e^{-i kappa |k|^2 t}."""
     coupling = np.array([1.0, kappa]).reshape((2,) + (1,) * grid.d)
     return np.exp(-1j * t * coupling * grid.k2())
-
-
-def _stacked(p: FieldPair) -> np.ndarray:
-    return np.array((p.u.values, p.v.values), dtype=complex)
 
 
 class _SubstepBuffers:
@@ -455,9 +451,8 @@ def nonlinear_step(p: FieldPair, dt: float) -> FieldPair:
     substeps, and ``ValueError`` for a ``dt`` that is not finite.
     """
     _check_dt(dt)
-    w0 = _stacked(p)
-    w = _substep(w0, dt, _SubstepBuffers(w0.shape), None)
-    return p.with_values(w[0], w[1])
+    w0 = np.asarray(p.values, dtype=complex)
+    return p.with_stack(_substep(w0, dt, _SubstepBuffers(w0.shape), None))
 
 
 class SplitStepper:
@@ -490,7 +485,7 @@ class SplitStepper:
         self._p0 = p0
         # L(dt/2) and L(dt), stacked so that sync applies both in one product
         self._free = np.array([_free_multiplier(grid, p0.kappa, t) for t in (0.5 * dt, dt)])
-        self._state = _stacked(p0)
+        self._state = np.asarray(p0.values, dtype=complex)
         self._buffers = _SubstepBuffers(self._state.shape)
         self._root_n = math.sqrt(grid.size)
         self._hat = None          # the forward transform of _state, once taken
@@ -551,9 +546,8 @@ class SplitStepper:
         return self._state
 
     def pair(self) -> FieldPair:
-        """The synchronised state as a pair."""
-        w = self.sync()
-        return self._p0.with_values(w[0], w[1])
+        """The synchronised state as a pair holding the stepper's own array."""
+        return self._p0.with_stack(self.sync())
 
 
 def strang_step(p: FieldPair, dt: float) -> FieldPair:
@@ -563,23 +557,15 @@ def strang_step(p: FieldPair, dt: float) -> FieldPair:
     return stepper.pair()
 
 
-def _record(p: FieldPair, t: float, w: np.ndarray | None = None) -> DiagnosticsRecord:
-    """The diagnostics row of ``p`` at ``t``; ``w``, if given, is ``p`` stacked.
-
-    H and P read one forward transform of the stacked pair, through the
-    formulas of :func:`fields.kinetic` and :func:`fields.momentum`; the
-    halves of a stacked transform are the single-field transforms bit for
-    bit, so the row has their bits.  ``evolve`` passes the stepper's
-    synchronised state as ``w``, so the row makes no stacked copy.
-    """
-    g = p.grid
-    spectrum = g.fft(_stacked(p) if w is None else w)
+def _record(p: FieldPair, t: float) -> DiagnosticsRecord:
+    """The diagnostics row of ``p`` at ``t``; H and P from one transform (:func:`fields.kinetic_and_momentum`)."""
+    h, mom = fields_mod.kinetic_and_momentum(p)
     return DiagnosticsRecord(
         t=t,
         mass=fields_mod.mass(p),
-        kinetic=fields_mod._kinetic(g._dirichlet_of_spectrum(spectrum), p.kappa),
+        kinetic=h,
         potential=fields_mod.potential(p),
-        momentum=fields_mod._momentum(g, *spectrum),
+        momentum=mom,
         l3_u=lp_norm(p.u, 3.0),
         l3_pair=pair_lp_norm(p, 3.0),
         max_modulus=pair_lp_norm(p, np.inf),
@@ -605,7 +591,7 @@ def _drive(
     not finite does before the first transform.  A :class:`SubstepFailure`
     ends it as ``"substep-failure"``; every other run is ``"completed"``.
     """
-    if not (np.isfinite(p0.u.values).all() and np.isfinite(p0.v.values).all()):
+    if not np.isfinite(p0.values).all():
         return "blow-up"
     stepper = SplitStepper(p0, dt)
     bound = RESOLUTION_FACTOR / stepper.grid.h
@@ -647,11 +633,11 @@ def evolve(p0: FieldPair, cfg: EvolutionConfig) -> TimeSeries:
 
     def observe(step: int, w: np.ndarray, tripped: bool) -> None:
         t = step * cfg.dt
-        ts.records.append(_record(p0.with_values(w[0], w[1]), t, w))
+        ts.records.append(_record(p0.with_stack(w), t))
         if not tripped and cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
             # copy: the synchronised state shares its buffer with the
             # stepper's look-ahead
-            ts.snapshots.append((t, p0.with_values(*w.copy())))
+            ts.snapshots.append((t, p0.with_stack(w.copy())))
 
     stops = _stop_steps(cfg.t_final, cfg.dt, cfg.cadence)
     ts.outcome = _drive(p0, cfg.dt, stops, observe)

@@ -4,6 +4,14 @@ Mass, kinetic and potential energy, momentum, the Gagliardo-Nirenberg
 quotient J = M^(1/2) H^(5/2) / R^2, L^p norms, and the Galilean boost
 (u, v) -> (e^{i kappa x.xi} u, e^{i x.xi} v).  The coupling kappa = 1/2 is
 the mass-resonance value at which the boost commutes with the flow.
+
+A pair owns one (2, *shape) array, ``values``; its ``u`` and ``v`` Fields
+view the halves.  ``FieldPair(u, v, kappa)``, :func:`pair_from_arrays` and
+``with_values`` copy their arrays into one, with the dtype of
+``np.array((u, v))``, so the caller's arrays are not aliased;
+``from_stack`` and ``with_stack`` hold a stacked array as it is.  Nothing
+derived from the writable array is cached on the pair: the real view that
+:func:`kinetic` takes of a real radial pair, and its test, are per call.
 """
 
 from __future__ import annotations
@@ -18,26 +26,45 @@ from .grid import Field, RadialGrid, UniformGrid
 MASS_RESONANT_KAPPA = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FieldPair:
-    """Dynamical state (u, v) with coupling kappa, both fields on one grid."""
+    """Dynamical state (u, v) with coupling kappa: ``values``, one (2, *shape) array on one grid."""
 
-    u: Field
-    v: Field
+    values: np.ndarray
     kappa: float
 
-    def __post_init__(self) -> None:
-        if self.u.grid != self.v.grid:
+    def __init__(self, u: Field, v: Field, kappa: float) -> None:
+        if u.grid != v.grid:
             raise ValueError("u and v must live on the same grid")
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError(f"coupling must be a finite positive number, got {self.kappa}")
+        self._hold(u.grid, np.array((u.values, v.values)), kappa)
+
+    @classmethod
+    def from_stack(cls, grid: UniformGrid | RadialGrid, values: np.ndarray, kappa: float) -> FieldPair:
+        """The pair whose (u, v) is ``values``, of shape (2, *grid.shape), held without a copy."""
+        return cls.__new__(cls)._hold(grid, values, kappa)
+
+    def _hold(self, grid: UniformGrid | RadialGrid, values: np.ndarray, kappa: float) -> FieldPair:
+        if not (kappa > 0 and math.isfinite(kappa)):
+            raise ValueError(f"coupling must be a finite positive number, got {kappa}")
+        if values.shape != (2, *grid.shape):
+            raise ValueError(f"stacked shape {values.shape} is not (2, *{grid.shape})")
+        self.__dict__.update(values=values, kappa=kappa, u=Field(grid, values[0]), v=Field(grid, values[1]))
+        return self
+
+    def __reduce__(self):
+        """Pickle and deepcopy rebuild the pair from its one array, so u and v view it again."""
+        return FieldPair.from_stack, (self.grid, self.values, self.kappa)
 
     @property
     def grid(self) -> UniformGrid | RadialGrid:
         return self.u.grid
 
-    def with_values(self, u: np.ndarray, v: np.ndarray) -> "FieldPair":
-        return FieldPair(Field(self.grid, u), Field(self.grid, v), self.kappa)
+    def with_values(self, u: np.ndarray, v: np.ndarray) -> FieldPair:
+        return self.with_stack(np.array((u, v)))
+
+    def with_stack(self, values: np.ndarray) -> FieldPair:
+        """The pair of this grid and coupling holding ``values`` (:meth:`from_stack`)."""
+        return FieldPair.from_stack(self.grid, values, self.kappa)
 
 
 def pair_from_arrays(
@@ -46,33 +73,26 @@ def pair_from_arrays(
     v: np.ndarray,
     kappa: float = MASS_RESONANT_KAPPA,
 ) -> FieldPair:
-    return FieldPair(Field(grid, u), Field(grid, v), kappa)
-
-
-def stack(p: FieldPair) -> np.ndarray:
-    """(u, v) stacked as one (2, *shape) array, for one pass of a grid quadrature over both fields.
-
-    On the radial grid, when no imaginary part is non-zero, the float view of
-    the real parts is returned, without a copy, and the functionals run in
-    real arithmetic with the bits of the complex formulas: a NaN imaginary
-    part counts as non-zero, and -0.0 as zero, since |x + (-0)i| = |x| under
-    hypot.  A torus stack is never viewed as real: a transform of float64
-    input takes pocketfft's real path, with other bits (``grid`` module
-    docstring).
-    """
-    w = np.array((p.u.values, p.v.values))
-    return w.real if isinstance(p.grid, RadialGrid) and not w.imag.any() else w
+    return FieldPair.from_stack(grid, np.array((u, v)), kappa)
 
 
 def mass(p: FieldPair) -> float:
     """M = ||u||_2^2 + ||v||_2^2."""
-    g = p.grid
-    return float(g.integrate(np.abs(p.u.values) ** 2) + g.integrate(np.abs(p.v.values) ** 2))
+    mu, mv = p.grid.integrate(np.abs(p.values) ** 2).tolist()
+    return mu + mv
 
 
 def kinetic(p: FieldPair) -> float:
-    """H = ||grad u||_2^2 + (kappa/2) ||grad v||_2^2."""
-    return _kinetic(p.grid.dirichlet(stack(p)), p.kappa)
+    """H = ||grad u||_2^2 + (kappa/2) ||grad v||_2^2.
+
+    A radial pair with no non-zero (or NaN) imaginary part runs on the float
+    view of its real parts, with the bits of the complex formulas; a torus
+    pair never does, as a float64 transform has other bits.
+    """
+    w = p.values
+    if isinstance(p.grid, RadialGrid) and not w.imag.any():
+        w = w.real
+    return _kinetic(p.grid.dirichlet(w), p.kappa)
 
 
 def _kinetic(dirichlet: np.ndarray, kappa: float) -> float:
@@ -83,8 +103,7 @@ def _kinetic(dirichlet: np.ndarray, kappa: float) -> float:
 
 def potential(p: FieldPair) -> float:
     """R = Re int conj(v) u^2."""
-    g = p.grid
-    return float(g.integrate(np.real(np.conj(p.v.values) * p.u.values**2)))
+    return float(p.grid.integrate(np.real(np.conj(p.v.values) * p.u.values**2)))
 
 
 def energy(p: FieldPair) -> float:
@@ -98,16 +117,18 @@ def momentum(p: FieldPair) -> np.ndarray:
     By Parseval, P_j = h^d sum k_j (|u_hat|^2 + (1/2)|v_hat|^2) with the
     Nyquist-zeroed wavenumbers of the spectral gradient.
     """
+    return kinetic_and_momentum(p)[1]
+
+
+def kinetic_and_momentum(p: FieldPair) -> tuple[float, np.ndarray]:
+    """(H, P) of a torus pair from one forward transform of its array, with the bits of :func:`kinetic`."""
     g = p.grid
     if not isinstance(g, UniformGrid):
         raise TypeError("momentum is defined on uniform grids only")
-    return _momentum(g, *g.fft(stack(p)))
-
-
-def _momentum(g: UniformGrid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
-    """P of the pair whose transforms are ``uhat`` and ``vhat``."""
-    dens = np.abs(uhat) ** 2 + 0.5 * np.abs(vhat) ** 2
-    return np.array([g.integrate(km * dens) for km in g.derivative_wavenumbers()])
+    spectrum = g.fft(p.values)
+    dens = np.abs(spectrum[0]) ** 2 + 0.5 * np.abs(spectrum[1]) ** 2
+    mom = np.array([g.integrate(km * dens) for km in g.derivative_wavenumbers()])
+    return _kinetic(g.dirichlet_of_spectrum(spectrum), p.kappa), mom
 
 
 def gn_functional(p: FieldPair) -> float:
@@ -132,12 +153,9 @@ def galilean_boost(p: FieldPair, xi) -> FieldPair:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (g.d,):
         raise ValueError(f"xi must have {g.d} components, got shape {xi.shape}")
-    coords = g.coords()
-    phase = sum(c * x for c, x in zip(coords, xi))
-    return p.with_values(
-        np.exp(1j * p.kappa * phase) * p.u.values,
-        np.exp(1j * phase) * p.v.values,
-    )
+    phase = sum(c * x for c, x in zip(g.coords(), xi))
+    rates = np.array((p.kappa, 1.0)).reshape((2,) + (1,) * g.d)
+    return p.with_stack(np.exp(1j * rates * phase) * p.values)
 
 
 def _check_exponent(p: float) -> None:
@@ -159,6 +177,5 @@ def pair_lp_norm(p: FieldPair, q: float) -> float:
     _check_exponent(q)
     if q == np.inf:
         return max(lp_norm(p.u, q), lp_norm(p.v, q))
-    g = p.grid
-    total = g.integrate(np.abs(p.u.values) ** q) + g.integrate(np.abs(p.v.values) ** q)
-    return float(total) ** (1.0 / q)
+    mu, mv = p.grid.integrate(np.abs(p.values) ** q).tolist()
+    return (mu + mv) ** (1.0 / q)

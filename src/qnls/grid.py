@@ -9,10 +9,10 @@ Riemann sum times h^d on the torus, midpoint rule with the S^4 surface
 weight on the radial grid, orthonormal FFT normalization, the min-image
 displacement on the torus and the periodic convolution built on both.
 Both grids' ``integrate`` and ``dirichlet`` reduce over the sample axes
-(the last d on the torus, the last one on the radial grid), so a stacked
-(2, *shape) pair gives one value per field in one call, each with the bits
-of its own one-field call; the pair functionals, momentum included, reach
-h^d and the radial weight only through them.
+(the last d on the torus, the last one on the radial grid), so the
+(2, *shape) array a ``fields.FieldPair`` owns gives one value per field in
+one call, each with the bits of its one-field call, as do the transforms;
+the pair functionals reach h^d and the radial weight only through them.
 
 The torus transforms send complex128 and float64 input straight to
 pocketfft's ``c2c``, the call ``scipy.fft.fftn(..., norm="ortho")`` ends
@@ -282,9 +282,9 @@ class UniformGrid:
         Uses the Nyquist-zeroed wavenumbers of :meth:`gradient`; reduces
         over the last d axes, like :meth:`integrate`.
         """
-        return self._dirichlet_of_spectrum(self.fft(values))
+        return self.dirichlet_of_spectrum(self.fft(values))
 
-    def _dirichlet_of_spectrum(self, values_hat: np.ndarray):
+    def dirichlet_of_spectrum(self, values_hat: np.ndarray):
         """:meth:`dirichlet` of the samples whose :meth:`fft` is ``values_hat``."""
         return self.integrate(self._dirichlet_k2 * np.abs(values_hat) ** 2)
 

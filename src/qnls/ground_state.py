@@ -107,7 +107,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fields
-from .fields import FieldPair, pair_from_arrays
+from .fields import FieldPair
 from .grid import RadialGrid, UniformGrid, _centred_d1, _centred_d2, _scipy_extension, radial_ghosts
 
 # LAPACK's banded and tridiagonal LU and their back-substitutions (solver notes above)
@@ -409,7 +409,7 @@ def petviashvili_solve(
     if float(np.min(phi)) < -1e-10 or float(np.min(vphi)) < -1e-10:
         raise ConvergenceError("converged to a sign-changing profile")
     floor = _residual_floor(_newton_band(l4, kappa, phi, vphi), phi, vphi)
-    pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
+    pair = FieldPair.from_stack(grid, np.array((phi, vphi), dtype=complex), kappa)
     return GroundState(pair, history[-1], floor, len(history), tuple(history))
 
 
@@ -505,7 +505,7 @@ def oracle_coarse_solve(
     res1 = phi - _tridiagonal_matvec(*lap, phi) - phi * vphi
     res2 = 2.0 * vphi - kappa * _tridiagonal_matvec(*lap, vphi) - phi**2
     residual = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2))))
-    pair = pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
+    pair = FieldPair.from_stack(grid, np.array((phi, vphi), dtype=complex), kappa)
     return GroundState(pair, residual, np.nan, it, (residual,))
 
 
@@ -533,4 +533,4 @@ def solve_periodic_profile(
         grid, lambda f: np.real(grid.laplacian(f)), multiplier(1.0 / (1.0 + k2)),
         multiplier(1.0 / (2.0 + kappa * k2)), kappa, guess, tol, max_iter,
     )
-    return pair_from_arrays(grid, phi.astype(complex), vphi.astype(complex), kappa)
+    return FieldPair.from_stack(grid, np.array((phi, vphi), dtype=complex), kappa)

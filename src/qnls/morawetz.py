@@ -336,7 +336,7 @@ def _window(grid: UniformGrid, s, R: float, eps: float) -> np.ndarray:
 
 
 def _densities(grid: UniformGrid, w: np.ndarray, kappa: float):
-    """Pointwise densities of the stacked pair ``w`` = (u, v) (:func:`fields.stack`).
+    """Pointwise densities of the stacked pair ``w`` = (u, v), a ``FieldPair``'s ``values``.
 
     Returns (L, A, nu): L = 2|grad u|^2 + kappa |grad v|^2 (per-component
     array of shape (d, ...) summed on request), A_j = Im(2 u d_j conj(u) +
@@ -359,7 +359,7 @@ def _densities(grid: UniformGrid, w: np.ndarray, kappa: float):
 def _window_moments(p: FieldPair, win: np.ndarray):
     """Window moments (l, n, a): the integrals of sum_j L_j, nu and each A_j against win."""
     grid = p.grid
-    l_comp, a_comp, nu = _densities(grid, fields_mod.stack(p), p.kappa)
+    l_comp, a_comp, nu = _densities(grid, p.values, p.kappa)
     l_tot = float(grid.integrate(np.sum(l_comp, axis=0) * win))
     n_tot = float(grid.integrate(nu * win))
     a_vec = grid.integrate(a_comp * win)
@@ -409,7 +409,7 @@ def morawetz_action(p: FieldPair, w: MorawetzWeights) -> float:
         raise TypeError("the Morawetz action is evaluated in d = 1 or 2")
     if w.d != grid.d:
         raise ValueError(f"weights are built for d = {w.d}, the grid has d = {grid.d}")
-    _, a_comp, nu = _densities(grid, fields_mod.stack(p), p.kappa)
+    _, a_comp, nu = _densities(grid, p.values, p.kappa)
     origin = np.zeros(grid.d)
     kernel = w.psi_of(grid.distance(origin) / w.R) * np.array(grid.displacement(origin))
     conv = np.real(grid.convolve(kernel, nu))
@@ -465,7 +465,7 @@ def cauchy_schwarz_margin(
         raise TypeError("the Cauchy-Schwarz margin is defined on uniform grids")
     if rng is None:
         rng = np.random.default_rng(0)
-    l_comp, a_comp, nu = _densities(grid, fields_mod.stack(p), p.kappa)
+    l_comp, a_comp, nu = _densities(grid, p.values, p.kappa)
     l_flat = l_comp.reshape(grid.d, -1)
     a_flat = a_comp.reshape(grid.d, -1)
     b_flat = p.kappa * a_flat

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as fields_mod
-from .fields import FieldPair, galilean_boost, pair_from_arrays
+from .fields import FieldPair, galilean_boost
 from .grid import RadialGrid, UniformGrid
 from .ground_state import GroundState
 from .morawetz import _cutoff, _window_boost
@@ -61,7 +61,7 @@ def classify_data(p: FieldPair, gs: GroundState) -> ThresholdReport:
     Raises ``ValueError`` for a state that is not finite, whose NaN ratios
     would otherwise fall through every comparison to ``"above"``.
     """
-    if not (np.isfinite(p.u.values).all() and np.isfinite(p.v.values).all()):
+    if not np.isfinite(p.values).all():
         raise ValueError("cannot classify a state that is not finite")
     me_q, mh_q = variational_thresholds(gs)
     m = fields_mod.mass(p)
@@ -114,20 +114,16 @@ def boosted_kinetic(p: FieldPair, xi) -> float:
     vanishes.  Agrees with kinetic(galilean_boost(p, xi)) on uniform grids.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    g = p.grid
-    kap = p.kappa
-    # one stacked pass; a radial stack stays complex when an imaginary part is non-zero or NaN
-    w = fields_mod.stack(p)
+    g, kap, w = p.grid, p.kappa, p.values
     if isinstance(g, UniformGrid):
-        mom = fields_mod._momentum(g, *g.fft(w))
+        h, mom = fields_mod.kinetic_and_momentum(p)
         if xi.shape != mom.shape:
             raise ValueError(f"xi must have {g.d} components")
         lin = 2.0 * kap * float(np.dot(xi, mom))
-    elif np.iscomplexobj(w):
+    elif w.imag.any():   # NaN counts as non-zero
         raise ValueError("radial boosted kinetic assumes real profiles")
     else:
-        lin = 0.0
-    h = fields_mod._kinetic(g.dirichlet(w), kap)
+        h, lin, w = fields_mod.kinetic(p), 0.0, w.real
     mu, mv = g.integrate(np.abs(w) ** 2).tolist()
     quad = float(np.dot(xi, xi)) * (kap**2 * mu + 0.5 * kap * mv)
     return h + lin + quad
@@ -180,21 +176,21 @@ def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> Ball
         raise TypeError("ball coercivity is evaluated on uniform grids in d <= 2")
     chi = _cutoff(grid, s, radius, BALL_EPS)
     boosted = galilean_boost(p, _window_boost(p, chi**2).xi)
+    cut = p.with_stack(chi * p.values)
+    cut_boosted = boosted.with_stack(chi * boosted.values)
 
-    # localization identity on the boosted u component
+    # localization identity on the boosted u component: the gradients of
+    # u^xi and chi u^xi from one stacked transform
     ub = boosted.u.values
-    du = grid.gradient(ub)
-    lhs = float(grid.integrate(chi**2 * sum(np.abs(c) ** 2 for c in du)))
-    dchiu = grid.gradient(chi * ub)
+    grads = grid.gradient(np.array((ub, cut_boosted.u.values)))
+    lhs = float(grid.integrate(chi**2 * sum(np.abs(g[0]) ** 2 for g in grads)))
     lap_chi = grid.laplacian(chi).real
     rhs = float(
-        grid.integrate(sum(np.abs(c) ** 2 for c in dchiu))
+        grid.integrate(sum(np.abs(g[1]) ** 2 for g in grads))
     ) + float(grid.integrate(chi * lap_chi * np.abs(ub) ** 2))
     scale = max(abs(lhs), abs(rhs), 1.0)
     identity_error = abs(lhs - rhs) / scale
 
-    cut = p.with_values(chi * p.u.values, chi * p.v.values)
-    cut_boosted = boosted.with_values(chi * boosted.u.values, chi * boosted.v.values)
     m_loc = fields_mod.mass(cut_boosted)
     h_loc = fields_mod.kinetic(cut_boosted)
     r_loc = fields_mod.potential(cut)
@@ -256,7 +252,7 @@ def rescale_to_E0(p: FieldPair) -> tuple[FieldPair, float]:
         new_grid = RadialGrid(g.m, g.r_max / lam)
     else:
         new_grid = UniformGrid(g.d, g.n, g.L / lam)
-    scaled = pair_from_arrays(new_grid, lam**2 * p.u.values, lam**2 * p.v.values, p.kappa)
+    scaled = FieldPair.from_stack(new_grid, lam**2 * p.values, p.kappa)
     e_new = fields_mod.energy(scaled)
     m_new = fields_mod.mass(scaled)
     if abs(m_new - e_new) > 1e-10 * max(abs(e_new), 1e-300):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,23 @@ def test_pair_requires_matching_grids_and_positive_kappa():
         pair_from_arrays(g1, z1, z1, kappa=-1.0)
     with pytest.raises(ValueError, match="coupling"):
         pair_from_arrays(g1, z1, z1, kappa=np.inf)
+
+
+def test_a_pair_owns_one_array_that_its_fields_view():
+    g = UniformGrid(1, 16, 4.0)
+    u, v = np.arange(16) + 0j, np.ones(16, complex)
+    p = pair_from_arrays(g, u, v)
+    u[0] = 5.0   # the constructor copied the caller's arrays
+    assert p.u.values[0] == 0.0 and p.values.shape == (2, 16)
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        q.values[1, 3] = 7.0   # a new array, whose halves the copy's fields view
+        assert q.v.values[3] == 7.0 and p.v.values[3] == 1.0
+    w = p.values
+    held = p.with_stack(w)
+    held.v.values[3] = 7.0   # held without a copy
+    assert held.values is w and p.v.values[3] == 7.0
+    with pytest.raises(ValueError, match="stacked shape"):
+        FieldPair.from_stack(g, w[:, :8], 0.5)
 
 
 @pytest.mark.parametrize("m", [4, 5, 1024])

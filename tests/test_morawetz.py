@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,13 @@ from qnls.morawetz import (
 from qnls.threshold import coercivity_on_balls, rescale_to_E0
 
 from conftest import random_envelope_pair, run_python
+
+# the benchmark's independent numpy re-implementation of the accumulator, imported read-only
+_REFERENCE_SPEC = importlib.util.spec_from_file_location(
+    "accumulator_reference", Path(__file__).resolve().parents[1] / "perfbench" / "accumulator_reference.py"
+)
+accumulator_reference = importlib.util.module_from_spec(_REFERENCE_SPEC)
+_REFERENCE_SPEC.loader.exec_module(accumulator_reference)
 
 
 def test_bump_endpoints_and_monotonicity():
@@ -515,6 +524,24 @@ def test_interaction_breakdowns_sum_to_total():
     res = interaction_lhs(p, 1e-2, InteractionParams(R0=2.0, J=4.0, T0=2.0, eps=0.25))
     assert np.sum(res.per_radius) == pytest.approx(res.accumulator, rel=1e-12)
     assert np.sum(res.per_time) == pytest.approx(res.accumulator, rel=1e-12)
+
+
+def test_interaction_lhs_matches_the_independent_reference():
+    # the trapezoid weights in log R and in t, against a sum that shares no
+    # code with the program, within the benchmark gate's relative 1e-8; the
+    # 55 steps end on a short last interval (samples at steps 0, 25, 50, 55)
+    g = UniformGrid(1, 128, 64.0)
+    x = g.axis()
+    u = 0.3 * np.exp(-((x - 32.0) ** 2) / 18.0) * np.exp(0.3j * x)
+    v = 0.2 * np.exp(-((x - 30.0) ** 2) / 8.0) + 0j
+    p = pair_from_arrays(g, u, v)
+    dt, params = 2e-3, InteractionParams(R0=1.0, J=3.0, T0=0.11, eps=0.25)
+    res = interaction_lhs(p, dt, params)
+    assert (res.outcome, res.n_time_samples) == ("completed", 4)
+    expected = accumulator_reference.interaction_accumulator(
+        u, v, g.L, p.kappa, dt, params.T0, params.R0, params.J, params.eps,
+    )
+    assert res.accumulator == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 def test_interaction_nonnegative_and_scales_like_e0_squared():

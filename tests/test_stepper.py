@@ -616,7 +616,7 @@ def test_a_row_is_one_stacked_transform_with_the_functionals_bits(grid, monkeypa
             return _original(self, values, out)
 
         monkeypatch.setattr(UniformGrid, name, counted)
-    row = evolution._record(p.with_values(w[0], w[1]), 0.03, w)
+    row = evolution._record(p.with_stack(w), 0.03)
     assert shapes == [("fft", w.shape)]
     assert _bits(row) == _bits(expected)
 

@@ -20,6 +20,20 @@ from qnls.threshold import (
 from conftest import random_envelope_pair, random_radial_pair
 
 
+def _count_transforms(monkeypatch) -> dict:
+    """Count the forward and inverse torus transforms from here on."""
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        original = getattr(UniformGrid, name)
+
+        def counted(self, values, out=None, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, values, out)
+
+        monkeypatch.setattr(UniformGrid, name, counted)
+    return calls
+
+
 def test_threshold_products_consistency(gs_fine):
     me, mh = variational_thresholds(gs_fine)
     # 1 : 5 : 4 makes E(Q) = M(Q): so ME = M^2 and MH = 5 M^2
@@ -135,6 +149,35 @@ def test_radial_boost_rejects_profiles_that_are_not_real(field, imag):
         coercivity_gap(p, np.zeros(1))
 
 
+def test_classify_data_separates_states_just_past_each_threshold(gs_mid):
+    # 1 -+ 1e-6 of a threshold product lies outside the guard band: below or
+    # above, never at.  y = M H / M(Q)H(Q) is placed by scaling a wide 1-D
+    # Gaussian pair, whose E < 0 keeps M E below its threshold; M E by scaling
+    # a 5-D radial pair on the rising side of c -> M(c u) E(c u), where y < 1
+    me_q, mh_q = variational_thresholds(gs_mid)
+    g = UniformGrid(1, 256, 40.0)
+    bump = np.exp(-((g.axis() - 20.0) ** 2) / 32.0) + 0j
+    wide = pair_from_arrays(g, bump, bump)
+    radial = random_radial_pair(RadialGrid(1024, 24.0), np.random.default_rng(0))
+    for p, product in ((wide, "mh"), (radial, "me")):
+        m, h, r = fields.mass(p), fields.kinetic(p), fields.potential(p)
+        for target, label in ((1.0 - 1e-6, "below"), (1.0 + 1e-6, "above")):
+            if product == "mh":
+                c = (target * mh_q / (m * h)) ** 0.25
+            else:
+                # c^4 M (H - c R) rises on [0, 4 H / (5 R)]
+                lo, hi = 0.0, 0.8 * h / r
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if mid**4 * m * (h - mid * r) < target * me_q else (lo, mid)
+                c = lo
+            rep = classify_data(p.with_values(c * p.u.values, c * p.v.values), gs_mid)
+            placed, other = (rep.y, rep.me_ratio) if product == "mh" else (rep.me_ratio, rep.y)
+            assert placed == pytest.approx(target, abs=1e-12)
+            assert other < 0.5
+            assert rep.classification == label
+
+
 def test_delta_prime_formula():
     assert delta_prime_from_delta(1.0) == pytest.approx(4.0)
     assert delta_prime_from_delta(0.5) == pytest.approx(4 * (1 - 0.5**0.25))
@@ -188,6 +231,39 @@ def test_ball_coercivity_radius_sweep(gs_fine):
         margins[radius] = rep.margin
         assert rep.kinetic_excess_constant < 100.0
     assert any(np.isfinite(m) and m > 0 for m in margins.values())
+
+
+# every report field, recorded before the two u-gradients shared one stacked transform
+BALL_PINS = {
+    1: (4.061757491428924, 5.349105942082025, 3.7129800172648983,
+        5.406689024916079e-07, 0.0028502657318987615),
+    2: (40.67131184766454, -1.0567749633258534, 3.5254513887387597,
+        8.759732345631047e-11, 5.8631694275825235e-08),
+}
+
+
+@pytest.mark.parametrize("grid, seed, s, radius", [
+    (UniformGrid(1, 256, 40.0), 41, [20.0], 8.0),
+    (UniformGrid(2, 64, 16.0), 42, [8.0, 8.0], 5.0),
+], ids=["d1", "d2"])
+def test_ball_coercivity_report_is_pinned(gs_mid, grid, seed, s, radius):
+    p = random_envelope_pair(grid, np.random.default_rng(seed), amp=0.5)
+    rep = coercivity_on_balls(p, s, radius, gs_mid)
+    got = (rep.localized_kinetic, rep.localized_potential, rep.delta_prime,
+           rep.identity_error, rep.kinetic_excess_constant)
+    assert got == pytest.approx(BALL_PINS[grid.d], rel=1e-12, abs=0.0)
+
+
+def test_torus_functionals_transform_each_array_once(gs_mid, monkeypatch):
+    p = random_envelope_pair(UniformGrid(2, 64, 16.0), np.random.default_rng(43), amp=0.5)
+    calls = _count_transforms(monkeypatch)
+    boosted_kinetic(p, [0.3, -0.2])   # H and P from one spectrum
+    assert calls == {"fft": 1, "ifft": 0}
+    calls.update(fft=0, ifft=0)
+    # the window's densities, the stacked gradients of u^xi and chi u^xi, the
+    # Laplacian of chi, and H of the cut and of the whole boosted pair
+    coercivity_on_balls(p, [8.0, 8.0], 5.0, gs_mid)
+    assert calls["fft"] <= 5 and calls["ifft"] <= 5
 
 
 def test_window_norm_zero_and_range_check():

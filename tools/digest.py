@@ -18,18 +18,20 @@ relative paths, so artifacts never embed a location.  Runs go in manifest order,
 the Morawetz weight tables, which no command writes, in one more process:
 ``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
 eps = 0.05.  A 28th process evaluates the pair functionals, which no
-command prints on its own: ``kinetic``, ``momentum``, ``boosted_kinetic``,
-``coercivity_gap``, ``boost_xi``, ``weighted_momentum``,
-``galilean_pairing`` and ``cauchy_schwarz_margin`` on two seeded torus
-pairs each in d = 1, 2 and 3, ``coercivity_on_balls`` and
-``morawetz_action`` on those in d = 1 and 2, and ``kinetic``,
-``boosted_kinetic`` and ``coercivity_gap`` on two seeded radial pairs.
+command prints on its own: ``mass``, ``kinetic``, ``potential``,
+``pair_lp_norm`` (q = 3), ``boosted_kinetic`` and ``coercivity_gap`` on
+every pair below; ``momentum`` and the bytes of ``galilean_boost`` on
+every torus pair; ``boost_xi``, ``weighted_momentum``,
+``galilean_pairing`` and ``cauchy_schwarz_margin`` on two seeded complex
+torus pairs each in d = 1, 2 and 3, and ``coercivity_on_balls`` and
+``morawetz_action`` on those in d = 1 and 2.  The other pairs are two
+seeded radial pairs and one 2-D torus pair built from float64 arrays.
 
 The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each CLI run, ``files/<name>`` of every file left in the directory,
 ``tables/d<d>/<name>`` of each table, and ``functionals/<name>/<case>`` of
 each functional value (its float64 bytes), to the sha256 of its bytes:
-152 entries for the CLI runs and tables and 62 for the functionals.  Outputs are
+152 entries for the CLI runs and tables and 100 for the functionals.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
 entries that differ or that only one digest has, and exits 1 if there are
@@ -171,6 +173,19 @@ def bump(g, rng):
     env = np.exp(-sum((xj - g.L * rng.uniform(0.35, 0.65)) ** 2 for xj in x) / 4.0)
     return env * sum(rng.normal() * np.exp(1j * sum(rng.normal() * xj for xj in x)) for _ in range(2))
 
+# the functionals a pair's array feeds; the boost by its complex128 bytes
+def put_pair_functionals(p, case, xi):
+    put("mass", case, F.mass(p))
+    put("kinetic", case, F.kinetic(p))
+    put("potential", case, F.potential(p))
+    put("pair_lp_norm", case, F.pair_lp_norm(p, 3))
+    put("boosted_kinetic", case, TH.boosted_kinetic(p, xi))
+    put("coercivity_gap", case, TH.coercivity_gap(p, xi))
+    if isinstance(p.grid, UniformGrid):
+        put("momentum", case, F.momentum(p))
+        boosted = F.galilean_boost(p, xi)
+        put("galilean_boost", case, boosted.u.values.view(float), boosted.v.values.view(float))
+
 gs = petviashvili_solve(RadialGrid(256, 20.0))
 weights = {d: M.build_weights(d, 2.0, 0.05) for d in (1, 2)}
 for d, n, L in ((1, 64, 20.0), (2, 32, 15.0), (3, 16, 10.0)):
@@ -181,10 +196,7 @@ for d, n, L in ((1, 64, 20.0), (2, 32, 15.0), (3, 16, 10.0)):
         rng = np.random.default_rng(seed)
         p = F.pair_from_arrays(g, bump(g, rng), bump(g, rng))
         case = f"torus-d{d}-seed{seed}"
-        put("kinetic", case, F.kinetic(p))
-        put("momentum", case, F.momentum(p))
-        put("boosted_kinetic", case, TH.boosted_kinetic(p, xi))
-        put("coercivity_gap", case, TH.coercivity_gap(p, xi))
+        put_pair_functionals(p, case, xi)
         choice = M.boost_xi(p, s, 2.0, w)
         put("boost_xi", case, choice.xi, choice.denominator)
         put("weighted_momentum", case, M.weighted_momentum(p, s, 2.0, w))
@@ -200,10 +212,12 @@ for seed in (0, 1):
     r = gs.pair.grid.nodes()
     p = gs.pair.with_values(*(rng.uniform(0.3, 2.0) * np.exp(-(r / rng.uniform(0.5, 3.0)) ** 2)
                               + 0j for _ in range(2)))
-    case = f"radial-seed{seed}"
-    put("kinetic", case, F.kinetic(p))
-    put("boosted_kinetic", case, TH.boosted_kinetic(p, 0.7))
-    put("coercivity_gap", case, TH.coercivity_gap(p, 0.7))
+    put_pair_functionals(p, f"radial-seed{seed}", 0.7)
+# float64 samples stay float64 in the pair, and its transforms take pocketfft's real path
+g = UniformGrid(2, 32, 15.0)
+rng = np.random.default_rng(2)
+p = F.pair_from_arrays(g, np.abs(bump(g, rng)), bump(g, rng).real)
+put_pair_functionals(p, "torus-d2-float64", np.full(2, 0.3))
 print(json.dumps(out))
 """
 
