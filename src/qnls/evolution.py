@@ -653,7 +653,8 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
     of the mass sits near the box boundary at the final time (wrap-around
     contamination).  Raises ``ValueError`` for a field that is not finite or
     is zero at every sample, and for one whose density sum or any fitted norm
-    underflows to zero: those norms have no logarithm.
+    underflows to zero or whose fitted norm overflows: those norms have no
+    finite logarithm.
     """
     grid = f0.grid
     if not isinstance(grid, UniformGrid):
@@ -669,15 +670,18 @@ def dispersive_decay_fit(f0, t_range: tuple[float, float], r: float = np.inf) ->
     fhat = grid.fft(f0.values)
     times = np.geomspace(t0, t1, 12)
     norms = []
-    for t in times:
-        ft = grid.ifft(np.exp(-1j * k2 * t) * fhat)
-        norms.append(lp_norm(Field(grid, ft), r))
+    with np.errstate(over="ignore"):   # a norm that overflows is refused below
+        for t in times:
+            ft = grid.ifft(np.exp(-1j * k2 * t) * fhat)
+            norms.append(lp_norm(Field(grid, ft), r))
 
     # wrap-around check on the loop's last (widest) profile
     dens = np.abs(ft) ** 2
     margin = grid.L / 16.0
     edge = np.any([(x < margin) | (x > grid.L - margin) for x in grid.coords()], axis=0)
     total = np.sum(dens)
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot fit the decay of a field whose fitted norm overflows")
     if total == 0 or min(norms) == 0:
         raise ValueError("cannot fit the decay of a field whose density or norm underflows to zero")
     frac = float(np.sum(dens[edge]) / total)

@@ -5,13 +5,18 @@ quotient J = M^(1/2) H^(5/2) / R^2, L^p norms, and the Galilean boost
 (u, v) -> (e^{i kappa x.xi} u, e^{i x.xi} v).  The coupling kappa = 1/2 is
 the mass-resonance value at which the boost commutes with the flow.
 
-A pair owns one (2, *shape) array, ``values``; its ``u`` and ``v`` Fields
-view the halves.  ``FieldPair(u, v, kappa)``, :func:`pair_from_arrays` and
-``with_values`` copy their arrays into one, with the dtype of
+A pair is its grid, one (2, *shape) array ``values`` holding u then v, and
+kappa, and nothing else.  Its ``u`` and ``v`` are :class:`Field` views of
+the halves, made on each access, so pickle and deepcopy copy the three
+fields and need no special case.  ``FieldPair(u, v, kappa)`` and
+:func:`pair_from_arrays` copy their arrays into one, with the dtype of
 ``np.array((u, v))``, so the caller's arrays are not aliased;
-``from_stack`` and ``with_stack`` hold a stacked array as it is.  Nothing
+``from_stack`` and ``with_stack`` hold a stacked array as it is
+(``with_values`` is gone: the pair of new halves u, v on the same grid and
+coupling is ``p.with_stack(np.array((u, v)))``).  Nothing
 derived from the writable array is cached on the pair: the real view that
-:func:`kinetic` takes of a real radial pair, and its test, are per call.
+:func:`kinetic` takes of a complex radial pair with no imaginary part, and
+its test, are per call.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ MASS_RESONANT_KAPPA = 0.5
 
 @dataclass(frozen=True, init=False)
 class FieldPair:
-    """Dynamical state (u, v) with coupling kappa: ``values``, one (2, *shape) array on one grid."""
+    """Dynamical state (u, v) with coupling kappa: ``values``, one (2, *shape) array on ``grid``."""
 
+    grid: UniformGrid | RadialGrid
     values: np.ndarray
     kappa: float
 
@@ -48,19 +54,12 @@ class FieldPair:
             raise ValueError(f"coupling must be a finite positive number, got {kappa}")
         if values.shape != (2, *grid.shape):
             raise ValueError(f"stacked shape {values.shape} is not (2, *{grid.shape})")
-        self.__dict__.update(values=values, kappa=kappa, u=Field(grid, values[0]), v=Field(grid, values[1]))
+        self.__dict__.update(grid=grid, values=values, kappa=kappa)
         return self
 
-    def __reduce__(self):
-        """Pickle and deepcopy rebuild the pair from its one array, so u and v view it again."""
-        return FieldPair.from_stack, (self.grid, self.values, self.kappa)
-
-    @property
-    def grid(self) -> UniformGrid | RadialGrid:
-        return self.u.grid
-
-    def with_values(self, u: np.ndarray, v: np.ndarray) -> FieldPair:
-        return self.with_stack(np.array((u, v)))
+    #: u and v, Fields viewing the halves of ``values``, made on each access
+    u = property(lambda self: Field(self.grid, self.values[0]))
+    v = property(lambda self: Field(self.grid, self.values[1]))
 
     def with_stack(self, values: np.ndarray) -> FieldPair:
         """The pair of this grid and coupling holding ``values`` (:meth:`from_stack`)."""
@@ -85,12 +84,13 @@ def mass(p: FieldPair) -> float:
 def kinetic(p: FieldPair) -> float:
     """H = ||grad u||_2^2 + (kappa/2) ||grad v||_2^2.
 
-    A radial pair with no non-zero (or NaN) imaginary part runs on the float
-    view of its real parts, with the bits of the complex formulas; a torus
-    pair never does, as a float64 transform has other bits.
+    A complex radial pair with no non-zero (or NaN) imaginary part runs on
+    the float view of its real parts, with the bits of the complex formulas;
+    a float pair needs no test, and a torus pair never does, as a float64
+    transform has other bits.
     """
     w = p.values
-    if isinstance(p.grid, RadialGrid) and not w.imag.any():
+    if isinstance(p.grid, RadialGrid) and np.iscomplexobj(w) and not w.imag.any():
         w = w.real
     return _kinetic(p.grid.dirichlet(w), p.kappa)
 
@@ -103,7 +103,7 @@ def _kinetic(dirichlet: np.ndarray, kappa: float) -> float:
 
 def potential(p: FieldPair) -> float:
     """R = Re int conj(v) u^2."""
-    return float(p.grid.integrate(np.real(np.conj(p.v.values) * p.u.values**2)))
+    return float(p.grid.integrate(np.real(np.conj(p.values[1]) * p.values[0] ** 2)))
 
 
 def energy(p: FieldPair) -> float:
@@ -176,6 +176,6 @@ def pair_lp_norm(p: FieldPair, q: float) -> float:
     """L^q norm of the pair: (int |u|^q + |v|^q)^(1/q), for q in [1, inf]."""
     _check_exponent(q)
     if q == np.inf:
-        return max(lp_norm(p.u, q), lp_norm(p.v, q))
+        return float(np.max(np.abs(p.values)))
     mu, mv = p.grid.integrate(np.abs(p.values) ** q).tolist()
     return (mu + mv) ** (1.0 / q)

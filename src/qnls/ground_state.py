@@ -150,11 +150,11 @@ class GroundState:
 
     @property
     def phi(self) -> np.ndarray:
-        return np.real(self.pair.u.values)
+        return np.real(self.pair.values[0])
 
     @property
     def vphi(self) -> np.ndarray:
-        return np.real(self.pair.v.values)
+        return np.real(self.pair.values[1])
 
     @cached_property
     def mass(self) -> float:
@@ -376,7 +376,7 @@ def petviashvili_normalization(pair: FieldPair) -> float:
     grid = pair.grid
     if not isinstance(grid, RadialGrid):
         raise TypeError("normalization diagnostic is defined on the radial grid")
-    phi, vphi = np.real(pair.u.values), np.real(pair.v.values)
+    phi, vphi = np.real(pair.values)
     e1, e2, rho = _moments(grid, partial(_lap4_apply, grid), pair.kappa, phi, vphi)
     return (e1 + e2) / (2.0 * rho)
 

@@ -114,17 +114,18 @@ def boosted_kinetic(p: FieldPair, xi) -> float:
     vanishes.  Agrees with kinetic(galilean_boost(p, xi)) on uniform grids.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    g, kap, w = p.grid, p.kappa, p.values
+    g, kap = p.grid, p.kappa
     if isinstance(g, UniformGrid):
         h, mom = fields_mod.kinetic_and_momentum(p)
         if xi.shape != mom.shape:
             raise ValueError(f"xi must have {g.d} components")
         lin = 2.0 * kap * float(np.dot(xi, mom))
-    elif w.imag.any():   # NaN counts as non-zero
+    elif p.values.imag.any():   # NaN counts as non-zero
         raise ValueError("radial boosted kinetic assumes real profiles")
-    else:
-        h, lin, w = fields_mod.kinetic(p), 0.0, w.real
-    mu, mv = g.integrate(np.abs(w) ** 2).tolist()
+    else:   # the real view, so that kinetic tests no realness of its own
+        p = p.with_stack(p.values.real)
+        h, lin = fields_mod.kinetic(p), 0.0
+    mu, mv = g.integrate(np.abs(p.values) ** 2).tolist()
     quad = float(np.dot(xi, xi)) * (kap**2 * mu + 0.5 * kap * mv)
     return h + lin + quad
 
@@ -181,8 +182,8 @@ def coercivity_on_balls(p: FieldPair, s, radius: float, gs: GroundState) -> Ball
 
     # localization identity on the boosted u component: the gradients of
     # u^xi and chi u^xi from one stacked transform
-    ub = boosted.u.values
-    grads = grid.gradient(np.array((ub, cut_boosted.u.values)))
+    ub = boosted.values[0]
+    grads = grid.gradient(np.array((ub, cut_boosted.values[0])))
     lhs = float(grid.integrate(chi**2 * sum(np.abs(g[0]) ** 2 for g in grads)))
     lap_chi = grid.laplacian(chi).real
     rhs = float(

@@ -1,7 +1,10 @@
-"""The verdict rule of tools/benchpair.py, on synthetic samples; no benchmark runs."""
+"""The verdict rule and the runs of tools/benchpair.py, on synthetic samples; no benchmark runs."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,3 +92,32 @@ def test_a_run_without_bytecode_writes_is_warned_about(monkeypatch):
     assert benchpair.bytecode_warning() is None
     monkeypatch.setattr(benchpair.sys, "dont_write_bytecode", True)
     assert "dont_write_bytecode" in benchpair.bytecode_warning()
+
+
+def test_only_the_warm_up_runs_drop_the_no_bytecode_flag(monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    calls = []
+
+    def fake_run(cmd, cwd, env=None, **kwargs):
+        calls.append((cmd[cmd.index("--seconds") + 1], cwd, env))
+        results = Path(cwd, ".perfbench_work", "results")
+        results.mkdir(parents=True, exist_ok=True)
+        (results / "w-seed3-trace0.json").write_text(
+            json.dumps({"details": {"import_s": 0.1, "setup_runs_s": [0.01]}}))
+        line = {"attempted": 4, "failed": 0, "metrics": {"op_ms": {"value": 2.0}}}
+        return SimpleNamespace(returncode=0, stdout=json.dumps(line) + "\n", stderr="")
+
+    monkeypatch.setattr(benchpair.subprocess, "run", fake_run)
+    monkeypatch.setattr(benchpair, "ROOT", str(tmp_path / "head"))
+    spec = {"end_to_end": [{"name": "op_ms", "unit": "ms", "better": "lower", "bound": 0.25}]}
+    report = benchpair.compare(str(tmp_path / "base"), spec, ["w"], 2, 1.0, 3)
+    assert report["w"]["attempted"] == {"base": 8, "head": 8}
+
+    warm = [call for call in calls if call[0] == "0.0"]
+    recorded = [call for call in calls if call[0] == "1.0"]
+    assert sorted(cwd for _, cwd, _ in warm) == [str(tmp_path / "base"), str(tmp_path / "head")]
+    expected = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    assert all(env == expected for _, _, env in warm)
+    # the recorded runs inherit the caller's environment, flag included
+    assert len(recorded) == 4 and all(env is None for _, _, env in recorded)
+    assert calls[:2] == warm

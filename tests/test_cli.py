@@ -831,6 +831,33 @@ def test_disperse_refuses_a_density_that_underflows(tmp_path, capfd):
         assert err == "" and not out.exists()
 
 
+def test_disperse_refuses_a_norm_that_overflows(tmp_path, capfd):
+    # |u|^201057 overflowed with a RuntimeWarning, and the refusal that
+    # followed blamed an underflow
+    path = tmp_path / "run.json"
+    out = tmp_path / "out.json"
+    path.write_text(json.dumps({
+        "command": "disperse", "n": 8, "L": 1.0, "decay_exponent": 201057, "output": str(out),
+    }))
+    assert _quiet_main(path) == 2
+    stdout, err = capfd.readouterr()
+    assert len(stdout.splitlines()) == 1
+    doc = json.loads(stdout)
+    assert doc["error"] == "ValueError" and "norm overflows" in doc["message"]
+    assert err == "" and not out.exists()
+
+
+def test_a_file_initial_state_without_input_path_is_a_usage_error(tmp_path, capfd):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "command": "evolve", "initial": "file", "t_final": 0.01, "output": str(tmp_path / "e.csv"),
+    }))
+    assert _quiet_main(path) == 1
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and err == "error: initial = file requires input_path\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
 # the report fields the README documents as possibly not finite
 _MAY_NOT_BE_FINITE = {"delta_prime", "E0", "ratio"}
 # a number of any size: log-uniform over most of the float range

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnls import evolution, fields
-from qnls.grid import Field, UniformGrid
+from qnls.grid import Field, RadialGrid, UniformGrid
 from qnls.fields import pair_from_arrays
 from qnls.evolution import (
     EvolutionConfig,
@@ -17,7 +18,7 @@ from qnls.evolution import (
     _SubstepBuffers,
 )
 
-from conftest import out_of_reach_pair, random_envelope_pair
+from conftest import out_of_reach_pair, random_envelope_pair, random_radial_pair
 
 
 def _zero_pair(g):
@@ -33,7 +34,7 @@ def linear_step(p, dt):
     grid = p.grid
     w = np.array((p.u.values, p.v.values), dtype=complex)
     w = grid.ifft(evolution._free_multiplier(grid, p.kappa, dt) * grid.fft(w))
-    return p.with_values(w[0], w[1])
+    return p.with_stack(np.array(w))
 
 
 def reference_rk4_step(p, dt):
@@ -51,7 +52,7 @@ def reference_rk4_step(p, dt):
     k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
     u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return p.with_values(u, v)
+    return p.with_stack(np.array((u, v)))
 
 
 def test_linear_step_constant_unchanged():
@@ -345,6 +346,43 @@ def test_decay_fit_detects_wraparound_along_the_last_axis():
     assert dispersive_decay_fit(gaussian(20.0), (0.5, 2.0), r=np.inf) < 0.0
     with pytest.raises(RuntimeError, match="wrap-around"):
         dispersive_decay_fit(gaussian(1.0), (0.5, 2.0), r=np.inf)
+
+
+@pytest.mark.parametrize("fraction, refused", [(1e-7, False), (1e-5, True), (1e-4, True)])
+def test_decay_fit_refuses_a_boundary_mass_fraction_above_1e_6(fraction, refused):
+    # a narrow packet holding the stated fraction of the mass sits between
+    # L/64 and L/16 of the edge, where the wrap-around margin of L/16 sees
+    # it; the short fit times hardly move it
+    g = UniformGrid(1, 256, 40.0)
+    x = g.axis()
+    side = np.sqrt(fraction / (1.0 - fraction) / 0.3) * np.exp(-((x - 1.5625) ** 2) / (2 * 0.3**2))
+    f = Field(g, np.exp(-((x - 20.0) ** 2) / 2.0) + side + 0j)
+    if not refused:
+        assert np.isfinite(dispersive_decay_fit(f, (1e-3, 1e-2), r=np.inf))
+        return
+    with pytest.raises(RuntimeError, match="boundary mass fraction") as err:
+        dispersive_decay_fit(f, (1e-3, 1e-2), r=np.inf)
+    assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(fraction, rel=1e-2)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda radial: EvolutionConfig(dt=1e-3, t_final=-1e-3), ValueError, "nonnegative"),
+    (lambda radial: dispersive_decay_fit(Field(UniformGrid(1, 64, 20.0), np.ones(64, complex)),
+                                         (2.0, 1.0)), ValueError, "0 < t_start < t_end"),
+    (lambda radial: evolution.SplitStepper(radial, 1e-3), TypeError, "uniform grids"),
+    (lambda radial: evolve(radial, EvolutionConfig(dt=1e-3, t_final=1e-2)), TypeError, "uniform grid"),
+    (lambda radial: dispersive_decay_fit(radial.u, (1.0, 2.0)), TypeError, "uniform grid"),
+], ids=["negative-t_final", "decreasing-t_range", "stepper-radial", "evolve-radial", "decay-fit-radial"])
+def test_evolution_refuses_a_radial_pair_or_a_backward_time(call, error, match):
+    with pytest.raises(error, match=match):
+        call(random_radial_pair(RadialGrid(16, 8.0), np.random.default_rng(0)))
+
+
+def test_a_completed_run_has_no_blow_up_time_and_a_kinetic_that_is_not_finite_is_undecided():
+    ts = evolve(_zero_pair(UniformGrid(1, 16, 10.0)), EvolutionConfig(dt=1e-2, t_final=0.02))
+    assert ts.outcome == "completed" and ts.blow_up_time is None
+    ts.records[-1] = dataclasses.replace(ts.records[-1], kinetic=np.nan)
+    assert blow_up_detect(ts) == "undecided"
 
 
 def test_config_validation():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -11,6 +12,7 @@ from qnls.fields import (
     galilean_boost,
     gn_functional,
     kinetic,
+    kinetic_and_momentum,
     lp_norm,
     mass,
     momentum,
@@ -18,7 +20,7 @@ from qnls.fields import (
     pair_lp_norm,
     potential,
 )
-from qnls.threshold import boosted_kinetic
+from qnls.threshold import boosted_kinetic, coercivity_on_balls
 
 from conftest import (
     radial_dirichlet_reference,
@@ -180,7 +182,7 @@ def test_pair_lp_norm_combines_components():
 def test_pair_sup_norm_is_the_larger_max_modulus():
     p = random_envelope_pair(_grid1(), np.random.default_rng(5))
     u, v = p.u.values, p.v.values
-    for q in (p, p.with_values(3.0 * u, v), p.with_values(u, 3.0 * v)):
+    for q in (p, p.with_stack(np.array((3.0 * u, v))), p.with_stack(np.array((u, 3.0 * v)))):
         umax, vmax = np.max(np.abs(q.u.values)), np.max(np.abs(q.v.values))
         assert pair_lp_norm(q, np.inf) == max(umax, vmax)
 
@@ -233,6 +235,86 @@ def test_a_pair_owns_one_array_that_its_fields_view():
         FieldPair.from_stack(g, w[:, :8], 0.5)
 
 
+class _CountsImag(np.ndarray):
+    """An array that counts the reads of its imaginary part, one per realness test."""
+
+    reads = 0
+
+    @property
+    def imag(self):
+        _CountsImag.reads += 1
+        return super().imag
+
+
+def test_a_pair_builds_no_field_and_a_radial_boost_tests_realness_once(monkeypatch, gs_mid):
+    # a pair is its grid, its stacked array and kappa; u and v are made on
+    # request, so building a pair or running a functional builds no Field
+    assert [f.name for f in dataclasses.fields(FieldPair)] == ["grid", "values", "kappa"]
+    built = []
+    post_init = Field.__post_init__
+
+    def counted(field):
+        built.append(field)
+        post_init(field)
+
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    pair_from_arrays(_grid1(16), np.ones(16, complex), np.zeros(16, complex))
+    assert len(built) == 0
+    p2 = random_envelope_pair(UniformGrid(2, 32, 20.0), np.random.default_rng(8), sigma=1.4, amp=0.4)
+    built.clear()
+    coercivity_on_balls(p2, [10.0, 10.0], 8.0, gs_mid)
+    assert len(built) == 0
+    assert p2.u.values.base is p2.values and len(built) == 1   # a view made on request
+
+    # a radial boosted_kinetic tests realness once, and kinetic on its real
+    # view none; a float pair needs no test at all
+    g = RadialGrid(64, 12.0)
+    real = random_radial_pair(g, np.random.default_rng(9))
+    for stacked, tests in ((np.array(real.values), 1), (real.values.real.copy(), 0)):
+        counted_pair = real.with_stack(stacked.view(_CountsImag))
+        for xi in (0.0, 0.7):
+            expected = boosted_kinetic(real, xi)
+            _CountsImag.reads = 0
+            assert boosted_kinetic(counted_pair, xi) == expected
+            assert _CountsImag.reads == 1
+        _CountsImag.reads = 0
+        assert kinetic(counted_pair) == kinetic(real)
+        assert _CountsImag.reads == tests
+
+
+@pytest.mark.parametrize("dtypes", [(complex, complex), (float, float), (float, complex)],
+                         ids=["complex", "float64", "mixed"])
+def test_the_pair_constructor_copies_and_stacks_like_pair_from_arrays(dtypes):
+    # FieldPair(u, v, kappa) copies the two Fields' samples into one array
+    # with the dtype np.array((u, v)) gives, so its functionals keep the
+    # bits of pair_from_arrays
+    g = UniformGrid(2, 16, 8.0)
+    base = random_envelope_pair(g, np.random.default_rng(3), sigma=1.0)
+    u, v = (w if t is complex else w.real.copy() for w, t in zip(base.values, dtypes))
+    p = FieldPair(Field(g, u), Field(g, v), 0.5)
+    q = pair_from_arrays(g, u, v, 0.5)
+    assert p.grid == g and p.values.dtype == np.array((u, v)).dtype == q.values.dtype
+    assert p.values.tobytes() == q.values.tobytes()
+    u[0, 0] += 1.0   # the constructor copied
+    assert p.values[0, 0, 0] == q.values[0, 0, 0] != u[0, 0]
+    for f in (mass, kinetic, potential, momentum, energy, lambda r: pair_lp_norm(r, 3.0),
+              lambda r: pair_lp_norm(r, np.inf), lambda r: boosted_kinetic(r, [0.3, -0.2])):
+        assert np.asarray(f(p)).tobytes() == np.asarray(f(q)).tobytes()
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda torus, radial: kinetic_and_momentum(radial), TypeError, "uniform grids"),
+    (lambda torus, radial: momentum(radial), TypeError, "uniform grids"),
+    (lambda torus, radial: galilean_boost(radial, 0.5), TypeError, "uniform grids"),
+    (lambda torus, radial: galilean_boost(torus, [0.5, 0.5]), ValueError, "xi must have 1"),
+], ids=["kinetic_and_momentum-radial", "momentum-radial", "boost-radial", "boost-xi-length"])
+def test_torus_functionals_refuse_a_radial_pair_or_a_wrong_xi(call, error, match):
+    torus = random_envelope_pair(_grid1(64), np.random.default_rng(4))
+    radial = random_radial_pair(RadialGrid(16, 8.0), np.random.default_rng(4))
+    with pytest.raises(error, match=match):
+        call(torus, radial)
+
+
 @pytest.mark.parametrize("m", [4, 5, 1024])
 def test_radial_pair_functionals_keep_the_one_field_formulas_bits(m):
     # H and H(u^xi) each take one stacked pass, in real arithmetic when no
@@ -242,8 +324,8 @@ def test_radial_pair_functionals_keep_the_one_field_formulas_bits(m):
     g = RadialGrid(m, 12.0)
     rng = np.random.default_rng(m)
     real = random_radial_pair(g, rng)
-    minus = real.with_values(np.conj(real.u.values), np.conj(real.v.values))
-    cplx = real.with_values(real.u.values + 1j * rng.normal(size=m), real.v.values * (1 + 0.5j))
+    minus = real.with_stack(np.array((np.conj(real.u.values), np.conj(real.v.values))))
+    cplx = real.with_stack(np.array((real.u.values + 1j * rng.normal(size=m), real.v.values * (1 + 0.5j))))
     for p in (real, minus, cplx):
         u, v, kap = p.u.values, p.v.values, p.kappa
         mu = radial_integral_reference(g, np.abs(u) ** 2)

@@ -29,6 +29,12 @@ def test_make_uniform_grid_spacing():
     assert g2.h * g2.n == g2.L
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_a_radial_grid_needs_four_nodes(m):
+    with pytest.raises(ValueError, match="at least 4 radial nodes"):
+        RadialGrid(m, 10.0)
+
+
 def test_uniform_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         UniformGrid(1, 12, 1.0)       # not a power of two

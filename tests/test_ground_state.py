@@ -21,6 +21,7 @@ from qnls.ground_state import (
     _newton_band,
     _oracle_operators,
     _residuals,
+    _tridiagonal_solver,
     oracle_coarse_solve,
     petviashvili_normalization,
     petviashvili_solve,
@@ -28,6 +29,21 @@ from qnls.ground_state import (
 )
 
 from conftest import random_radial_pair
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: petviashvili_normalization(pair_from_arrays(
+        UniformGrid(1, 16, 8.0), np.ones(16, complex), np.ones(16, complex))), TypeError, "radial grid"),
+    (lambda: oracle_coarse_solve(m=16, kappa=-1.0), ConvergenceError, "did not converge in 6000"),
+    (lambda: oracle_coarse_solve(m=16, kappa=np.nan), ConvergenceError, "degenerated at step 2"),
+    (lambda: _tridiagonal_solver(np.zeros(3), np.zeros(4), np.zeros(3)), np.linalg.LinAlgError,
+     "singular"),
+], ids=["normalization-torus", "oracle-no-convergence", "oracle-degenerate", "tridiagonal-singular"])
+def test_ground_state_refusals(call, error, match):
+    # kappa = -1 has no ground state, so the oracle's damped iteration never
+    # settles; a NaN coupling makes its second iterate NaN
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_pohozaev_ratios_at_acceptance_resolution(gs_fine):

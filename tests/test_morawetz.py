@@ -34,7 +34,7 @@ from qnls.morawetz import (
 )
 from qnls.threshold import coercivity_on_balls, rescale_to_E0
 
-from conftest import random_envelope_pair, run_python
+from conftest import random_envelope_pair, random_radial_pair, run_python
 
 # the benchmark's independent numpy re-implementation of the accumulator, imported read-only
 _REFERENCE_SPEC = importlib.util.spec_from_file_location(
@@ -42,6 +42,19 @@ _REFERENCE_SPEC = importlib.util.spec_from_file_location(
 )
 accumulator_reference = importlib.util.module_from_spec(_REFERENCE_SPEC)
 _REFERENCE_SPEC.loader.exec_module(accumulator_reference)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: build_weights(3, 8.0, 0.05), ValueError, r"d in \{1, 2, 5\}"),
+    (lambda: morawetz_action(random_radial_pair(RadialGrid(16, 8.0), np.random.default_rng(0)),
+                             build_weights(1, 8.0, 0.05)), TypeError, "d = 1 or 2"),
+    (lambda: interaction_lhs(random_envelope_pair(UniformGrid(2, 16, 10.0), np.random.default_rng(0)),
+                             1e-3, InteractionParams(R0=1.0, J=1.0, T0=0.01, eps=0.25)),
+     TypeError, "d = 1"),
+], ids=["weights-d3", "action-radial", "accumulator-2d"])
+def test_morawetz_refuses_a_dimension_it_is_not_evaluated_in(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_bump_endpoints_and_monotonicity():

@@ -299,7 +299,7 @@ def test_nan_state_is_a_substep_failure():
     p = random_envelope_pair(grid, np.random.default_rng(6), amp=0.5)
     u = p.u.values.copy()
     u[3] = np.nan
-    bad = p.with_values(u, p.v.values)
+    bad = p.with_stack(np.array((u, p.v.values)))
     with np.errstate(invalid="ignore"):
         with pytest.raises(SubstepFailure):
             SplitStepper(bad, 1e-2).step()
@@ -381,7 +381,7 @@ def _evolve_checked_every_step(p0, cfg):
                 ts.outcome = "blow-up"
                 break
             if cfg.snapshot_every and (len(ts.records) - 1) % cfg.snapshot_every == 0:
-                ts.snapshots.append((t, p0.with_values(*w.copy())))
+                ts.snapshots.append((t, p0.with_stack(np.array(w))))
     return ts
 
 
@@ -538,7 +538,7 @@ def test_non_finite_input_is_a_blow_up_with_nothing_recorded(bad):
     p = _gaussian_pair(UniformGrid(1, 64, 10.0), 0.5)
     u = p.u.values.copy()
     u[3] = bad
-    p = p.with_values(u, p.v.values)
+    p = p.with_stack(np.array((u, p.v.values)))
     ts = evolve(p, EvolutionConfig(dt=1e-3, t_final=0.05, cadence=10, snapshot_every=1))
     assert ts.outcome == "blow-up" and ts.records == [] and ts.snapshots == []
     assert ts.blow_up_time == 0.0
@@ -601,7 +601,7 @@ def test_a_row_is_one_stacked_transform_with_the_functionals_bits(grid, monkeypa
     for _ in range(3):
         stepper.step()
     w = stepper.sync()
-    q = p.with_values(w[0].copy(), w[1].copy())
+    q = p.with_stack(np.array(w))
     expected = evolution.DiagnosticsRecord(
         t=0.03, mass=fields.mass(q), kinetic=fields.kinetic(q), potential=fields.potential(q),
         momentum=fields.momentum(q), l3_u=fields.lp_norm(q.u, 3.0),

@@ -45,7 +45,7 @@ def test_threshold_rejects_degenerate_state(gs_fine):
     from dataclasses import replace
 
     zero = np.zeros(gs_fine.grid.shape, complex)
-    broken = replace(gs_fine, pair=gs_fine.pair.with_values(zero, zero))
+    broken = replace(gs_fine, pair=gs_fine.pair.with_stack(np.array((zero, zero))))
     with pytest.raises(ValueError):
         variational_thresholds(broken)
     unconverged = replace(gs_fine, residual_norm=1.0)
@@ -171,7 +171,7 @@ def test_classify_data_separates_states_just_past_each_threshold(gs_mid):
                     mid = 0.5 * (lo + hi)
                     lo, hi = (mid, hi) if mid**4 * m * (h - mid * r) < target * me_q else (lo, mid)
                 c = lo
-            rep = classify_data(p.with_values(c * p.u.values, c * p.v.values), gs_mid)
+            rep = classify_data(p.with_stack(np.array((c * p.u.values, c * p.v.values))), gs_mid)
             placed, other = (rep.y, rep.me_ratio) if product == "mh" else (rep.me_ratio, rep.y)
             assert placed == pytest.approx(target, abs=1e-12)
             assert other < 0.5
@@ -317,6 +317,31 @@ def test_rescale_to_e0_demo_and_errors():
             rescale_to_E0(focusing)
     with pytest.raises(ValueError):
         rescale_to_E0(pair_from_arrays(g, z, z))
+
+
+def test_rescale_to_e0_refuses_an_energy_that_cancels_to_round_off():
+    # H and R agree to 1e-10, so E = H - R keeps only the last digits of
+    # each and the rescaled pair misses M = E by far more than 1e-10
+    g = UniformGrid(1, 128, 30.0)
+    u = np.exp(-(g.axis() - 15.0) ** 2) + 0j
+    p = pair_from_arrays(g, u, u)
+    c = fields.kinetic(p) / fields.potential(p) * (1.0 - 1e-10)
+    with pytest.raises(RuntimeError, match="rescale post-check failed"):
+        rescale_to_E0(pair_from_arrays(g, c * u, c * u))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda gs, torus, radial: boosted_kinetic(torus, [0.1, 0.2]), ValueError, "xi must have 1"),
+    (lambda gs, torus, radial: coercivity_on_balls(radial, [1.0], 2.0, gs), TypeError, "d <= 2"),
+    (lambda gs, torus, radial: coercivity_on_balls(
+        random_envelope_pair(UniformGrid(3, 8, 8.0), np.random.default_rng(1)), [4.0] * 3, 2.0, gs),
+     TypeError, "d <= 2"),
+], ids=["boosted-xi-length", "ball-radial", "ball-3d"])
+def test_threshold_functionals_refuse_a_wrong_xi_or_grid(call, error, match, gs_mid):
+    torus = random_envelope_pair(UniformGrid(1, 64, 20.0), np.random.default_rng(2))
+    radial = random_radial_pair(RadialGrid(16, 8.0), np.random.default_rng(2))
+    with pytest.raises(error, match=match):
+        call(gs_mid, torus, radial)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -14,13 +14,16 @@ is not touched.  Each pair runs
 once from each tree's root, base first in the first pair, head first in the
 second, and so on, and reads the JSON object on the last line of each
 run's output.  Without ``--workload`` every workload of ``BENCHMARK.json``
-runs.  Both sides use this interpreter and this environment.  Each side
-first makes one unrecorded warm-up run per workload, which writes the
-tree's bytecode cache, so that no recorded run compiles.  (A separate cache
-through ``PYTHONPYCACHEPREFIX`` is no substitute: it raised windows'
+runs.  Both sides use this interpreter.  Each side first makes one
+unrecorded warm-up run per workload, whose environment is the caller's
+without ``PYTHONDONTWRITEBYTECODE``, so that it writes the tree's bytecode
+cache (``__pycache__``, which git ignores; the base tree is a temporary
+extraction).  The recorded runs keep the caller's environment: with that
+variable set they write no cache, but they read the one the warm-up wrote,
+so no recorded run compiles ``src/`` inside its ``setup_s``.  (A separate
+cache through ``PYTHONPYCACHEPREFIX`` is no substitute: it raised windows'
 ``peak_rss_mib`` by about 1.5 MiB.)  When ``sys.dont_write_bytecode`` is
-set, as by ``PYTHONDONTWRITEBYTECODE``, no run writes that cache, so every
-recorded run compiles ``src/`` inside its ``setup_s``; the script warns.
+set, the script says on stderr which runs write the cache.
 
 The report holds both shas (head's with a flag for uncommitted changes), the
 numpy, scipy and Python versions and the core count.  For each workload it
@@ -104,11 +107,12 @@ def setup_parts(details: list[dict]) -> dict:
 
 
 def bytecode_warning() -> str | None:
-    """The warning to print when no run can write the bytecode cache, else None."""
+    """The warning to print when the caller writes no bytecode cache, else None."""
     if not sys.dont_write_bytecode:
         return None
-    return ("benchpair: warning: sys.dont_write_bytecode is set, so the warm-up runs cannot "
-            "fill the bytecode cache and every recorded run compiles src/ inside its setup_s")
+    return ("benchpair: warning: sys.dont_write_bytecode is set; the warm-up runs drop "
+            "PYTHONDONTWRITEBYTECODE and write each tree's bytecode cache, and the recorded runs "
+            "keep the caller's environment and read that cache")
 
 
 def _git(*args: str) -> str:
@@ -116,15 +120,15 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run from ``tree``'s root.
+def _run(tree: str, workload: str, seed: int, seconds: float, env: dict | None = None) -> dict:
+    """One ``perfbench/run.py --trace 0`` run from ``tree``'s root, in ``env`` (default: the caller's).
 
     Returns the JSON of its last line, with the ``details`` of the result
     file the run wrote added under that key.
     """
     cmd = (sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0")
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
@@ -139,10 +143,12 @@ def compare(base_tree: str, spec: dict, workloads: list[str], pairs: int, second
     """Runs the pairs and returns the report's per-workload part."""
     trees = {"base": base_tree, "head": ROOT}
     metrics = spec["end_to_end"]
+    # the caller's environment without the flag, so that a warm-up run writes bytecode
+    warm_up_env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
     report = {}
     for workload in workloads:
         for tree in trees.values():   # warm-up: writes each tree's bytecode cache
-            _run(tree, workload, seed, 0.0)
+            _run(tree, workload, seed, 0.0, warm_up_env)
         runs = {"base": [], "head": []}
         for i in range(pairs):
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):

@@ -210,8 +210,8 @@ for d, n, L in ((1, 64, 20.0), (2, 32, 15.0), (3, 16, 10.0)):
 for seed in (0, 1):
     rng = np.random.default_rng(seed)
     r = gs.pair.grid.nodes()
-    p = gs.pair.with_values(*(rng.uniform(0.3, 2.0) * np.exp(-(r / rng.uniform(0.5, 3.0)) ** 2)
-                              + 0j for _ in range(2)))
+    p = gs.pair.with_stack(np.array([rng.uniform(0.3, 2.0) * np.exp(-(r / rng.uniform(0.5, 3.0)) ** 2)
+                                     + 0j for _ in range(2)]))
     put_pair_functionals(p, f"radial-seed{seed}", 0.7)
 # float64 samples stay float64 in the pair, and its transforms take pocketfft's real path
 g = UniformGrid(2, 32, 15.0)
