@@ -75,7 +75,9 @@ _KEYS: dict[str, tuple] = {
     # error, not an allocation
     "m": (2048, _INTEGER, (lambda m: 4 <= m <= 2**20, "in [4, 2**20]")),
     "r_max": (30.0, _POSITIVE, None),
-    "tol": (1e-10, _POSITIVE, None),
+    # variational_thresholds refuses a residual above 1e-6, and a looser stop
+    # could return a profile that no iteration has refined
+    "tol": (1e-10, _POSITIVE, (lambda t: t <= 1e-6, "at most 1e-6")),
     "max_iter": (500, _INTEGER, _at_least(1)),
     "dimension": (1, _INTEGER, (lambda d: d in (1, 2, 3), "1, 2 or 3")),
     "initial": ("gaussian", (lambda x: x in _INITIALS, f"one of {', '.join(_INITIALS)}"), None),
@@ -431,7 +433,12 @@ def run_command(cfg: RunConfig) -> int:
             params = InteractionParams(R0=cfg.R0, J=cfg.J, T0=cfg.T0, eps=cfg.eps)
         except ValueError as exc:   # the radii's numeric domain
             raise ConfigError(f"config keys 'R0', 'J' and 'T0': {exc}") from None
-        pair = _initial_pair(cfg)
+        pair = _initial_pair(cfg)   # refuses a box outside the grid's domain first
+        # the windows divide distances up to L / 2 by R0: keep that ratio, and its square, finite
+        if not cfg.L <= 1e150 * cfg.R0:
+            raise ConfigError(
+                f"config keys 'R0' and 'L' must keep L / R0 <= 1e150, got L {cfg.L!r}, R0 {cfg.R0!r}"
+            )
         res = interaction_lhs(pair, cfg.dt, params)
         rows = [[float(r), float(acc)] for r, acc in zip(res.radii, res.per_radius)]
         if out is not None:

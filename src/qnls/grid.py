@@ -349,8 +349,11 @@ class RadialGrid:
         return self._nodes
 
     def integrate(self, values: np.ndarray):
-        """Midpoint rule over the last axis: sum f(r_j) * sigma_4 * r_j^4 * dr."""
-        return SPHERE_AREA_4 * np.sum(values * self._r4, axis=-1) * self.dr
+        """Midpoint rule over the last axis: sum f(r_j) * sigma_4 * r_j^4 * dr.
+
+        Reduced by ``np.add.reduce``, as in :meth:`UniformGrid.integrate`.
+        """
+        return SPHERE_AREA_4 * np.add.reduce(values * self._r4, axis=-1) * self.dr
 
     def dirichlet(self, values: np.ndarray):
         """int |grad f|^2 with the fourth-order centred d/dr, over the last axis.

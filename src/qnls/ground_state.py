@@ -48,51 +48,62 @@ The package's only second-order radial operator is the tridiagonal one
 of the independent oracle below, factored by LAPACK's ``dgttrf`` and
 ``dgttrs`` from the same module.
 
-Both stationary solvers run one loop, ``_stationary_solve``.  The
+Both stationary solvers share the sweep loop ``_stationary_solve``.  The
 balanced sweep contracts only linearly, by about 0.85 per sweep at
-m = 2048, so when the caller hands the loop a Jacobian, as
-:func:`petviashvili_solve` does, the loop sweeps only until the iterate is
-inside Newton's basin, down to the residual ``NEWTON_SWITCH`` = 30, and
-finishes with Newton steps on the full system (J. Yang, J. Comput.
-Phys. 228 (2009) 7007); the torus Jacobian of
-:func:`solve_periodic_profile` is not banded, so that solve only sweeps.
-Newton from the Gaussian guess itself converges to phi = vphi = 0.  The
-basin was mapped by running k sweeps and then Newton steps under the
-floor rule below (every step must lower the residual); the first k from
-which Newton reaches Q, with the residual after k sweeps at m = 2048,
-r_max = 30:
+m = 2048, and Newton from the Gaussian guess itself converges to
+phi = vphi = 0, so :func:`petviashvili_solve` combines the two by nested
+iteration (Deuflhard, Newton Methods for Nonlinear Problems, Springer
+2004, sec. 1.4 and ch. 3; J. Yang, J. Comput. Phys. 228 (2009) 7007 for
+Newton on this kind of system).  When m // COARSENING >= COARSE_MIN_M,
+that is m >= 2048, it first solves on RadialGrid(m // 8, r_max) with the
+same kappa and tol, by the same rule, interpolates that profile linearly
+onto its own nodes and takes only Newton steps there: the fine level
+takes no sweep and factors no L1 or L2 band.  Below that size it takes
+HANDOVER_SWEEPS = 5 balanced sweeps from the Gaussian guess and then
+Newton steps.  The hand-over is a count, not a residual test, because
+the first sweep residuals are not monotone (103, 89, 102, 95, 96 at
+kappa = 0.5).  The torus Jacobian of :func:`solve_periodic_profile` is
+not banded, so that solve only sweeps.
 
-    kappa       0.25   0.5   1    2     4
-    k           11     8     4    1     1
-    residual    113    81    78   144   258
+Every Newton step is damped: a step that does not lower the max-norm
+residual is halved until it does, down to MIN_DAMPING = 2^-10 of the full
+step.  Five sweeps can leave the iterate where a full step raises the
+residual; the halvings per Newton step at m = 256, r_max = 30 (the coarse
+level of the default solve) were, with a full step as 0:
 
-k is the same for m from 64 to 4096 and r_max from 10 to 40 (the
-residuals move by a few percent), and no larger k up to 30 failed, so the
-switch at 30 sits at least 2.5 times inside the basin.  A much higher
-switch would leave it: the first sweep residuals are not monotone (103,
-89, 102, 95, 96 at kappa = 0.5), and at kappa = 0.25 the second sweep
-already reads 97, nine sweeps before the basin.  At m = 2048,
-r_max = 30, kappa = 0.5 the solve takes 17 sweeps and 4 Newton steps,
-against 47 and 2 with a switch at 0.3.
+    kappa       0.1                            0.25             0.5          1 to 8
+    halvings    4 4 4 4 4 3 3 3 2 1, then 0    2 2 1, then 0    1, then 0    0
+
+At m = 2048, r_max = 30 every Newton step from the linear interpolant of
+the coarse profile is full, for kappa from 0.1 to 8.  Damping stays on
+after a full step: at m = 2048, r_max = 40, kappa = 0.1 the interpolant's
+residual 5.3e3 falls to 389 in a full step, the next full step would
+raise it to 400, and halved once it lowers it to 290.  At m = 2048,
+r_max = 30, kappa = 0.5 the solve takes 10 iterations at m = 256 (5
+sweeps, one step halved once, 4 full steps) and 4 Newton steps at
+m = 2048 (residuals 0.069, 4.8e-4, 3.3e-10, 8.3e-11), where sweeping on
+the fine grid down to a residual of 30 took 17 sweeps and 4 Newton steps.
 With (phi_j, vphi_j) interleaved per node the Jacobian
 
     [[1 - L4 - diag vphi, -diag phi], [-2 diag phi, 2 - kappa L4]]
 
 is a (4, 4) band, so a step is one O(m) banded solve: each Newton step
-factors its Jacobian once.  Sweeps and Newton steps share one history and
-one budget: ``iterations`` and ``residual_history`` count them together,
-and ``max_iter`` bounds their sum.  The solve returns once the max-norm
-residual of the fourth-order system falls below ``tol`` and raises
-:class:`ConvergenceError` at the first Newton step that does not reduce
-it: that is the float64 floor.
+factors its Jacobian once, however often it is halved.  Both levels share
+one history and one budget: ``residual_history`` holds the residual of
+each coarse sweep and step on the coarse grid, then that of each fine
+step, ``iterations`` is its length and ``max_iter`` bounds it.  The solve
+returns once the max-norm residual of the fourth-order system falls
+below ``tol`` and raises :class:`ConvergenceError` at the first Newton
+step that does not lower it even at MIN_DAMPING: near the solution that
+is the float64 floor.
 ``GroundState.residual_floor`` estimates the floor as
 eps * max_i sum_j |J_ij| |x_j|; the 4/r term at the first node makes it
 grow like 1/dr^2 (about 5e-10 at m = 2048, r_max = 30).
 The residuals reached sit below that bound, and whether one also falls
 below tol = 1e-10 is a matter of rounding: at m = 2048, r_max = 30 the
-solve reaches it for kappa = 0.25, 0.5 and 1 (9.9e-11, 6.2e-11, 6.0e-11)
-but stalls at 1.2e-10 for kappa = 2, and at kappa = 0.5 m = 3072 and
-4096 stall at 1.7e-10 and 3.5e-10.
+solve reaches it for kappa = 0.1, 0.25, 0.5 and 1 (8.5e-11, 5.8e-11,
+8.3e-11, 9.3e-11) but stalls at 1.2e-10 for kappa = 2, and at
+kappa = 0.5 m = 3072 and 4096 stall at 1.7e-10 and 2.6e-10.
 
 A deliberately independent coarse solver (second-order tridiagonal
 operators in O(m) memory, damped held-mass Picard) cross-checks M_gs.
@@ -118,12 +129,16 @@ if _lapack is None:
 #: amplitude a of the Gaussian initial guess of every stationary solve
 INITIAL_AMPLITUDE = 3.0
 
-#: max-norm residual below which the stationary loop of
-#: :func:`petviashvili_solve` takes Newton steps instead of balanced
-#: sweeps: at least 2.5 times inside the basin from which every Newton
-#: step lowers the residual (residuals 78-258 for kappa 0.25-4, solver
-#: notes above)
-NEWTON_SWITCH = 30.0
+#: :func:`petviashvili_solve` starts from a solve on a grid this many
+#: times coarser whenever that grid has at least ``COARSE_MIN_M`` nodes
+COARSENING = 8
+COARSE_MIN_M = 256
+
+#: balanced sweeps from the Gaussian guess before Newton takes over
+HANDOVER_SWEEPS = 5
+
+#: smallest damping factor, the fraction of a Newton step, that a step tries
+MIN_DAMPING = 2.0**-10
 
 
 class ConvergenceError(RuntimeError):
@@ -141,7 +156,7 @@ class GroundState:
     pair: FieldPair
     residual_norm: float
     residual_floor: float                # round-off floor of the residual; NaN if not estimated
-    iterations: int                      # sweeps plus Newton steps
+    iterations: int                      # sweeps and Newton steps, both levels
     residual_history: tuple[float, ...]
 
     @property
@@ -290,9 +305,10 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _residuals(lap, kappa, phi, vphi) -> tuple[np.ndarray, np.ndarray]:
-    """Both stationary equations evaluated at (phi, vphi)."""
-    res1 = phi - lap(phi) - phi * vphi
-    res2 = 2.0 * vphi - kappa * lap(vphi) - phi**2
+    """Both stationary equations evaluated at (phi, vphi), with one stacked ``lap`` call."""
+    lap_phi, lap_vphi = lap(np.array((phi, vphi)))
+    res1 = phi - lap_phi - phi * vphi
+    res2 = 2.0 * vphi - kappa * lap_vphi - phi**2
     return res1, res2
 
 
@@ -302,8 +318,9 @@ def _max_norm(res: tuple[np.ndarray, np.ndarray]) -> float:
 
 def _moments(grid, lap, kappa, phi, vphi) -> tuple[float, float, float]:
     """(<L1 phi, phi>, <L2 vphi, vphi>, int vphi phi^2) with L1 = 1 - lap, L2 = 2 - kappa lap."""
-    e1 = float(grid.integrate((phi - lap(phi)) * phi))
-    e2 = float(grid.integrate((2.0 * vphi - kappa * lap(vphi)) * vphi))
+    lap_phi, lap_vphi = lap(np.array((phi, vphi)))
+    e1 = float(grid.integrate((phi - lap_phi) * phi))
+    e2 = float(grid.integrate((2.0 * vphi - kappa * lap_vphi) * vphi))
     rho = float(grid.integrate(vphi * phi**2))
     return e1, e2, rho
 
@@ -325,45 +342,71 @@ def _balanced_sweep(grid, lap, inv1, inv2, kappa, phi, vphi):
     return (np.sqrt(e1 * e2) / rho) * phi_t, (e1 / rho) * vphi_t
 
 
-def _stationary_solve(grid, lap, inv1, inv2, kappa, guess, tol, max_iter, jacobian=None):
-    """The iteration of both stationary solvers; returns (phi, vphi, residual history).
+def _check_budget(history: list, max_iter: int, residual: float) -> None:
+    if len(history) >= max_iter:
+        raise ConvergenceError(
+            f"no convergence after {max_iter} iterations (residual {residual:.3e})"
+        )
 
-    Starts from phi = vphi = ``guess`` and takes a balanced sweep
-    (:func:`_balanced_sweep`) while there is no ``jacobian`` or the
-    residual is at least ``NEWTON_SWITCH``, otherwise a Newton step with
-    the band ``jacobian(phi, vphi)``, which must lower the residual.
-    Sweeps and steps share one history and one budget: the solve stops
-    once both equation residuals drop below ``tol`` in max-norm and raises
-    :class:`ConvergenceError` when ``max_iter`` iterations did not get there.
+
+def _stationary_solve(grid, lap, inv1, inv2, kappa, guess, tol, max_iter, sweeps=None):
+    """The balanced iteration of both stationary solvers; returns (phi, vphi, residual history).
+
+    Starts from phi = vphi = ``guess`` and takes balanced sweeps
+    (:func:`_balanced_sweep`) until both equation residuals drop below
+    ``tol`` in max-norm, or until ``sweeps`` of them have been taken.
+    Raises :class:`ConvergenceError` when ``max_iter`` sweeps did not get there.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     phi = vphi = guess
     residual, history = np.inf, []
-    while not residual < tol:
-        if len(history) >= max_iter:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} iterations (residual {residual:.3e})"
-            )
-        if jacobian is None or not residual < NEWTON_SWITCH:
-            phi, vphi = _balanced_sweep(grid, lap, inv1, inv2, kappa, phi, vphi)
-            res = _residuals(lap, kappa, phi, vphi)
-            residual = _max_norm(res)
-        else:
-            jac = jacobian(phi, vphi)
-            step = _banded_solver(jac, jac.shape[0] // 2)(_interleave(*res))
-            phi_n, vphi_n = phi - step[0::2], vphi - step[1::2]
-            res = _residuals(lap, kappa, phi_n, vphi_n)
-            residual_n = _max_norm(res)
-            if not residual_n < residual:
-                raise ConvergenceError(
-                    f"Newton step {len(history) + 1} did not reduce the residual "
-                    f"({residual_n:.3e}); smallest residual {residual:.3e} against a "
-                    f"round-off floor of about {_residual_floor(jac, phi, vphi):.1e}"
-                )
-            phi, vphi, residual = phi_n, vphi_n, residual_n
+    while not residual < tol and len(history) != sweeps:
+        _check_budget(history, max_iter, residual)
+        phi, vphi = _balanced_sweep(grid, lap, inv1, inv2, kappa, phi, vphi)
+        residual = _max_norm(_residuals(lap, kappa, phi, vphi))
         history.append(residual)
     return phi, vphi, history
+
+
+def _newton_solve(lap, jacobian, kappa, phi, vphi, tol, max_iter, history):
+    """Damped Newton steps from (phi, vphi) until the residual is below ``tol``.
+
+    Returns (phi, vphi, residual).  ``jacobian(phi, vphi)`` is the band of
+    :func:`_newton_band`; each step factors it once.  A step that does not
+    lower the max-norm residual is halved until it does, down to
+    ``MIN_DAMPING`` of the full step; a step that does not lower it even
+    then raises :class:`ConvergenceError`, which names the round-off
+    floor: near the solution that is where the residual stops falling.
+    Each step appends its residual to ``history``, which holds the
+    iterations before it and shares the budget ``max_iter`` with them.
+    """
+    res = _residuals(lap, kappa, phi, vphi)
+    residual = _max_norm(res)
+    while not residual < tol:
+        _check_budget(history, max_iter, residual)
+        jac = jacobian(phi, vphi)
+        step = _banded_solver(jac, jac.shape[0] // 2)(_interleave(*res))
+        damping = 1.0
+        while True:
+            phi_n, vphi_n = phi - damping * step[0::2], vphi - damping * step[1::2]
+            res_n = _residuals(lap, kappa, phi_n, vphi_n)
+            residual_n = _max_norm(res_n)
+            if damping == 1.0:
+                full = residual_n
+            if residual_n < residual or damping <= MIN_DAMPING:
+                break
+            damping /= 2.0
+        if not residual_n < residual:
+            raise ConvergenceError(
+                f"Newton step {len(history) + 1} did not reduce the residual "
+                f"({full:.3e} at the full step, {residual_n:.3e} at damping factor "
+                f"{damping:.1e}); smallest residual {residual:.3e} against a round-off "
+                f"floor of about {_residual_floor(jac, phi, vphi):.1e}"
+            )
+        phi, vphi, res, residual = phi_n, vphi_n, res_n, residual_n
+        history.append(residual)
+    return phi, vphi, residual
 
 
 def petviashvili_normalization(pair: FieldPair) -> float:
@@ -384,33 +427,50 @@ def petviashvili_normalization(pair: FieldPair) -> float:
 def petviashvili_solve(
     grid: RadialGrid, kappa: float = 0.5, tol: float = 1e-10, max_iter: int = 500
 ) -> GroundState:
-    """Radial ground state: balanced sweeps, then a Newton finish.
+    """Radial ground state by nested iteration: a coarse start, then Newton.
 
-    Starts from phi = vphi = INITIAL_AMPLITUDE * exp(-r^2) and runs
-    :func:`_stationary_solve` with the solver's fourth-order radial
-    operators and the Newton Jacobian: sweeps down to ``NEWTON_SWITCH`` = 30,
-    at least 2.5 times inside Newton's measured basin (residuals 78-258 for
-    kappa from 0.25 to 4), then Newton steps until the residual is below
-    ``tol``; see the module docstring for the basin table.
+    When ``grid.m // COARSENING`` >= ``COARSE_MIN_M`` the solve first runs
+    on ``RadialGrid(grid.m // COARSENING, grid.r_max)`` with the same
+    ``kappa`` and ``tol``, interpolates that profile linearly onto the
+    nodes of ``grid`` and finishes with Newton steps there.  Otherwise it
+    starts from phi = vphi = INITIAL_AMPLITUDE * exp(-r^2), takes
+    ``HANDOVER_SWEEPS`` balanced sweeps and finishes with damped Newton
+    steps.  ``iterations`` and ``residual_history`` list the coarse
+    level's sweeps and steps, each with its residual on its own grid, then
+    the Newton steps on ``grid``; ``max_iter`` bounds the sum.
     """
     l4 = _lap4_band(grid)
-    lap = partial(_lap4_apply, grid)
-
-    def inverse(alpha, beta):
-        band = -beta * l4
-        band[2] += alpha
-        return _banded_solver(band, 2)
-
-    guess = INITIAL_AMPLITUDE * np.exp(-(grid.nodes() ** 2))
-    phi, vphi, history = _stationary_solve(
-        grid, lap, inverse(1.0, 1.0), inverse(2.0, kappa), kappa, guess, tol, max_iter,
-        partial(_newton_band, l4, kappa),
-    )
+    phi, vphi, residual, history = _nested_solve(grid, l4, kappa, tol, max_iter)
     if float(np.min(phi)) < -1e-10 or float(np.min(vphi)) < -1e-10:
         raise ConvergenceError("converged to a sign-changing profile")
     floor = _residual_floor(_newton_band(l4, kappa, phi, vphi), phi, vphi)
     pair = FieldPair.from_stack(grid, np.array((phi, vphi), dtype=complex), kappa)
-    return GroundState(pair, history[-1], floor, len(history), tuple(history))
+    return GroundState(pair, residual, floor, len(history), tuple(history))
+
+
+def _nested_solve(grid, l4, kappa, tol, max_iter):
+    """(phi, vphi, residual, history) of :func:`petviashvili_solve` on ``grid``, whose L4 band is ``l4``."""
+    lap = partial(_lap4_apply, grid)
+    if grid.m // COARSENING >= COARSE_MIN_M:
+        coarse = RadialGrid(grid.m // COARSENING, grid.r_max)
+        phi, vphi, _, history = _nested_solve(coarse, _lap4_band(coarse), kappa, tol, max_iter)
+        r, rc = grid.nodes(), coarse.nodes()
+        phi, vphi = np.interp(r, rc, phi), np.interp(r, rc, vphi)
+    else:
+        def inverse(alpha, beta):
+            band = -beta * l4
+            band[2] += alpha
+            return _banded_solver(band, 2)
+
+        guess = INITIAL_AMPLITUDE * np.exp(-(grid.nodes() ** 2))
+        phi, vphi, history = _stationary_solve(
+            grid, lap, inverse(1.0, 1.0), inverse(2.0, kappa), kappa, guess, tol, max_iter,
+            HANDOVER_SWEEPS,
+        )
+    phi, vphi, residual = _newton_solve(
+        lap, partial(_newton_band, l4, kappa), kappa, phi, vphi, tol, max_iter, history
+    )
+    return phi, vphi, residual, history
 
 
 def _oracle_operators(grid: RadialGrid, kappa: float):

@@ -798,6 +798,32 @@ def test_morawetz_radii_beyond_the_float_range_are_a_usage_error(tmp_path, capfd
     assert "'R0'" in err and "'J'" in err
 
 
+def test_a_window_radius_tiny_against_the_box_is_a_usage_error(tmp_path, capfd):
+    # distance / R0 overflowed in the window with a RuntimeWarning, and the
+    # run exited 0 with an accumulator of 3.9e291
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "morawetz", "n": 8, "L": 1e50, "R0": 1e-259,
+                                "T0": 0.025}))
+    assert _quiet_main(path) == 1
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "'R0'" in err and "'L'" in err
+
+
+def test_a_tolerance_above_1e_6_is_a_usage_error(tmp_path, capfd):
+    # tol 1e10 stopped after one sweep with residual 100, and classify would
+    # have used that profile; 1e-6 is the residual variational_thresholds accepts
+    path = tmp_path / "gs.json"
+    path.write_text(json.dumps({"command": "ground-state", "m": 64, "r_max": 12.0, "tol": 1e10}))
+    assert _quiet_main(path) == 1
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert "config key 'tol' must be at most 1e-6, got 10000000000.0" in err
+    path.write_text(json.dumps({"command": "ground-state", "m": 64, "r_max": 12.0, "tol": 1e-6}))
+    assert _quiet_main(path) == 0
+    assert json.loads(capfd.readouterr()[0])["residual"] < 1e-6
+
+
 def test_a_morawetz_ratio_whose_denominator_underflows_is_infinite(tmp_path, capfd):
     # E0 = 4.4e-321 squares to 0, and 0 / 0 printed a RuntimeWarning and NaN
     path = tmp_path / "run.json"

@@ -313,6 +313,18 @@ def test_radial_quadratures_of_a_stacked_pair_keep_the_one_field_bits(m):
         assert g.dirichlet(plus) == g.dirichlet(minus) == g.dirichlet(f)
 
 
+@pytest.mark.parametrize("m", [4, 5, 1024, 2048])
+def test_radial_integrate_has_the_bits_of_np_sum(m):
+    # np.add.reduce is what np.sum runs, without its dispatch
+    g = RadialGrid(m, 9.0)
+    rng = np.random.default_rng(m)
+    real = rng.normal(size=(2, m))
+    for w in (real, real + 1j * rng.normal(size=(2, m)), real[0], real[0] + 0j):
+        want = SPHERE_AREA_4 * np.sum(w * g.nodes() ** 4, axis=-1) * g.dr
+        assert np.array_equal(g.integrate(w), want)
+        assert g.integrate(w).dtype == want.dtype
+
+
 def test_filled_caches_keep_equality_and_hash():
     pairs = [(UniformGrid(d, 16, 4.0), UniformGrid(d, 16, 4.0)) for d in (1, 2, 3)]
     pairs.append((RadialGrid(32, 6.0), RadialGrid(32, 6.0)))

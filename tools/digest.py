@@ -4,20 +4,22 @@ Usage:
     python3 tools/digest.py                 # print the digest as JSON
     python3 tools/digest.py --against FILE  # list the entries that differ
 
-The manifest below has 26 CLI runs.  They run every command, in d = 1, 2 and
-3, with snapshots written and read back (``initial: "file"``); every
-outcome of ``evolve`` and ``morawetz`` (``completed``, ``blow-up`` and
-``substep-failure`` of each, and a completed ``evolve`` whose nearly flat
-state grows by modulational instability); seven usage errors, three of
-them numeric-domain refusals (a box outside the torus grid's domain, an
-initial state beyond the caps, Morawetz radii beyond the float range), and
-a numeric error.  Each run is ``python -m qnls.cli CONFIG`` in its own process, from
+The manifest below has 29 CLI runs.  They run every command, in d = 1, 2 and
+3, with snapshots written and read back (``initial: "file"``); the ground
+state at m = 256 and at the default m = 2048, whose solve starts on a
+coarser grid; every outcome of ``evolve`` and ``morawetz`` (``completed``,
+``blow-up`` and ``substep-failure`` of each, and a completed ``evolve``
+whose nearly flat state grows by modulational instability); nine usage
+errors, five of them numeric-domain refusals (a box outside the torus
+grid's domain, an initial state beyond the caps, Morawetz radii beyond the
+float range, a box too long for the smallest Morawetz radius, a ``tol``
+above its cap), and a numeric error.  Each run is ``python -m qnls.cli CONFIG`` in its own process, from
 the ``src/`` next to this script, inside one temporary directory with
 relative paths, so artifacts never embed a location.  Runs go in manifest order, because the
-``file`` runs read snapshots that earlier runs wrote.  A 27th run builds
+``file`` runs read snapshots that earlier runs wrote.  A 30th run builds
 the Morawetz weight tables, which no command writes, in one more process:
 ``phi``, ``phi1``, ``psi``, ``a`` and ``dphi`` for d = 1, 2 and 5 at
-eps = 0.05.  A 28th process evaluates the pair functionals, which no
+eps = 0.05.  A 31st process evaluates the pair functionals, which no
 command prints on its own: ``mass``, ``kinetic``, ``potential``,
 ``pair_lp_norm`` (q = 3), ``boosted_kinetic`` and ``coercivity_gap`` on
 every pair below; ``momentum`` and the bytes of ``galilean_boost`` on
@@ -31,7 +33,7 @@ The digest maps ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` of
 each CLI run, ``files/<name>`` of every file left in the directory,
 ``tables/d<d>/<name>`` of each table, and ``functionals/<name>/<case>`` of
 each functional value (its float64 bytes), to the sha256 of its bytes:
-152 entries for the CLI runs and tables and 100 for the functionals.  Outputs are
+166 entries for the CLI runs and tables and 100 for the functionals.  Outputs are
 byte-identical per platform only (numpy's SIMD kernels may round
 differently on other CPUs), so compare digests taken on one machine.  With ``--against`` the script prints the
 entries that differ or that only one digest has, and exits 1 if there are
@@ -53,6 +55,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # (run name, config); "output" names are relative to the run directory
 MANIFEST: list[tuple[str, dict]] = [
     ("ground-state", {"command": "ground-state", "m": 256, "r_max": 20.0, "output": "gs"}),
+    # the default m = 2048 starts from the solve at m = 256, which m = 256 itself never does
+    ("ground-state-default", {"command": "ground-state", "output": "gsd"}),
     ("evolve-1d-gaussian", {
         "command": "evolve", "dimension": 1, "n": 64, "L": 20.0, "dt": 1e-3, "t_final": 0.06,
         "cadence": 10, "amplitude": 0.6, "width": 1.5, "phase_velocity": 0.4,
@@ -139,6 +143,11 @@ MANIFEST: list[tuple[str, dict]] = [
     # the largest radius R0 e^J overflows
     ("usage-error-morawetz-radii", {"command": "morawetz", "n": 8, "L": 20.0, "T0": 0.05,
                                     "J": 800}),
+    # L / R0 = 1e309: distance / R0 overflowed in the window, and the run exited 0
+    ("usage-error-morawetz-box-over-r0", {"command": "morawetz", "n": 8, "L": 1e50,
+                                          "R0": 1e-259, "T0": 0.025}),
+    # a residual of 100 passed, after one sweep
+    ("usage-error-tol", {"command": "ground-state", "m": 64, "r_max": 12.0, "tol": 1e10}),
     ("numeric-error", {"command": "ground-state", "m": 128, "r_max": 10.0, "tol": 1e-15,
                        "max_iter": 2}),
 ]
